@@ -53,6 +53,7 @@ from .errors import (
     CongrexError,
     InvalidInputError,
     NotAGroupError,
+    NotApplicableError,
     WitnessCheckError,
 )
 from .groups import (

@@ -16,6 +16,7 @@ from math import gcd
 from .algebra import (
     FiniteAlgebra,
     Partition,
+    _flat_index,
     direct_product,
     is_congruence_uniform,
 )
@@ -28,12 +29,17 @@ from .clones import (
     malcev_term,
     skew_congruences,
 )
-from .errors import CongrexError, InvalidInputError, WitnessCheckError
+from .errors import (
+    CongrexError,
+    InvalidInputError,
+    NotAGroupError,
+    NotApplicableError,
+    WitnessCheckError,
+)
 from .groups import (
     GroupPresentation,
     GroupStructure,
     check_prime,
-    is_group_algebra,
     is_nilpotent_group,
     lower_central_series,
     normal_subgroups,
@@ -86,7 +92,6 @@ def _subgroup_split_report(g: GroupStructure):
     subgroup lattice, which is Con of the group."""
     subs = normal_subgroups(g)
     pair = split_normal_subgroup_lattice(g, subs, strong=True)
-    weak = split_normal_subgroup_lattice(g, subs, strong=False)
     witness = None
     if pair is not None:
         delta, eps = pair
@@ -98,11 +103,10 @@ def _subgroup_split_report(g: GroupStructure):
         }
     diags = {
         "normal_subgroup_count": len(subs),
-        "splits": weak is not None,
+        # strong splitting implies splitting
+        "splits": pair is not None
+        or split_normal_subgroup_lattice(g, subs, strong=False) is not None,
     }
-    # strong splitting implies splitting
-    if pair is not None and weak is None:
-        raise CongrexError("internal: strong split without weak split")
     return pair is not None, witness, diags
 
 
@@ -115,8 +119,8 @@ def decide_group(group) -> AnalysisReport:
     """
     alg = _as_group_algebra(group)
     g = GroupStructure(alg)
-    if not is_nilpotent_group(g):
-        series = [len(term) for term in lower_central_series(g)]
+    series = lower_central_series(g)
+    if series[-1] != frozenset({g.identity}):
         return AnalysisReport(
             verdict=VERDICT_NA,
             route="group-normal-subgroup-lattice",
@@ -124,36 +128,38 @@ def decide_group(group) -> AnalysisReport:
                 "group": alg.name,
                 "order": alg.size,
                 "reason": "not-nilpotent",
-                "lower_central_series_orders": series,
+                "lower_central_series_orders": [len(term) for term in series],
             },
         )
     strong, witness, diags = _subgroup_split_report(g)
-    factor_reports = []
-    factor_strong = []
-    for p, sub in sylow_decomposition(g):
-        sg = GroupStructure(sub)
-        fs, fw, fd = _subgroup_split_report(sg)
-        factor_strong.append(fs)
-        factor_reports.append(
-            {
-                "prime": p,
-                "order": sub.size,
-                "verdict": VERDICT_INFINITE if fs else VERDICT_FINITE,
-                "lattice_witness": fw,
-                "diagnostics": fd,
-            }
-        )
-    if any(factor_strong) != strong:
+    primes = sorted(prime_factors(g.size))
+    if len(primes) == 1:  # a p-group is its own Sylow factor
+        analyses = [(primes[0], g.size, strong, witness, diags)]
+    else:
+        analyses = [
+            (p, sub.size, *_subgroup_split_report(GroupStructure(sub)))
+            for p, sub in sylow_decomposition(g)
+        ]
+    if any(fs for _, _, fs, _, _ in analyses) != strong:
         raise CongrexError(
             "internal: per-factor and whole-lattice splitting disagree"
         )
-    diags.update({"group": alg.name, "order": alg.size, "nilpotent": True})
+    factor_reports = [
+        {
+            "prime": p,
+            "order": order,
+            "verdict": VERDICT_INFINITE if fs else VERDICT_FINITE,
+            "lattice_witness": fw,
+            "diagnostics": fd,
+        }
+        for p, order, fs, fw, fd in analyses
+    ]
     return AnalysisReport(
         verdict=VERDICT_INFINITE if strong else VERDICT_FINITE,
         route="group-normal-subgroup-lattice",
         lattice_witness=witness,
         factor_reports=factor_reports,
-        diagnostics=diags,
+        diagnostics={**diags, "group": alg.name, "order": alg.size, "nilpotent": True},
     )
 
 
@@ -208,34 +214,35 @@ def decide_product(factors, assume_nilpotent: bool = False) -> AnalysisReport:
     diagnostics = {"factor_orders": orders}
     hypothesis_notes = []
     for f in factors:
-        if is_group_algebra(f):
-            if not is_nilpotent_group(f):
+        try:
+            nilpotent = is_nilpotent_group(f)
+        except NotAGroupError:
+            if not assume_nilpotent:
                 raise InvalidInputError(
-                    f"factor {f.name or '?'} is a non-nilpotent group"
-                )
-        elif assume_nilpotent:
+                    "non-group factor: pass assume_nilpotent to assert nilpotency"
+                ) from None
             hypothesis_notes.append(
                 f"nilpotency of factor {f.name or '?'} asserted, not verified"
             )
-        else:
-            raise InvalidInputError(
-                "non-group factor: pass assume_nilpotent to assert nilpotency"
-            )
+            continue
+        if not nilpotent:
+            raise InvalidInputError(f"factor {f.name or '?'} is a non-nilpotent group")
     if hypothesis_notes:
         diagnostics["hypotheses"] = hypothesis_notes
 
     # fold the product, checking skew-freeness at every step
     prod = factors[0]
+    prod_congs = None
     for f in factors[1:]:
         prod = direct_product(prod, f)
-        congs = prod.all_congruences()
-        skew = skew_congruences(prod, congs)
+        prod_congs = prod.all_congruences()
+        skew = skew_congruences(prod, prod_congs)
         if skew:
             raise CongrexError(
                 f"skew congruence found in a product that should be skew-free "
                 f"(orders {orders}): {skew[0]!r}"
             )
-        if not is_congruence_uniform(prod, congs):
+        if not is_congruence_uniform(prod, prod_congs):
             diagnostics.setdefault("warnings", []).append(
                 "product is not congruence uniform"
             )
@@ -243,8 +250,8 @@ def decide_product(factors, assume_nilpotent: bool = False) -> AnalysisReport:
     factor_reports = []
     factor_strong = []
     for f in factors:
-        lat, congs = congruence_lattice(f)
-        w = splits_strongly(lat)
+        f_lat, f_congs = congruence_lattice(f)
+        w = splits_strongly(f_lat)
         factor_strong.append(w is not None)
         factor_reports.append(
             {
@@ -254,13 +261,15 @@ def decide_product(factors, assume_nilpotent: bool = False) -> AnalysisReport:
                 "lattice_witness": w.to_json_dict() if w else None,
             }
         )
-    lat, congs = congruence_lattice(prod)
+    if prod_congs is None:  # a single factor is its own product
+        prod_congs = f_congs
+    lat, prod_congs = _lattice_with(prod_congs)
     whole = splits_strongly(lat)
     if (whole is not None) != any(factor_strong):
         raise CongrexError(
             "internal: per-factor and whole-lattice splitting disagree"
         )
-    diagnostics["congruence_count"] = len(congs)
+    diagnostics["congruence_count"] = len(prod_congs)
     diagnostics["splits"] = splits(lat) is not None
     return AnalysisReport(
         verdict=VERDICT_INFINITE if whole else VERDICT_FINITE,
@@ -406,7 +415,7 @@ def verify_witness(fam: WitnessFamily, up_to_n: int) -> dict:
         seen = {}
         for args in itertools.product(range(s), repeat=n):
             sig = tuple(fam.delta.block_id[x] for x in args)
-            v = f.table[_tuple_index(args, s)]
+            v = f.table[_flat_index(args, s)]
             if sig in seen and seen[sig] != v:
                 raise WitnessCheckError(
                     f"member of arity {n} not constant on delta blocks at {args}"
@@ -418,13 +427,6 @@ def verify_witness(fam: WitnessFamily, up_to_n: int) -> dict:
             "constant_modulo_delta": True,
         }
     return record
-
-
-def _tuple_index(args, size: int) -> int:
-    idx = 0
-    for a in args:
-        idx = idx * size + a
-    return idx
 
 
 def build_rho(
@@ -522,16 +524,30 @@ def build_commutator_witness(
 
 def group_witness_pipeline(group, up_to_n: int = 3, k: int = 1) -> dict:
     """End-to-end witness construction for a group verdict: family, centrality
-    relation, and commutator-style term, all exhaustively verified."""
+    relation, and commutator-style term, all exhaustively verified.
+
+    A non-nilpotent group is outside the theorem's scope and raises
+    NotApplicableError before any congruence work.
+    """
     alg = _as_group_algebra(group)
+    try:
+        g = GroupStructure(alg)
+    except NotAGroupError:
+        g = None
+    if g is not None and not is_nilpotent_group(g):
+        raise NotApplicableError(f"{alg.name or 'the group'} is not nilpotent")
     congs = alg.all_congruences()
     fam = build_witness_family(alg, congs=congs)
     record = verify_witness(fam, up_to_n)
-    d = group_malcev_function(alg) or malcev_term(alg)
+    d = group_malcev_function(g) if g is not None else malcev_term(alg)
     if d is None:
         raise CongrexError("no Mal'cev function found for the base algebra")
     rho = build_rho(alg, fam.epsilon, d)
-    central = check_centrality(alg, fam.functions(up_to_n), rho)
+    if not check_centrality(alg, fam.functions(up_to_n), rho):
+        raise WitnessCheckError(
+            "the centrality relation is not preserved by the base operations "
+            "and the family members"
+        )
     w = build_commutator_witness(fam, d, k)
     return {
         "base": alg.name,
@@ -544,7 +560,7 @@ def group_witness_pipeline(group, up_to_n: int = 3, k: int = 1) -> dict:
         },
         "family_checks": {str(n): v for n, v in record.items()},
         "rho_size": len(rho),
-        "centrality": central,
+        "centrality": True,
         "commutator_witness_arity": w.arity,
         "commutator_witness_table": list(w.table),
     }

@@ -26,7 +26,12 @@ from .clones import (
     skew_congruences,
     tensor_fragments,
 )
-from .errors import BudgetExceededError, CongrexError
+from .errors import (
+    BudgetExceededError,
+    CongrexError,
+    InvalidInputError,
+    NotApplicableError,
+)
 from .groups import parse_group_spec
 from .lattice import (
     FiniteLattice,
@@ -42,11 +47,22 @@ EXIT_NOT_APPLICABLE = 2
 EXIT_BUDGET = 3
 
 
+def read_json(path: str) -> dict:
+    """The JSON object in a file; anything else is an input error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{path} does not hold a JSON object")
+    return data
+
+
 def load_algebra(token: str) -> FiniteAlgebra:
     """A group shortcut string, or a path to an algebra JSON file."""
     if os.path.exists(token):
-        with open(token, "r", encoding="utf-8") as fh:
-            return FiniteAlgebra.from_json(fh.read())
+        return FiniteAlgebra.from_json_dict(read_json(token))
     return parse_group_spec(token)
 
 
@@ -54,8 +70,7 @@ def load_lattice(token: str):
     """(lattice, congruence list or None): a lattice JSON file, or Con of an
     algebra given by shortcut/JSON."""
     if os.path.exists(token):
-        with open(token, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(token)
         if "leq" in data:
             return FiniteLattice.from_json_dict(data), None
         alg = FiniteAlgebra.from_json_dict(data)
@@ -137,13 +152,15 @@ def cmd_witness(args) -> int:
 
 
 def cmd_clone(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    size = data["universe_size"]
-    gens = [
-        FiniteFunction(size, f["arity"], tuple(f["table"]))
-        for f in data.get("functions", [])
-    ]
+    data = read_json(args.input)
+    try:
+        size = data["universe_size"]
+        gens = [
+            FiniteFunction(size, f["arity"], tuple(f["table"]))
+            for f in data.get("functions", [])
+        ]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInputError(f"malformed generator JSON: {exc!r}") from exc
     from .clones import clone_closure
 
     frag = clone_closure(
@@ -298,6 +315,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except NotApplicableError as exc:
+        print(f"not applicable: {exc}", file=sys.stderr)
+        return EXIT_NOT_APPLICABLE
     except CongrexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -484,15 +484,21 @@ def is_malcev_function(d: FiniteFunction) -> bool:
     )
 
 
-def group_malcev_function(alg: FiniteAlgebra) -> FiniteFunction | None:
-    """x * y^-1 * z when alg carries a group structure, else None."""
+def group_malcev_function(alg) -> FiniteFunction | None:
+    """x * y^-1 * z when alg carries a group structure, else None.
+
+    alg is a FiniteAlgebra or an already built GroupStructure.
+    """
     from .groups import GroupStructure, NotAGroupError
 
-    try:
-        g = GroupStructure(alg)
-    except NotAGroupError:
-        return None
-    s = alg.size
+    if isinstance(alg, GroupStructure):
+        g = alg
+    else:
+        try:
+            g = GroupStructure(alg)
+        except NotAGroupError:
+            return None
+    s = g.size
     table = [
         g.mul(g.mul(x, g.inv[y]), z)
         for x, y, z in itertools.product(range(s), repeat=3)

@@ -13,6 +13,11 @@ class NotAGroupError(InvalidInputError):
     """A Cayley table failed the group axioms."""
 
 
+class NotApplicableError(CongrexError):
+    """The input is outside the scope of the characterization, such as a
+    non-nilpotent group."""
+
+
 class BudgetExceededError(CongrexError):
     """A resource guard tripped before the computation finished.
 

@@ -43,33 +43,12 @@ def group_from_cayley(table, name: str = "", op_names=GENERAL_OPS) -> FiniteAlge
     flat = [v for row in table for v in row]
     if len(flat) != n * n or any(not (0 <= v < n) for v in flat):
         raise NotAGroupError("Cayley table is not square over 0..n-1")
-    mul = lambda x, y: flat[x * n + y]
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if mul(mul(x, y), z) != mul(x, mul(y, z)):
-            raise NotAGroupError(f"associativity fails at ({x},{y},{z})")
-    identity = None
-    for e in range(n):
-        if all(mul(e, x) == x and mul(x, e) == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
-        raise NotAGroupError("no identity element")
-    inv = [None] * n
-    for x in range(n):
-        for y in range(n):
-            if mul(x, y) == identity and mul(y, x) == identity:
-                inv[x] = y
-                break
-        if inv[x] is None:
-            raise NotAGroupError(f"element {x} has no inverse")
     op_mul, op_inv, op_id = op_names
+    mul = Operation(op_mul, 2, flat)
+    g = GroupStructure(FiniteAlgebra(n, [mul]))
     return FiniteAlgebra(
         n,
-        [
-            Operation(op_mul, 2, flat),
-            Operation(op_inv, 1, inv),
-            Operation(op_id, 0, [identity]),
-        ],
+        [mul, Operation(op_inv, 1, g.inv), Operation(op_id, 0, [g.identity])],
         name=name,
     )
 
@@ -217,27 +196,25 @@ class GroupStructure:
         op = binary[0]
         self.op_name = op.name
         n = alg.size
-        self.mul_table = np.array(op.table, dtype=np.int64).reshape(n, n)
-        mul = lambda x, y: op.table[x * n + y]
-        identity = None
-        for e in range(n):
-            if all(mul(e, x) == x and mul(x, e) == x for x in range(n)):
-                identity = e
-                break
-        if identity is None:
+        m = self.mul_table = np.array(op.table, dtype=np.int64).reshape(n, n)
+        units = np.flatnonzero(
+            (m == np.arange(n)).all(axis=1) & (m.T == np.arange(n)).all(axis=1)
+        )
+        if len(units) == 0:
             raise NotAGroupError("no identity for the binary operation")
-        self.identity = identity
-        inv = [None] * n
+        self.identity = int(units[0])
+        # inverse of x: the first y with x*y = y*x = identity
+        two_sided = (m == self.identity) & (m.T == self.identity)
+        has_inverse = two_sided.any(axis=1)
+        if not has_inverse.all():
+            x = int(np.argmin(has_inverse))
+            raise NotAGroupError(f"element {x} has no inverse")
+        self.inv = tuple(int(y) for y in two_sided.argmax(axis=1))
+        # (x*y)*z against x*(y*z) for all y, z at once, one x at a time
         for x in range(n):
-            for y in range(n):
-                if mul(x, y) == identity and mul(y, x) == identity:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
-                raise NotAGroupError(f"element {x} has no inverse")
-        self.inv = tuple(inv)
-        for x, y, z in itertools.product(range(n), repeat=3):
-            if mul(mul(x, y), z) != mul(x, mul(y, z)):
+            bad = np.argwhere(m[m[x]] != m[x][m])
+            if len(bad):
+                y, z = (int(v) for v in bad[0])
                 raise NotAGroupError(f"associativity fails at ({x},{y},{z})")
 
     def mul(self, x: int, y: int) -> int:
@@ -357,18 +334,21 @@ def subalgebra_on(alg: FiniteAlgebra, elements, name: str = "") -> FiniteAlgebra
 
 
 def sylow_decomposition(group):
-    """For nilpotent G, the list of (p, Sylow p-subgroup as a group algebra)."""
+    """For nilpotent G, the list of (p, Sylow p-subgroup as a group algebra).
+
+    G is nilpotent exactly when, for every prime p, its p-elements number
+    the p-part of |G|: then they form its only Sylow p-subgroup, which is
+    therefore normal, and G is the direct product of these subgroups.
+    """
     g = _as_structure(group)
-    if not is_nilpotent_group(g):
-        raise InvalidInputError("Sylow decomposition requires a nilpotent group")
     alg = g.alg
     out = []
-    for p in sorted(prime_factors(g.size)):
+    for p, k in sorted(prime_factors(g.size).items()):
         members = [x for x in range(g.size) if _is_p_power(g.element_order(x), p)]
+        if len(members) != p**k:
+            raise InvalidInputError("Sylow decomposition requires a nilpotent group")
         sub = subalgebra_on(alg, members, name=f"{alg.name or 'G'}_p{p}")
         out.append((p, sub))
-    orders = [sub.size for _, sub in out]
-    assert np.prod(orders, dtype=object) == g.size
     return out
 
 

@@ -9,6 +9,7 @@ import itertools
 
 from congrex.algebra import FiniteAlgebra, Partition
 from congrex.clones import FiniteFunction
+from congrex.groups import GroupStructure, quaternion_group
 from congrex.lattice import FiniteLattice, chain, lattice_from_covers, lattice_product
 
 
@@ -134,3 +135,46 @@ def superposition_closure(gens, arity, universe_size):
                     current.add(cand)
                     changed = True
     return current
+
+
+def brute_group_axioms(table):
+    """Group axiom oracle for an n x n Cayley table, element by element:
+    (identity, inverses) or the message of the first failure, looking for the
+    identity, then the inverses, then associativity in lexicographic order."""
+    n = len(table)
+    identity = next(
+        (e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))),
+        None,
+    )
+    if identity is None:
+        return "no identity for the binary operation"
+    inv = []
+    for x in range(n):
+        y = next(
+            (y for y in range(n) if table[x][y] == identity == table[y][x]), None
+        )
+        if y is None:
+            return f"element {x} has no inverse"
+        inv.append(y)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if table[table[x][y]][z] != table[x][table[y][z]]:
+            return f"associativity fails at ({x},{y},{z})"
+    return identity, tuple(inv)
+
+
+def relabeled_cayley(table, perm):
+    """The Cayley table of the same group on the elements renamed x -> perm[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x]][perm[y]] = perm[table[x][y]]
+    return out
+
+
+def q8_times_z3_cayley():
+    """Q8 x Z3 (order 24, nilpotent, not a p-group) on (q, z) -> 3q + z."""
+    q = GroupStructure(quaternion_group()).mul
+    return [
+        [3 * q(a // 3, b // 3) + (a + b) % 3 for b in range(24)] for a in range(24)
+    ]

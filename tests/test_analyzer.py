@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
-from congrex.algebra import Partition
+from congrex import analyzer
+from congrex.algebra import FiniteAlgebra, Partition
 from congrex.analyzer import (
     VERDICT_FINITE,
     VERDICT_INFINITE,
@@ -17,8 +20,22 @@ from congrex.analyzer import (
     verify_witness,
 )
 from congrex.clones import FiniteFunction, group_malcev_function
-from congrex.errors import CongrexError, InvalidInputError, WitnessCheckError
-from congrex.groups import abelian_group, cyclic_group, parse_group_spec
+from congrex.errors import (
+    CongrexError,
+    InvalidInputError,
+    NotApplicableError,
+    WitnessCheckError,
+)
+from congrex.groups import (
+    GroupStructure,
+    abelian_group,
+    cyclic_group,
+    group_from_cayley,
+    parse_group_spec,
+    quaternion_group,
+)
+
+from conftest import q8_times_z3_cayley, relabeled_cayley
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +90,78 @@ def test_decide_group_composite_nilpotent():
         VERDICT_INFINITE,
         VERDICT_FINITE,
     ]
+
+
+def _count_group_work(monkeypatch) -> Counter:
+    """Count GroupStructure constructions and normal subgroup enumerations."""
+    calls = Counter()
+    init = GroupStructure.__init__
+    enumerate_normal = analyzer.normal_subgroups
+
+    def counted_init(self, alg):
+        calls["GroupStructure"] += 1
+        init(self, alg)
+
+    def counted_normal(g):
+        calls["normal_subgroups"] += 1
+        return enumerate_normal(g)
+
+    monkeypatch.setattr(GroupStructure, "__init__", counted_init)
+    monkeypatch.setattr(analyzer, "normal_subgroups", counted_normal)
+    return calls
+
+
+def test_decide_group_analyses_each_group_once(monkeypatch):
+    q8 = GroupStructure(quaternion_group()).mul_table.tolist()
+    pgroup = group_from_cayley(relabeled_cayley(q8, [3, 0, 6, 1, 7, 2, 5, 4]))
+    q8z3 = group_from_cayley(q8_times_z3_cayley(), name="Q8xZ3")
+    calls = _count_group_work(monkeypatch)
+
+    # a p-group is its own Sylow factor: one structure, one enumeration
+    report = decide_group(pgroup)
+    assert calls == {"GroupStructure": 1, "normal_subgroups": 1}
+    assert report.verdict == VERDICT_INFINITE
+    assert report.factor_reports == [
+        {
+            "prime": 2,
+            "order": 8,
+            "verdict": VERDICT_INFINITE,
+            "lattice_witness": report.lattice_witness,
+            "diagnostics": {"normal_subgroup_count": 6, "splits": True},
+        }
+    ]
+
+    # the whole group and each of its two Sylow factors
+    calls.clear()
+    report = decide_group(q8z3)
+    assert calls == {"GroupStructure": 3, "normal_subgroups": 3}
+    assert [fr["verdict"] for fr in report.factor_reports] == [
+        VERDICT_INFINITE,
+        VERDICT_FINITE,
+    ]
+
+
+def test_decide_product_enumerates_each_congruence_lattice_once(monkeypatch):
+    sizes = []
+    all_congruences = FiniteAlgebra.all_congruences
+
+    def counted(self, *args, **kwargs):
+        sizes.append(self.size)
+        return all_congruences(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteAlgebra, "all_congruences", counted)
+    calls = _count_group_work(monkeypatch)
+    report = decide_product([parse_group_spec("Z4"), parse_group_spec("Z3")])
+    assert sizes == [12, 4, 3]
+    assert calls["GroupStructure"] == 2
+    assert report.diagnostics["congruence_count"] == 6
+
+    # a single factor is its own product
+    sizes.clear()
+    report = decide_product([parse_group_spec("Z4")])
+    assert sizes == [4]
+    assert report.verdict == VERDICT_INFINITE
+    assert report.diagnostics["congruence_count"] == 3
 
 
 def test_decide_abelian_spec_closed_form():
@@ -275,3 +364,14 @@ def test_group_witness_pipeline_z4():
 def test_group_witness_pipeline_rejects_non_splitting():
     with pytest.raises(InvalidInputError):
         group_witness_pipeline("Z2xZ2")
+
+
+def test_group_witness_pipeline_refuses_non_nilpotent_groups():
+    with pytest.raises(NotApplicableError):
+        group_witness_pipeline("S3")
+
+
+def test_group_witness_pipeline_fails_loudly_without_centrality(monkeypatch):
+    monkeypatch.setattr(analyzer, "check_centrality", lambda *args: False)
+    with pytest.raises(WitnessCheckError):
+        group_witness_pipeline("Z4", up_to_n=2)

@@ -1,0 +1,31 @@
+"""The traced benchmark run (bench/tracing.py) wraps congrex functions and
+methods by name; ``Tracer.install`` fails on a name that no longer resolves
+in its congrex module."""
+
+import importlib.util
+from pathlib import Path
+
+import congrex.cli
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracing_targets_resolve(capsys):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert congrex.cli.main(["decide", "Z4"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {span[0] for span in tracer.spans}
+    assert {"cli", "analyzer.decide", "groups.structure_init"} <= names
+    assert "groups.normal_subgroups" in names

@@ -1,10 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from congrex.algebra import FiniteAlgebra, Operation
 from congrex.cli import main
-from congrex.groups import cyclic_group
+from congrex.groups import cyclic_group, group_from_cayley
 from congrex.lattice import chain
+
+from conftest import q8_times_z3_cayley
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -116,6 +125,25 @@ def test_witness_cli(capsys):
     assert payload["centrality"] is True
 
 
+def test_witness_refuses_non_nilpotent_group(capsys):
+    code, out, err = run(capsys, "witness", "S3")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "not nilpotent" in err
+
+
+def test_witness_on_non_group_algebra(tmp_path, capsys):
+    sub = [(x - y) % 4 for x in range(4) for y in range(4)]
+    path = tmp_path / "z4sub.json"
+    alg = FiniteAlgebra(4, [Operation("-", 2, sub)], name="(Z4;x-y)")
+    path.write_text(json.dumps(alg.to_json_dict()))
+    code, out, _ = run(capsys, "witness", str(path), "--up-to-n", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["a"], payload["b"]) == (0, 2)
+    assert payload["centrality"] is True
+
+
 def test_pol_and_comp_cli(capsys):
     code, out, _ = run(capsys, "pol", "Z4", "--max-arity", "1")
     assert code == 0
@@ -159,6 +187,24 @@ def test_missing_file_is_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "command,content",
+    [
+        ("clone", "{not json"),
+        ("clone", json.dumps({"functions": [{"arity": 1, "table": [1, 0]}]})),
+        ("lattice", "{not json"),
+    ],
+    ids=["clone-invalid-json", "clone-no-universe-size", "lattice-invalid-json"],
+)
+def test_malformed_input_is_error(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["decide", "Z4"],
@@ -174,3 +220,26 @@ def test_repeated_runs_are_byte_identical(capsys, argv):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [["Z4xZ2"], ["Q8xZ3.json"], ["Z4", "Z9"]],
+    ids=["p-group", "Q8xZ3", "coprime"],
+)
+def test_decide_stdout_does_not_depend_on_hash_seed(tmp_path, inputs):
+    group = group_from_cayley(q8_times_z3_cayley(), name="Q8xZ3")
+    (tmp_path / "Q8xZ3.json").write_text(json.dumps(group.to_json_dict()))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "congrex.cli", "decide", *inputs],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

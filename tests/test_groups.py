@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from congrex.algebra import Partition
+from congrex.algebra import FiniteAlgebra, Operation, Partition
 from congrex.errors import InvalidInputError, NotAGroupError
 from congrex.groups import (
     GroupPresentation,
@@ -22,6 +24,8 @@ from congrex.groups import (
     sylow_decomposition,
 )
 from congrex.lattice import congruence_lattice, splits, splits_strongly
+
+from conftest import brute_group_axioms, q8_times_z3_cayley
 
 
 def test_cyclic_group_tables():
@@ -49,6 +53,40 @@ def test_group_from_cayley_rejects_non_groups():
     # entries out of range
     with pytest.raises(NotAGroupError):
         group_from_cayley([[0, 5], [1, 0]])
+
+
+def _random_tables(rng, count):
+    """Random n x n tables, most with a two-sided unit, so that every axiom
+    check is reached: unit, inverses, associativity, or none fails."""
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.8:
+            e = rng.randrange(n)
+            for x in range(n):
+                table[e][x] = table[x][e] = x
+        yield table
+
+
+def test_group_structure_matches_brute_force_axioms():
+    rng = random.Random(2)
+    outcomes = set()
+    tables = list(_random_tables(rng, 400))
+    tables += [GroupStructure(cyclic_group(5)).mul_table.tolist()]
+    for table in tables:
+        n = len(table)
+        alg = FiniteAlgebra(n, [Operation("*", 2, [v for row in table for v in row])])
+        expected = brute_group_axioms(table)
+        if isinstance(expected, str):
+            with pytest.raises(NotAGroupError) as exc:
+                GroupStructure(alg)
+            assert str(exc.value) == expected
+            outcomes.add(expected.split()[0])
+        else:
+            g = GroupStructure(alg)
+            assert (g.identity, g.inv) == expected
+            outcomes.add("group")
+    assert outcomes == {"no", "element", "associativity", "group"}
 
 
 def test_quaternion_group_relations():
@@ -153,6 +191,24 @@ def test_sylow_decomposition():
         assert is_group_algebra(sub)
     with pytest.raises(InvalidInputError):
         sylow_decomposition("S3")
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z1", "Z5", "Q8", "Z12", "Z2xZ6", "S3", "S4", "Q8xZ3"]
+)
+def test_sylow_decomposition_exists_exactly_for_nilpotent_groups(spec):
+    if spec == "Q8xZ3":
+        alg = group_from_cayley(q8_times_z3_cayley(), name=spec)
+    else:
+        alg = parse_group_spec(spec)
+    if is_nilpotent_group(alg):
+        factors = sylow_decomposition(alg)
+        assert [(p, sub.size) for p, sub in factors] == [
+            (p, p**k) for p, k in sorted(prime_factors(alg.size).items())
+        ]
+    else:
+        with pytest.raises(InvalidInputError):
+            sylow_decomposition(alg)
 
 
 # ---------------------------------------------------------------------------
