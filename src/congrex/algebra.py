@@ -215,6 +215,8 @@ class Operation:
 
 
 def _flat_index(args, size: int) -> int:
+    """Row-major index (a1*size + a2)*size + ... of an argument tuple; with
+    equally shaped intp arrays as arguments, elementwise for all at once."""
     idx = 0
     for a in args:
         idx = idx * size + a

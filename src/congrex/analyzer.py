@@ -114,11 +114,29 @@ def decide_group(group) -> AnalysisReport:
     """Verdict for a finite group given by tables or a shortcut string.
 
     Nilpotent groups are decided by strong splitting of the normal subgroup
-    lattice, with per-Sylow sub-verdicts; non-nilpotent groups are outside
-    the scope of the characterization and come back not-applicable.
+    lattice, with per-Sylow sub-verdicts; non-nilpotent groups, and algebras
+    with an operation other than the multiplication, inverse and identity of
+    their group, are outside the scope of the characterization and come back
+    not-applicable.
     """
     alg = _as_group_algebra(group)
     g = GroupStructure(alg)
+    # the multiplication, inverse map and identity of g, by arity
+    group_tables = {2: g.mul_table.ravel().tolist(), 1: list(g.inv), 0: [g.identity]}
+    extra = [
+        op.name for op in alg.operations if list(op.table) != group_tables.get(op.arity)
+    ]
+    if extra:
+        return AnalysisReport(
+            verdict=VERDICT_NA,
+            route="group-normal-subgroup-lattice",
+            diagnostics={
+                "group": alg.name,
+                "order": alg.size,
+                "reason": "extra-operations",
+                "extra_operations": extra,
+            },
+        )
     series = lower_central_series(g)
     if series[-1] != frozenset({g.identity}):
         return AnalysisReport(

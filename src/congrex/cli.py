@@ -66,9 +66,9 @@ def load_algebra(token: str) -> FiniteAlgebra:
     return parse_group_spec(token)
 
 
-def load_lattice(token: str):
+def load_lattice(token: str, force: bool = False, budget: int | None = None):
     """(lattice, congruence list or None): a lattice JSON file, or Con of an
-    algebra given by shortcut/JSON."""
+    algebra given by shortcut/JSON within the congruence budget."""
     if os.path.exists(token):
         data = read_json(token)
         if "leq" in data:
@@ -76,8 +76,7 @@ def load_lattice(token: str):
         alg = FiniteAlgebra.from_json_dict(data)
     else:
         alg = parse_group_spec(token)
-    lat, congs = congruence_lattice(alg)
-    return lat, congs
+    return congruence_lattice(alg, force=force, budget=budget)
 
 
 def emit(payload, fmt: str, text_lines=None) -> None:
@@ -107,7 +106,7 @@ def cmd_con(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    lat, _ = load_lattice(args.input)
+    lat, _ = load_lattice(args.input, force=args.force, budget=args.budget)
     if args.check == "modular":
         result = is_modular(lat)
         emit({"check": "modular", "result": result}, args.format, [str(result)])

@@ -1,16 +1,18 @@
-"""Bounded-arity clone fragments on a finite universe.
+"""Clone fragments on a finite universe.
 
-Functions are flat tables; a fragment holds every member of a clone up to a
-fixed arity bound.  Closure is computed under the classical function-algebra
-operations: argument rotation, swap of the first two arguments, the diagonal
-minor, appending an inessential argument, and the binary composition that
-substitutes one function into the first argument of another.
+Functions are flat row-major tables; a fragment holds every member of a clone
+up to an arity bound.  The k-ary part of the clone generated by F is exactly
+the subuniverse of (A; F)^(A^k) generated by the k projections, with F acting
+coordinatewise on value arrays over A^k (the construction behind the
+free-algebra computation of Freese, Kiss and Valeriote).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import FiniteAlgebra, Partition, _flat_index
 from .errors import BudgetExceededError, InvalidInputError
@@ -180,6 +182,46 @@ def _lift_generator(f: FiniteFunction) -> FiniteFunction:
     return f
 
 
+def _arity_part(gens, size: int, arity: int, count: int, member_cap: int):
+    """The k-ary part (k = arity) of the clone generated by gens, i.e. the
+    subuniverse of (A; gens)^(A^k) generated by the projections and the
+    k-ary generators.  Semi-naive: each round applies every generator only
+    to argument tuples that hold a member found in the previous round.
+    Raises BudgetExceededError once count (the members of other arities)
+    plus the members found exceed member_cap."""
+    n = size**arity
+    dtype = np.min_scalar_type(size - 1)
+    tables = [np.asarray(g.table, dtype=dtype) for g in gens]
+    members = {}  # the bytes of each member's value array, in order found
+    void = np.dtype((np.void, n * dtype.itemsize))
+
+    def add(block):
+        for key in block.view(void).ravel().tolist():
+            if key not in members:
+                members[key] = None
+                if count + len(members) > member_cap:
+                    raise BudgetExceededError(
+                        f"clone closure exceeded member cap {member_cap}"
+                    )
+
+    start = list(np.indices((size,) * arity, dtype=dtype).reshape(arity, n))
+    add(np.stack(start + [t for g, t in zip(gens, tables) if g.arity == arity]))
+    done = 0
+    while True:
+        known = len(members)
+        rows = np.frombuffer(b"".join(members), dtype=dtype).reshape(known, n)
+        if done == known:
+            return [FiniteFunction(size, arity, tuple(row)) for row in rows.tolist()]
+        rows = rows.astype(np.intp)
+        for g, table in zip(gens, tables):
+            # the last argument takes a block of members at once; it must be
+            # new unless an earlier argument already is
+            for head in itertools.product(range(known), repeat=g.arity - 1):
+                first = 0 if head and max(head) >= done else done
+                add(table[_flat_index([rows[i] for i in head] + [rows[first:]], size)])
+        done = known
+
+
 def clone_closure(
     gens,
     max_arity: int,
@@ -187,22 +229,17 @@ def clone_closure(
     member_cap: int = DEFAULT_MEMBER_CAP,
     working_arity: int | None = None,
 ) -> CloneFragment:
-    """Least set containing projections and gens, closed under the
-    function-algebra operations restricted to arity <= max_arity.
+    """Every member of arity 1..max_arity of the clone generated by gens,
+    i.e. of the least set of functions that contains the projections and gens
+    and is closed under composition.  Each arity part is exact.
 
-    General composition f(g1,...,gn) routes through intermediate arities up
-    to arity(f) + arity(g) - 1, so a fixpoint taken strictly at max_arity can
-    miss members of the generated clone.  Passing working_arity > max_arity
-    runs the fixpoint at the higher bound and truncates the result.
+    Nullary generators count as constants.  Generators may have arity up to
+    working_arity (default max_arity, never smaller), which does not change
+    the result.  Raises BudgetExceededError as soon as the members of all
+    arities number more than member_cap.
     """
-    if working_arity is not None:
-        if working_arity < max_arity:
-            raise InvalidInputError("working_arity must be >= max_arity")
-        frag = clone_closure(
-            gens, working_arity, universe_size=universe_size, member_cap=member_cap
-        )
-        by_arity = {k: frag.arity_part(k) for k in range(1, max_arity + 1)}
-        return CloneFragment.from_sets(frag.universe_size, max_arity, by_arity)
+    if working_arity is not None and working_arity < max_arity:
+        raise InvalidInputError("working_arity must be >= max_arity")
     gens = [_lift_generator(f) for f in gens]
     if universe_size is None:
         if not gens:
@@ -212,73 +249,37 @@ def clone_closure(
         raise InvalidInputError("generators live on different universes")
     if max_arity < 1:
         raise InvalidInputError("max_arity must be >= 1")
+    bound = working_arity or max_arity
     for f in gens:
-        if f.arity > max_arity:
-            raise InvalidInputError(
-                f"generator arity {f.arity} exceeds bound {max_arity}"
-            )
-
-    members = set()
-    worklist = []
-
-    def add(f):
-        if f.arity == 0 or f.arity > max_arity:
-            return
-        if f not in members:
-            members.add(f)
-            worklist.append(f)
-            if len(members) > member_cap:
-                raise BudgetExceededError(
-                    f"clone closure exceeded member cap {member_cap}"
-                )
-
-    for k in range(1, max_arity + 1):
-        for i in range(k):
-            add(FiniteFunction.projection(universe_size, k, i))
-    for f in gens:
-        add(f)
-
-    while worklist:
-        f = worklist.pop()
-        if f.arity >= 1:
-            add(rotate_args(f))
-            add(swap_args(f))
-            if f.arity >= 2:
-                add(diagonal_minor(f))
-        if f.arity + 1 <= max_arity:
-            add(add_dummy_arg(f))
-        for g in list(members):
-            if f.arity + g.arity - 1 <= max_arity:
-                add(compose_first(f, g))
-            if g.arity + f.arity - 1 <= max_arity:
-                add(compose_first(g, f))
-
+        if f.arity > bound:
+            raise InvalidInputError(f"generator arity {f.arity} exceeds bound {bound}")
     by_arity = {}
-    for f in members:
-        by_arity.setdefault(f.arity, []).append(f)
+    count = 0
+    for k in range(1, max_arity + 1):
+        by_arity[k] = _arity_part(gens, universe_size, k, count, member_cap)
+        count += len(by_arity[k])
     return CloneFragment.from_sets(universe_size, max_arity, by_arity)
+
+
+def _operation_clone(alg: FiniteAlgebra, max_arity: int, member_cap: int, extra=()):
+    """The clone generated by the operations of arity >= 1 of alg and extra."""
+    gens = [
+        FiniteFunction.from_operation(alg.size, op)
+        for op in alg.operations
+        if op.arity >= 1
+    ] + list(extra)
+    # working_arity only admits operations of arity above max_arity
+    working = max([max_arity] + [f.arity for f in gens])
+    return clone_closure(gens, max_arity, alg.size, member_cap, working_arity=working)
 
 
 def pol_fragment(
     alg: FiniteAlgebra, max_arity: int, member_cap: int = DEFAULT_MEMBER_CAP
 ) -> CloneFragment:
-    """The polynomial clone of alg up to max_arity: fundamental operations
-    plus every constant, closed and then truncated.
-
-    The closure runs at the larger of max_arity and the maximal fundamental
-    arity so that e.g. unary fragments of algebras with binary operations
-    still come out complete.
-    """
-    gens = [
-        FiniteFunction.from_operation(alg.size, op)
-        for op in alg.operations
-        if op.arity >= 1
-    ]
-    gens += [FiniteFunction.constant(alg.size, v) for v in range(alg.size)]
-    working = max([max_arity] + [f.arity for f in gens])
-    frag = clone_closure(gens, working, universe_size=alg.size, member_cap=member_cap)
-    by_arity = {k: frag.arity_part(k) for k in range(1, max_arity + 1)}
-    return CloneFragment.from_sets(alg.size, max_arity, by_arity)
+    """The polynomial clone of alg up to max_arity: the clone generated by
+    the fundamental operations and every constant."""
+    consts = [FiniteFunction.constant(alg.size, v) for v in range(alg.size)]
+    return _operation_clone(alg, max_arity, member_cap, consts)
 
 
 def is_congruence_preserving(f: FiniteFunction, congs) -> bool:
@@ -459,16 +460,24 @@ class Relation4:
 
 
 def preserves_relation(f: FiniteFunction, r: Relation4) -> bool:
-    """True iff r is closed under coordinatewise application of f."""
+    """True iff r is closed under coordinatewise application of f.
+
+    f is applied with every tuple of r in its last argument at once and one
+    choice of tuples for the others, so memory stays O(|r|).
+    """
     if f.universe_size != r.universe_size:
         raise InvalidInputError("universe size mismatch")
-    member = set(r.tuples)
     if f.arity == 0:
         v = f.table[0]
-        return (v, v, v, v) in member
-    for rows in itertools.product(r.tuples, repeat=f.arity):
-        image = tuple(f(*(row[j] for row in rows)) for j in range(4))
-        if image not in member:
+        return (v, v, v, v) in r
+    s = f.universe_size
+    rows = np.array(r.tuples, dtype=np.intp).reshape(-1, 4)
+    codes = _flat_index(rows.T, s)  # ascending, as the tuples are sorted
+    table = np.array(f.table, dtype=np.intp)
+    for head in itertools.product(rows, repeat=f.arity - 1):
+        image = _flat_index(table[_flat_index(head + (rows,), s)].T, s)
+        found = codes.take(np.searchsorted(codes, image), mode="clip")
+        if not np.array_equal(found, image):
             return False
     return True
 
@@ -509,24 +518,14 @@ def group_malcev_function(alg) -> FiniteFunction | None:
 def malcev_term(
     alg: FiniteAlgebra, member_cap: int = DEFAULT_MEMBER_CAP
 ) -> FiniteFunction | None:
-    """A Mal'cev function d with d(x,y,y)=x and d(x,x,y)=y, if one exists in
-    the ternary term closure.
+    """A Mal'cev function d with d(x,y,y)=x and d(x,x,y)=y in the ternary
+    part of the clone of term functions, or None when that clone has none.
 
-    Groups short-circuit to x * y^-1 * z.  Returns None when the computed
-    closure contains no such function; raises BudgetExceededError when the
-    closure was truncated, which callers should report as "unknown".
+    Groups short-circuit to x * y^-1 * z.  Raises BudgetExceededError when
+    the closure passes member_cap.
     """
     d = group_malcev_function(alg)
     if d is not None:
         return d
-    gens = [
-        FiniteFunction.from_operation(alg.size, op)
-        for op in alg.operations
-        if op.arity >= 1
-    ]
-    working = max([3] + [f.arity for f in gens])
-    frag = clone_closure(gens, working, universe_size=alg.size, member_cap=member_cap)
-    for f in frag.arity_part(3):
-        if is_malcev_function(f):
-            return f
-    return None
+    frag = _operation_clone(alg, 3, member_cap)
+    return next((f for f in frag.arity_part(3) if is_malcev_function(f)), None)

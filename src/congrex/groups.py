@@ -226,14 +226,13 @@ class GroupStructure:
 
     def subgroup_closure(self, elements) -> frozenset:
         """Subgroup generated by the given elements (identity always included)."""
-        cur = np.unique(
-            np.array(sorted(set(elements) | {self.identity}), dtype=np.int64)
-        )
+        member = np.zeros(self.size, dtype=bool)
+        member[[self.identity, *elements]] = True
         while True:
-            nxt = np.unique(self.mul_table[np.ix_(cur, cur)])
-            if len(nxt) == len(cur):
-                return frozenset(int(x) for x in cur)
-            cur = nxt
+            cur = np.flatnonzero(member)
+            member[self.mul_table[np.ix_(cur, cur)]] = True
+            if member.sum() == len(cur):
+                return frozenset(cur.tolist())
 
     def normal_closure(self, g: int) -> frozenset:
         return self.subgroup_closure(self.conjugates(g))

@@ -3,12 +3,21 @@
 The oracles here are deliberately independent of the library internals:
 congruences by filtering all set partitions, split witnesses by exhaustive
 (delta, epsilon) search, clone parts by fixed-arity superposition closure.
+Two replaced library paths are kept as oracles too: the bounded fixpoint
+clone closure and the row-by-row relation preservation check.
 """
 
 import itertools
 
 from congrex.algebra import FiniteAlgebra, Partition
-from congrex.clones import FiniteFunction
+from congrex.clones import (
+    FiniteFunction,
+    add_dummy_arg,
+    compose_first,
+    diagonal_minor,
+    rotate_args,
+    swap_args,
+)
 from congrex.groups import GroupStructure, quaternion_group
 from congrex.lattice import FiniteLattice, chain, lattice_from_covers, lattice_product
 
@@ -135,6 +144,56 @@ def superposition_closure(gens, arity, universe_size):
                     current.add(cand)
                     changed = True
     return current
+
+
+def fixpoint_closure(gens, max_arity, universe_size):
+    """The clone closure by fixpoint under rotation, swap, diagonal minor,
+    dummy argument and first-argument composition, every intermediate kept
+    within max_arity.  It can miss members whose derivations pass through
+    higher arities, so its parts are subsets of the exact ones."""
+    gens = [
+        FiniteFunction.constant(universe_size, f.table[0]) if f.arity == 0 else f
+        for f in gens
+    ]
+    members = set()
+    worklist = []
+
+    def add(f):
+        if 1 <= f.arity <= max_arity and f not in members:
+            members.add(f)
+            worklist.append(f)
+
+    for k in range(1, max_arity + 1):
+        for i in range(k):
+            add(FiniteFunction.projection(universe_size, k, i))
+    for f in gens:
+        add(f)
+    while worklist:
+        f = worklist.pop()
+        add(rotate_args(f))
+        add(swap_args(f))
+        add(diagonal_minor(f))
+        if f.arity + 1 <= max_arity:
+            add(add_dummy_arg(f))
+        for g in list(members):
+            if f.arity + g.arity - 1 <= max_arity:
+                add(compose_first(f, g))
+            if g.arity + f.arity - 1 <= max_arity:
+                add(compose_first(g, f))
+    return members
+
+
+def loop_preserves_relation(f, rel):
+    """Relation preservation by applying f to every choice of rows of rel."""
+    member = set(rel.tuples)
+    if f.arity == 0:
+        v = f.table[0]
+        return (v, v, v, v) in member
+    for rows in itertools.product(rel.tuples, repeat=f.arity):
+        image = tuple(f(*(row[j] for row in rows)) for j in range(4))
+        if image not in member:
+            return False
+    return True
 
 
 def brute_group_axioms(table):

@@ -85,6 +85,31 @@ def test_decide_single(capsys, spec, code, verdict):
     assert json.loads(out)["verdict"] == verdict
 
 
+def test_decide_refuses_group_with_extra_operation(tmp_path, capsys):
+    swap01 = Operation("f", 1, [1, 0, 2, 3])
+    alg = FiniteAlgebra(4, [cyclic_group(4).operation("+"), swap01], name="Z4f")
+    path = tmp_path / "z4f.json"
+    path.write_text(json.dumps(alg.to_json_dict()))
+    code, out, _ = run(capsys, "decide", str(path))
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["verdict"] == "not-applicable"
+    assert payload["diagnostics"]["extra_operations"] == ["f"]
+    code, out, _ = run(capsys, "con", str(path))
+    assert json.loads(out)["count"] == 2
+
+
+def test_decide_group_signature_file_matches_shortcut(tmp_path, capsys):
+    alg = cyclic_group(4)
+    alg.name = "from-file"
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps(alg.to_json_dict()))
+    code, out, _ = run(capsys, "decide", str(path))
+    assert code == 0
+    _, ref, _ = run(capsys, "decide", "Z4")
+    assert out.replace('"from-file"', '"Z4"') == ref
+
+
 def test_decide_product_cli(capsys):
     code, out, _ = run(capsys, "decide", "Z4", "Z3")
     assert code == 0
@@ -109,6 +134,15 @@ def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "con", "Z12", "--budget", "5")
     assert code == 3
     assert "budget" in err
+
+
+def test_lattice_budget_and_force(capsys):
+    code, _, err = run(capsys, "lattice", "Z2xZ2xZ2", "--budget", "1")
+    assert code == 3
+    assert "budget" in err
+    code, out, _ = run(capsys, "lattice", "Z2xZ2xZ2", "--budget", "1", "--force")
+    assert code == 0
+    assert json.loads(out)["size"] == 16
 
 
 def test_budget_env(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congrex.algebra import Partition, direct_product
 from congrex.clones import (
@@ -30,7 +32,7 @@ from congrex.clones import (
 from congrex.errors import BudgetExceededError, InvalidInputError
 from congrex.groups import cyclic_group, parse_group_spec
 
-from conftest import superposition_closure
+from conftest import fixpoint_closure, loop_preserves_relation, superposition_closure
 
 
 def unary(size, values):
@@ -143,11 +145,53 @@ def test_closure_matches_superposition_oracle(arity):
     assert set(frag.arity_part(arity)) == {f for f in oracle if f.arity == arity}
 
 
+def test_closure_of_and_not_and_implication_is_every_binary_function():
+    # x and not y, y -> x: the bounded fixpoint found only 14 binary members
+    gens = [binary(2, lambda x, y: x & (1 - y)), binary(2, lambda x, y: (1 - y) | x)]
+    frag = clone_closure(gens, 2)
+    assert len(frag.arity_part(2)) == 16
+    assert len(fixpoint_closure(gens, 2, 2)) == 4 + 14
+
+
+@st.composite
+def generator_sets(draw):
+    """Generators of arity <= 2 on 2 or 3 elements, and the arity bound of
+    their closure: 1 for binary generators on 3 elements (whose binary part
+    can have 3^9 members), else 2."""
+    size = draw(st.sampled_from((2, 3)))
+
+    def function(k):
+        return st.lists(
+            st.integers(0, size - 1), min_size=size**k, max_size=size**k
+        ).map(lambda t: FiniteFunction(size, k, tuple(t)))
+
+    gens = draw(
+        st.lists(st.sampled_from((0, 1, 2)).flatmap(function), min_size=1, max_size=3)
+    )
+    max_arity = 1 if size == 3 and any(f.arity == 2 for f in gens) else 2
+    return size, gens, max_arity
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_closure_is_exact_and_contains_the_fixpoint(spec):
+    size, gens, max_arity = spec
+    frag = clone_closure(gens, max_arity, universe_size=size, working_arity=2)
+    fixpoint = fixpoint_closure(gens, max_arity, size)
+    for arity in range(1, max_arity + 1):
+        part = set(frag.arity_part(arity))
+        assert part == superposition_closure(gens, arity, size)
+        assert {f for f in fixpoint if f.arity == arity} <= part
+
+
 def test_closure_member_cap():
     z4 = cyclic_group(4)
     gens = [FiniteFunction.from_operation(4, op) for op in z4.operations if op.arity]
     with pytest.raises(BudgetExceededError):
         clone_closure(gens, 2, universe_size=4, member_cap=3)
+    # the cap is checked per member, so a large closure is refused early
+    with pytest.raises(BudgetExceededError):
+        pol_fragment(parse_group_spec("S3"), 2, member_cap=20000)
 
 
 def test_closure_input_validation():
@@ -361,6 +405,36 @@ def test_preserves_relation():
     assert preserves_relation(FiniteFunction.projection(4, 2, 1), rho)
     swap01 = unary(4, [1, 0, 2, 3])
     assert not preserves_relation(swap01, rho)
+    # against the row-by-row loop, for arities 0 to 3 and the empty relation
+    plus3 = tuple(sum(a) % 4 for a in itertools.product(range(4), repeat=3))
+    funcs = [
+        FiniteFunction(4, 0, (1,)),
+        swap01,
+        unary(4, [0, 3, 2, 1]),
+        plus,
+        binary(4, lambda x, y: (x * y) % 4),
+        d,
+        FiniteFunction(4, 3, plus3),
+    ]
+    for rel in (rho, Relation4.from_tuples(4, [])):
+        for f in funcs:
+            assert preserves_relation(f, rel) == loop_preserves_relation(f, rel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_preserves_relation_matches_row_loop_on_random_relations(data):
+    size = data.draw(st.sampled_from((2, 3)))
+    arity = data.draw(st.integers(0, 3))
+    table = data.draw(
+        st.lists(st.integers(0, size - 1), min_size=size**arity, max_size=size**arity)
+    )
+    tuples = data.draw(
+        st.lists(st.tuples(*[st.integers(0, size - 1)] * 4), max_size=6)
+    )
+    f = FiniteFunction(size, arity, tuple(table))
+    rel = Relation4.from_tuples(size, tuples)
+    assert preserves_relation(f, rel) == loop_preserves_relation(f, rel)
 
 
 def test_malcev_function_identities():
