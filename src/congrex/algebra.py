@@ -341,9 +341,13 @@ class FiniteAlgebra:
     def all_congruences(self, force: bool = False, budget: int | None = None):
         """The full congruence lattice Con(A), sorted canonically.
 
-        Computes all principal congruences and closes them under join.  The
-        work counter guards against blowing up on large inputs; pass
-        ``force=True`` or raise the budget to override.
+        Every congruence is a join of principal congruences, so the lattice
+        is the closure of {0} and the distinct principal congruences under
+        theta |-> theta v Cg(a, b).  A translation t that permutes A has its
+        inverse among its powers, so Cg(t(a), t(b)) = Cg(a, b): one Cg is
+        computed per orbit of pairs under the permutation translations.  The
+        work counter counts joins and guards against blowing up on large
+        inputs; pass ``force=True`` or raise the budget to override.
         """
         if budget is None:
             budget = budget_from_env()
@@ -354,20 +358,36 @@ class FiniteAlgebra:
             raise BudgetExceededError(
                 f"congruence enumeration estimate {estimate} exceeds budget {budget}"
             )
-        congs = {Partition.identity(self.size)}
+        perms = [t for t in translations if len(set(t)) == self.size]
+        principals = {}  # distinct Cg(a, b) -> its first pair (a, b)
+        done = set()
         for a in range(self.size):
             for b in range(a + 1, self.size):
-                congs.add(self.principal_congruence(a, b))
-        worklist = list(congs)
+                if (a, b) in done:
+                    continue
+                principals.setdefault(self.principal_congruence(a, b), (a, b))
+                orbit = [(a, b)]
+                done.add((a, b))
+                while orbit:
+                    x, y = orbit.pop()
+                    for t in perms:
+                        pair = (min(t[x], t[y]), max(t[x], t[y]))
+                        if pair not in done:
+                            done.add(pair)
+                            orbit.append(pair)
+        congs = {Partition.identity(self.size), *principals}
+        worklist = list(principals)
         while worklist:
             theta = worklist.pop()
-            for sigma in list(congs):
+            for pi, (a, b) in principals.items():
+                if theta.block_id[a] == theta.block_id[b]:
+                    continue
                 work += 1
                 if work > budget and not force:
                     raise BudgetExceededError(
                         f"congruence join closure exceeded budget {budget}"
                     )
-                joined = theta.join(sigma)
+                joined = theta.join(pi)
                 if joined not in congs:
                     congs.add(joined)
                     worklist.append(joined)

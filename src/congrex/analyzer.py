@@ -540,12 +540,15 @@ def build_commutator_witness(
     return w
 
 
-def group_witness_pipeline(group, up_to_n: int = 3, k: int = 1) -> dict:
+def group_witness_pipeline(
+    group, up_to_n: int = 3, k: int = 1, force: bool = False, budget: int | None = None
+) -> dict:
     """End-to-end witness construction for a group verdict: family, centrality
     relation, and commutator-style term, all exhaustively verified.
 
     A non-nilpotent group is outside the theorem's scope and raises
-    NotApplicableError before any congruence work.
+    NotApplicableError before any congruence work.  ``force`` and ``budget``
+    go to the congruence enumeration.
     """
     alg = _as_group_algebra(group)
     try:
@@ -554,7 +557,7 @@ def group_witness_pipeline(group, up_to_n: int = 3, k: int = 1) -> dict:
         g = None
     if g is not None and not is_nilpotent_group(g):
         raise NotApplicableError(f"{alg.name or 'the group'} is not nilpotent")
-    congs = alg.all_congruences()
+    congs = alg.all_congruences(force=force, budget=budget)
     fam = build_witness_family(alg, congs=congs)
     record = verify_witness(fam, up_to_n)
     d = group_malcev_function(g) if g is not None else malcev_term(alg)

@@ -136,7 +136,11 @@ def cmd_decide(args) -> int:
 
 def cmd_witness(args) -> int:
     payload = group_witness_pipeline(
-        load_algebra(args.input), up_to_n=args.up_to_n, k=args.k
+        load_algebra(args.input),
+        up_to_n=args.up_to_n,
+        k=args.k,
+        force=args.force,
+        budget=args.budget,
     )
     emit(
         payload,
@@ -206,11 +210,12 @@ def cmd_skew(args) -> int:
 def cmd_tensor(args) -> int:
     left = load_algebra(args.left)
     right = load_algebra(args.right)
-    frag_l = pol_fragment(left, args.max_arity)
-    frag_r = pol_fragment(right, args.max_arity)
+    cap = args.budget or 10**6
+    frag_l = pol_fragment(left, args.max_arity, member_cap=cap)
+    frag_r = pol_fragment(right, args.max_arity, member_cap=cap)
     tensored = tensor_fragments(frag_l, frag_r)
     prod = direct_product(left, right)
-    frag_p = pol_fragment(prod, args.max_arity)
+    frag_p = pol_fragment(prod, args.max_arity, member_cap=cap)
     equal = tensored.members == frag_p.members
     payload = {
         "left": left.name,

@@ -66,24 +66,24 @@ class FiniteLattice:
     def _bound_tables(self):
         # GLB of (a, b): among common lower bounds, the one dominating all
         # others; it has the strictly largest down-set, so argmax by down-set
-        # size finds it, and a vectorized dominance check validates it.
+        # size finds it, and a vectorized dominance check validates it.  One
+        # row a at a time, so memory stays O(n^2).
         n = self.size
         L = self._L
         below_count = L.sum(axis=0)
         above_count = L.sum(axis=1)
-        lower = L.T[:, None, :] & L.T[None, :, :]  # lower[a,b,c] = c<=a and c<=b
-        upper = L[:, None, :] & L[None, :, :]      # upper[a,b,c] = a<=c and b<=c
-        meet = np.where(lower, below_count[None, None, :], -1).argmax(axis=2)
-        join = np.where(upper, above_count[None, None, :], -1).argmax(axis=2)
-        # validity: every common lower bound c must satisfy c <= meet[a,b]
-        meet_ok = np.all(~lower | L[:, meet].transpose(1, 2, 0))
-        join_ok = np.all(~upper | L[join])
-        if not (meet_ok and join_ok):
-            raise InvalidInputError("meet or join missing; not a lattice")
-        return (
-            tuple(tuple(int(v) for v in row) for row in meet),
-            tuple(tuple(int(v) for v in row) for row in join),
-        )
+        meet, join = [], []
+        for a in range(n):
+            lower = L[:, a][None, :] & L.T  # lower[b,c] = c<=a and c<=b
+            upper = L[a][None, :] & L       # upper[b,c] = a<=c and b<=c
+            meet_a = np.where(lower, below_count[None, :], -1).argmax(axis=1)
+            join_a = np.where(upper, above_count[None, :], -1).argmax(axis=1)
+            # validity: every common lower bound c must satisfy c <= meet[a,b]
+            if not (np.all(~lower | L[:, meet_a].T) and np.all(~upper | L[join_a])):
+                raise InvalidInputError("meet or join missing; not a lattice")
+            meet.append(tuple(meet_a.tolist()))
+            join.append(tuple(join_a.tolist()))
+        return tuple(meet), tuple(join)
 
     # -- serialization -----------------------------------------------------
 
@@ -129,16 +129,33 @@ def lattice_from_covers(n: int, covers) -> FiniteLattice:
 
 
 def from_congruences(congs) -> FiniteLattice:
-    """Order a meet/join closed set of partitions by refinement."""
+    """Order a meet/join closed set of partitions by refinement.
+
+    Closure is checked on irreducibles only: b is the join of the
+    join-irreducibles below it, so a v b is in the set for all a, b once
+    a v j is for every join-irreducible j (one lower cover) not below a;
+    dually for meets with meet-irreducibles (one upper cover).
+    """
     congs = sorted(set(congs), key=lambda p: p.block_id)
     if not congs:
         raise InvalidInputError("empty congruence set")
-    present = set(congs)
-    for a, b in itertools.combinations(congs, 2):
-        if a.meet(b) not in present or a.join(b) not in present:
-            raise InvalidInputError("congruence set is not meet/join closed")
     leq = [[a.refines(b) for b in congs] for a in congs]
-    lat = FiniteLattice(leq)
+    try:
+        lat = FiniteLattice(leq)
+    except InvalidInputError as exc:
+        raise InvalidInputError("congruence set is not meet/join closed") from exc
+    L = lat._L
+    strict = L & ~np.eye(lat.size, dtype=bool)
+    covers = strict & ~((strict.astype(np.int32) @ strict.astype(np.int32)) > 0)
+    present = set(congs)
+    for j in np.flatnonzero(covers.sum(axis=0) == 1):
+        for a in np.flatnonzero(~L[j]):
+            if congs[a].join(congs[j]) not in present:
+                raise InvalidInputError("congruence set is not meet/join closed")
+    for m in np.flatnonzero(covers.sum(axis=1) == 1):
+        for a in np.flatnonzero(~L[:, m]):
+            if congs[a].meet(congs[m]) not in present:
+                raise InvalidInputError("congruence set is not meet/join closed")
     size = congs[0].size
     assert congs[lat.bottom] == Partition.identity(size)
     assert congs[lat.top] == Partition.full(size)

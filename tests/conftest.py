@@ -3,11 +3,15 @@
 The oracles here are deliberately independent of the library internals:
 congruences by filtering all set partitions, split witnesses by exhaustive
 (delta, epsilon) search, clone parts by fixed-arity superposition closure.
-Two replaced library paths are kept as oracles too: the bounded fixpoint
-clone closure and the row-by-row relation preservation check.
+Replaced library paths are kept as oracles too: the bounded fixpoint clone
+closure, the row-by-row relation preservation check, the all-pairs
+congruence join closure, the all-pairs meet/join closedness check and the
+k x k x k lattice tables.
 """
 
 import itertools
+
+import numpy as np
 
 from congrex.algebra import FiniteAlgebra, Partition
 from congrex.clones import (
@@ -68,6 +72,52 @@ def brute_congruences(alg: FiniteAlgebra):
     return sorted(
         (p for p in all_partitions(alg.size) if partition_respects(alg, p)),
         key=lambda p: p.block_id,
+    )
+
+
+def pairwise_congruence_closure(alg: FiniteAlgebra):
+    """Con(A) from every Cg(a, b), closed under theta v sigma for every pair."""
+    congs = {Partition.identity(alg.size)}
+    for a in range(alg.size):
+        for b in range(a + 1, alg.size):
+            congs.add(alg.principal_congruence(a, b))
+    worklist = list(congs)
+    while worklist:
+        theta = worklist.pop()
+        for sigma in list(congs):
+            joined = theta.join(sigma)
+            if joined not in congs:
+                congs.add(joined)
+                worklist.append(joined)
+    return sorted(congs, key=lambda p: p.block_id)
+
+
+def pairwise_closed(parts) -> bool:
+    """True iff every two of the partitions have their meet and join among them."""
+    present = set(parts)
+    return all(
+        a.meet(b) in present and a.join(b) in present
+        for a, b in itertools.combinations(present, 2)
+    )
+
+
+def cube_bound_tables(leq):
+    """(meet, join) tables of a bounded order from k x k x k arrays, or None
+    if some pair has no meet or no join."""
+    L = np.array(leq, dtype=bool)
+    below_count = L.sum(axis=0)
+    above_count = L.sum(axis=1)
+    lower = L.T[:, None, :] & L.T[None, :, :]  # lower[a,b,c] = c<=a and c<=b
+    upper = L[:, None, :] & L[None, :, :]  # upper[a,b,c] = a<=c and b<=c
+    meet = np.where(lower, below_count[None, None, :], -1).argmax(axis=2)
+    join = np.where(upper, above_count[None, None, :], -1).argmax(axis=2)
+    meet_ok = np.all(~lower | L[:, meet].transpose(1, 2, 0))
+    join_ok = np.all(~upper | L[join])
+    if not (meet_ok and join_ok):
+        return None
+    return (
+        tuple(tuple(int(v) for v in row) for row in meet),
+        tuple(tuple(int(v) for v in row) for row in join),
     )
 
 

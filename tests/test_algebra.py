@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congrex.algebra import (
     FiniteAlgebra,
@@ -14,7 +16,7 @@ from congrex.algebra import (
 from congrex.errors import BudgetExceededError, InvalidInputError
 from congrex.groups import cyclic_group, parse_group_spec, quaternion_group
 
-from conftest import brute_congruences, partition_respects
+from conftest import brute_congruences, pairwise_congruence_closure, partition_respects
 
 
 def semilattice_chain(n):
@@ -157,6 +159,65 @@ def test_is_congruence():
     z4 = cyclic_group(4)
     assert z4.is_congruence(Partition.from_blocks(4, [[0, 2], [1, 3]]))
     assert not z4.is_congruence(Partition.from_blocks(4, [[0, 1], [2, 3]]))
+
+
+@st.composite
+def small_algebras(draw):
+    """Size <= 4 with random unary and binary tables; about half have a
+    permutation among their unary operations, so pairs have nontrivial
+    orbits under the permutation translations."""
+    n = draw(st.integers(1, 4))
+
+    def table(arity):
+        cells = n**arity
+        return draw(st.lists(st.integers(0, n - 1), min_size=cells, max_size=cells))
+
+    ops = []
+    if draw(st.booleans()):
+        ops.append(Operation("p", 1, draw(st.permutations(range(n)))))
+    ops += [Operation(f"u{i}", 1, table(1)) for i in range(draw(st.integers(0, 2)))]
+    ops += [Operation(f"b{i}", 2, table(2)) for i in range(draw(st.integers(0, 1)))]
+    return FiniteAlgebra(n, ops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_algebras())
+def test_all_congruences_matches_oracles_on_random_algebras(alg):
+    congs = alg.all_congruences()
+    assert congs == pairwise_congruence_closure(alg)
+    assert congs == brute_congruences(alg)
+
+
+def subtraction_algebra(m):
+    table = [(x - y) % m for x in range(m) for y in range(m)]
+    return FiniteAlgebra(m, [Operation("-", 2, table)], name=f"(Z{m};x-y)")
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        cyclic_group(4),
+        quaternion_group(),
+        direct_product(subtraction_algebra(4), subtraction_algebra(2)),
+    ],
+)
+def test_principal_congruence_is_invariant_under_permutation_translations(alg):
+    n = alg.size
+    cg = {(a, b): alg.principal_congruence(a, b) for a in range(n) for b in range(n)}
+    perms = [t for t in alg.unary_translations() if len(set(t)) == n]
+    assert perms
+    for t in perms:
+        for a, b in cg:
+            assert cg[t[a], t[b]] == cg[a, b]
+
+
+def test_join_closure_budget_guard():
+    # no translations: the estimate 7 * 7 = 49 passes, and the closure is
+    # every partition of 7 points, Bell(7) = 877 of them
+    alg = FiniteAlgebra(7, [("c", 0, [0])])
+    with pytest.raises(BudgetExceededError, match="join closure"):
+        alg.all_congruences(budget=1000)
+    assert len(alg.all_congruences(budget=1000, force=True)) == 877
 
 
 def test_all_congruences_budget_guard():

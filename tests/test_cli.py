@@ -277,3 +277,47 @@ def test_decide_stdout_does_not_depend_on_hash_seed(tmp_path, inputs):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [["tensor", "Z2", "Z3"], ["witness", "Z4"]])
+def test_budget_reaches_tensor_and_witness(capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget", "1")
+    assert code == 3
+    assert "budget" in err
+    assert out == ""
+
+
+def test_witness_force_overrides_budget(capsys):
+    forced = run(capsys, "witness", "Z4", "--budget", "1", "--force")
+    assert forced[:2] == run(capsys, "witness", "Z4")[:2]
+    assert forced[0] == 0
+
+
+def test_con_z2_to_the_fifth_within_default_budget(capsys):
+    code, out, _ = run(capsys, "con", "Z2xZ2xZ2xZ2xZ2")
+    assert code == 0
+    assert json.loads(out)["count"] == 374
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["con", "Z2xZ4"],
+        ["lattice", "Z2xZ2xZ2", "--check", "splits"],
+        ["skew", "Z4", "Z2"],
+    ],
+    ids=["con", "lattice", "skew"],
+)
+def test_congruence_stdout_does_not_depend_on_hash_seed(argv):
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "congrex.cli", *argv],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

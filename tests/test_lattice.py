@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congrex.algebra import Partition
 from congrex.errors import InvalidInputError
@@ -21,7 +23,15 @@ from congrex.lattice import (
     witness_is_valid,
 )
 
-from conftest import brute_has_split, m3, n5, small_lattice_corpus
+from conftest import (
+    all_partitions,
+    brute_has_split,
+    cube_bound_tables,
+    m3,
+    n5,
+    pairwise_closed,
+    small_lattice_corpus,
+)
 
 
 def test_chain_structure():
@@ -67,6 +77,47 @@ def test_meet_join_tables_against_definition():
             for c in range(n):
                 if lat.leq[a][c] and lat.leq[b][c]:
                     assert lat.leq[j][c]
+
+
+def bound_table_inputs():
+    lats = {f"chain{n}": chain(n) for n in range(1, 7)}
+    lats.update(small_lattice_corpus())
+    lats["m3xn5"] = lattice_product([m3(), n5()])
+    lats["chain3xm3xchain2"] = lattice_product([chain(3), m3(), chain(2)])
+    # atoms 1 and 2 join at 3, beside the chain 4 < 5; the top is 6
+    lats["covers7"] = lattice_from_covers(
+        7, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 6), (0, 4), (4, 5), (5, 6)]
+    )
+    return sorted(lats.items())
+
+
+@pytest.mark.parametrize("name,lat", bound_table_inputs())
+def test_row_tables_equal_cube_tables(name, lat):
+    assert (lat.meet, lat.join) == cube_bound_tables(lat.leq)
+
+
+@st.composite
+def bounded_orders(draw):
+    """Random orders on 0..n-1 with bottom 0 and top n-1; some are lattices."""
+    n = draw(st.integers(2, 7))
+    leq = [[a == b or a == 0 or b == n - 1 for b in range(n)] for a in range(n)]
+    for a, b in itertools.combinations(range(1, n - 1), 2):
+        leq[a][b] = draw(st.booleans())
+    for c, a, b in itertools.product(range(n), repeat=3):
+        leq[a][b] = leq[a][b] or (leq[a][c] and leq[c][b])
+    return leq
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_orders())
+def test_lattice_tables_and_rejections_match_cube_tables(leq):
+    expect = cube_bound_tables(leq)
+    if expect is None:
+        with pytest.raises(InvalidInputError):
+            FiniteLattice(leq)
+    else:
+        lat = FiniteLattice(leq)
+        assert (lat.meet, lat.join) == expect
 
 
 def test_lattice_json_round_trip():
@@ -119,6 +170,77 @@ def test_from_congruences_rejects_unclosed_sets():
         from_congruences(parts[:3])
     with pytest.raises(InvalidInputError):
         from_congruences([])
+
+
+def test_from_congruences_rejects_unclosed_lattice_and_non_lattice_orders():
+    # ordered by refinement this is the four-element Boolean lattice, but
+    # the partition join of the two atoms is 01|23, not the full partition
+    parts = [
+        Partition.identity(4),
+        Partition.from_blocks(4, [[0, 1], [2], [3]]),
+        Partition.from_blocks(4, [[0], [1], [2, 3]]),
+        Partition.full(4),
+    ]
+    FiniteLattice([[a.refines(b) for b in parts] for a in parts])  # accepted
+    with pytest.raises(InvalidInputError, match="not meet/join closed"):
+        from_congruences(parts)
+    # a bowtie: 01|2|3|4 and 0|1|23|4 lie below both 0123|4 and 01|234,
+    # so the order has no meet of the upper two and is no lattice
+    bowtie = [
+        Partition.identity(5),
+        Partition([0, 0, 1, 2, 3]),
+        Partition([0, 1, 2, 2, 3]),
+        Partition([0, 0, 0, 0, 1]),
+        Partition([0, 0, 1, 1, 1]),
+        Partition.full(5),
+    ]
+    assert not pairwise_closed(bowtie)
+    with pytest.raises(InvalidInputError, match="not meet/join closed"):
+        from_congruences(bowtie)
+
+
+def close_under(parts, op):
+    parts = set(parts)
+    while True:
+        new = {op(a, b) for a in parts for b in parts} - parts
+        if not new:
+            return parts
+        parts |= new
+
+
+@st.composite
+def partition_sets(draw):
+    """Sets of partitions of <= 5 points holding both bounds.  Closing the
+    drawn ones under meet (or join) makes the refinement order a lattice
+    that need not be join (or meet) closed; thinning out such a lattice
+    often leaves an order that is no lattice."""
+    n = draw(st.integers(1, 5))
+    every = list(all_partitions(n))
+    chosen = draw(st.lists(st.sampled_from(every), min_size=2, max_size=12))
+    bounds = {Partition.identity(n), Partition.full(n)}
+    parts = bounds | set(chosen)
+    mode = draw(st.sampled_from(["none", "meet", "join", "thin"]))
+    if mode in ("meet", "join"):
+        parts = close_under(parts, getattr(Partition, mode))
+    elif mode == "thin":
+        parts = close_under(close_under(parts, Partition.meet), Partition.join)
+        inner = sorted(parts - bounds, key=lambda p: p.block_id)
+        keep = draw(st.lists(st.booleans(), min_size=len(inner), max_size=len(inner)))
+        parts = bounds | {p for p, k in zip(inner, keep) if k}
+    return sorted(parts, key=lambda p: p.block_id)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_sets())
+def test_from_congruences_accepts_exactly_the_pairwise_closed_sets(parts):
+    if pairwise_closed(parts):
+        lat = from_congruences(parts)
+        for i, j in itertools.product(range(lat.size), repeat=2):
+            assert parts[lat.meet[i][j]] == parts[i].meet(parts[j])
+            assert parts[lat.join[i][j]] == parts[i].join(parts[j])
+    else:
+        with pytest.raises(InvalidInputError):
+            from_congruences(parts)
 
 
 # ---------------------------------------------------------------------------
