@@ -253,6 +253,9 @@ class FiniteAlgebra:
         self._translations = None
         #: set by direct_product: (kernel of first projection, of second)
         self.product_kernels = None
+        #: set by the group shortcuts: the GroupStructure that checked the
+        #: group axioms when the algebra was built
+        self.group_structure = None
 
     # -- basic access ------------------------------------------------------
 

@@ -13,16 +13,18 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
+import numpy as np
+
 from .algebra import (
     FiniteAlgebra,
     Partition,
-    _flat_index,
     direct_product,
     is_congruence_uniform,
 )
 from .clones import (
     FiniteFunction,
     Relation4,
+    _signature_reps,
     group_malcev_function,
     is_congruence_preserving,
     is_malcev_function,
@@ -120,7 +122,7 @@ def decide_group(group) -> AnalysisReport:
     not-applicable.
     """
     alg = _as_group_algebra(group)
-    g = GroupStructure(alg)
+    g = GroupStructure.of(alg)
     # the multiplication, inverse map and identity of g, by arity
     group_tables = {2: g.mul_table.ravel().tolist(), 1: list(g.inv), 0: [g.identity]}
     extra = [
@@ -205,13 +207,19 @@ def decide_abelian_spec(p: int, exponents) -> AnalysisReport:
     )
 
 
-def decide_product(factors, assume_nilpotent: bool = False) -> AnalysisReport:
+def decide_product(
+    factors,
+    assume_nilpotent: bool = False,
+    force: bool = False,
+    budget: int | None = None,
+) -> AnalysisReport:
     """Verdict for a coprime product of nilpotent prime-power algebras.
 
     Checks the hypotheses (prime-power coprime orders; nilpotency verified
     for groups, otherwise asserted by the caller), verifies skew-freeness of
     the product, and evaluates both the per-factor and whole-lattice strong
-    splitting tests, which must agree.
+    splitting tests, which must agree.  ``force`` and ``budget`` go to every
+    congruence enumeration.
     """
     factors = [
         f if isinstance(f, FiniteAlgebra) else _as_group_algebra(f) for f in factors
@@ -253,7 +261,7 @@ def decide_product(factors, assume_nilpotent: bool = False) -> AnalysisReport:
     prod_congs = None
     for f in factors[1:]:
         prod = direct_product(prod, f)
-        prod_congs = prod.all_congruences()
+        prod_congs = prod.all_congruences(force=force, budget=budget)
         skew = skew_congruences(prod, prod_congs)
         if skew:
             raise CongrexError(
@@ -268,7 +276,7 @@ def decide_product(factors, assume_nilpotent: bool = False) -> AnalysisReport:
     factor_reports = []
     factor_strong = []
     for f in factors:
-        f_lat, f_congs = congruence_lattice(f)
+        f_lat, f_congs = congruence_lattice(f, force=force, budget=budget)
         w = splits_strongly(f_lat)
         factor_strong.append(w is not None)
         factor_reports.append(
@@ -430,15 +438,15 @@ def verify_witness(fam: WitnessFamily, up_to_n: int) -> dict:
             raise WitnessCheckError(f"member of arity {n} has range {values}")
         if not fam.epsilon.same(fam.a, fam.b):
             raise WitnessCheckError("(a, b) left its epsilon class")
-        seen = {}
-        for args in itertools.product(range(s), repeat=n):
-            sig = tuple(fam.delta.block_id[x] for x in args)
-            v = f.table[_flat_index(args, s)]
-            if sig in seen and seen[sig] != v:
-                raise WitnessCheckError(
-                    f"member of arity {n} not constant on delta blocks at {args}"
-                )
-            seen[sig] = v
+        # the congruence check with the identity as the value map
+        moved, reps = _signature_reps(fam.delta, n)
+        table = np.array(f.table)
+        bad = moved[table[moved] != table[reps]]
+        if len(bad):
+            args = tuple(int(x) for x in np.unravel_index(bad[0], (s,) * n))
+            raise WitnessCheckError(
+                f"member of arity {n} not constant on delta blocks at {args}"
+            )
         record[n] = {
             "congruence_preserving": True,
             "range": sorted(values),
@@ -552,7 +560,7 @@ def group_witness_pipeline(
     """
     alg = _as_group_algebra(group)
     try:
-        g = GroupStructure(alg)
+        g = GroupStructure.of(alg)
     except NotAGroupError:
         g = None
     if g is not None and not is_nilpotent_group(g):

@@ -127,7 +127,10 @@ def cmd_decide(args) -> int:
     else:
         factors = [load_algebra(t) for t in args.inputs]
         report = decide_product(
-            factors, assume_nilpotent=args.assume_nilpotent_pp_factors
+            factors,
+            assume_nilpotent=args.assume_nilpotent_pp_factors,
+            force=args.force,
+            budget=args.budget,
         )
     payload = report.to_json_dict()
     emit(payload, args.format, [f"verdict: {report.verdict} ({report.route})"])

@@ -282,23 +282,53 @@ def pol_fragment(
     return _operation_clone(alg, max_arity, member_cap, consts)
 
 
+def _signature_reps(alpha: Partition, arity: int):
+    """(moved, reps): the flat indices of the argument tuples of the given
+    arity that are not the first tuple with their block signature under
+    alpha, and the flat index of that first tuple for each.
+
+    The first tuple with a signature takes the least member of each
+    coordinate's block, so it is _flat_index over the least-member array.
+    Both are empty when the signature map is injective."""
+    s = alpha.size
+    least = np.array([alpha.block_of(x)[0] for x in range(s)], dtype=np.intp)
+    rep = np.ravel(_flat_index(np.ix_(*[least] * arity), s))
+    moved = np.flatnonzero(rep != np.arange(rep.size))
+    return moved, rep[moved]
+
+
+def _congruence_checks(congs, size: int, arity: int):
+    """(block_id array, moved, reps) for each congruence in congs that some
+    function of the given arity breaks; the others are skipped."""
+    checks = []
+    for alpha in congs:
+        if alpha.size != size:
+            raise InvalidInputError("congruence size mismatch")
+        moved, reps = _signature_reps(alpha, arity)
+        if len(moved) and not alpha.is_full():
+            checks.append((np.array(alpha.block_id, dtype=np.intp), moved, reps))
+    return checks
+
+
+def _preserving(tables, checks):
+    """Mask of the rows of tables (function tables over A^n, one per row)
+    that map each argument tuple into the block of the value at the first
+    tuple with its block signature, for every congruence of checks."""
+    ok = np.ones(len(tables), dtype=bool)
+    for block_id, moved, reps in checks:
+        ok &= (block_id[tables[:, moved]] == block_id[tables[:, reps]]).all(axis=1)
+    return ok
+
+
 def is_congruence_preserving(f: FiniteFunction, congs) -> bool:
     """True iff componentwise alpha-related tuples map to alpha-related values,
     for every congruence alpha in congs."""
-    s = f.universe_size
-    for alpha in congs:
-        if alpha.size != s:
-            raise InvalidInputError("congruence size mismatch")
-        seen = {}
-        for args in itertools.product(range(s), repeat=f.arity):
-            sig = tuple(alpha.block_id[a] for a in args)
-            v = alpha.block_id[f.table[_flat_index(args, s)]]
-            if sig in seen:
-                if seen[sig] != v:
-                    return False
-            else:
-                seen[sig] = v
-    return True
+    checks = _congruence_checks(congs, f.universe_size, f.arity)
+    return bool(_preserving(np.array([f.table], dtype=np.intp), checks)[0])
+
+
+#: candidate tables checked at once by comp_fragment, at most
+_COMP_BLOCK = 1024
 
 
 def comp_fragment(
@@ -309,13 +339,11 @@ def comp_fragment(
 ) -> CloneFragment:
     """All functions of arity <= max_arity preserving every congruence of alg.
 
-    Brute-force enumeration in lexicographic table order; the candidate count
-    |A|^(|A|^n) is checked against the budget first.
+    Brute-force enumeration in lexicographic table order, in blocks of
+    candidates that share all but their last few entries; the candidate
+    count |A|^(|A|^n) of every arity is checked against the budget first.
     """
-    if congs is None:
-        congs = alg.all_congruences()
     s = alg.size
-    by_arity = {}
     for arity in range(1, max_arity + 1):
         count = s ** (s**arity)
         if count > budget:
@@ -323,11 +351,22 @@ def comp_fragment(
                 f"comp enumeration needs {count} candidates at arity {arity}; "
                 f"budget is {budget} - lower the arity"
             )
+    if congs is None:
+        congs = alg.all_congruences()
+    by_arity = {}
+    for arity in range(1, max_arity + 1):
+        n = s**arity
+        checks = _congruence_checks(congs, s, arity)
+        tail = 1  # entries that run within a block
+        while tail < n and s ** (tail + 1) <= _COMP_BLOCK:
+            tail += 1
+        block = np.empty((s**tail, n), dtype=np.intp)
+        block[:, n - tail :] = np.indices((s,) * tail).reshape(tail, -1).T
         found = []
-        for table in itertools.product(range(s), repeat=s**arity):
-            f = FiniteFunction(s, arity, table)
-            if is_congruence_preserving(f, congs):
-                found.append(f)
+        for head in itertools.product(range(s), repeat=n - tail):
+            block[:, : n - tail] = head
+            rows = block[_preserving(block, checks)].tolist()
+            found += [FiniteFunction(s, arity, tuple(row)) for row in rows]
         by_arity[arity] = found
     return CloneFragment.from_sets(s, max_arity, by_arity)
 
@@ -504,7 +543,7 @@ def group_malcev_function(alg) -> FiniteFunction | None:
         g = alg
     else:
         try:
-            g = GroupStructure(alg)
+            g = GroupStructure.of(alg)
         except NotAGroupError:
             return None
     s = g.size

@@ -38,7 +38,10 @@ def cyclic_group(n: int) -> FiniteAlgebra:
 
 
 def group_from_cayley(table, name: str = "", op_names=GENERAL_OPS) -> FiniteAlgebra:
-    """Build a group algebra from an n x n Cayley table; checks the axioms."""
+    """Build a group algebra from an n x n Cayley table; checks the axioms.
+
+    The algebra keeps the GroupStructure that checked it, so the axioms
+    are not checked again (see GroupStructure.of)."""
     n = len(table)
     flat = [v for row in table for v in row]
     if len(flat) != n * n or any(not (0 <= v < n) for v in flat):
@@ -46,11 +49,14 @@ def group_from_cayley(table, name: str = "", op_names=GENERAL_OPS) -> FiniteAlge
     op_mul, op_inv, op_id = op_names
     mul = Operation(op_mul, 2, flat)
     g = GroupStructure(FiniteAlgebra(n, [mul]))
-    return FiniteAlgebra(
+    alg = FiniteAlgebra(
         n,
         [mul, Operation(op_inv, 1, g.inv), Operation(op_id, 0, [g.identity])],
         name=name,
     )
+    g.alg = alg
+    alg.group_structure = g
+    return alg
 
 
 def quaternion_group() -> FiniteAlgebra:
@@ -217,6 +223,11 @@ class GroupStructure:
                 y, z = (int(v) for v in bad[0])
                 raise NotAGroupError(f"associativity fails at ({x},{y},{z})")
 
+    @staticmethod
+    def of(alg: FiniteAlgebra) -> "GroupStructure":
+        """The structure group_from_cayley already checked, else a new one."""
+        return alg.group_structure or GroupStructure(alg)
+
     def mul(self, x: int, y: int) -> int:
         return int(self.mul_table[x, y])
 
@@ -252,7 +263,7 @@ class GroupStructure:
 
 def is_group_algebra(alg: FiniteAlgebra) -> bool:
     try:
-        GroupStructure(alg)
+        GroupStructure.of(alg)
         return True
     except NotAGroupError:
         return False
@@ -287,11 +298,11 @@ def _as_structure(group) -> GroupStructure:
     if isinstance(group, GroupStructure):
         return group
     if isinstance(group, GroupPresentation):
-        return GroupStructure(group.algebra())
+        group = group.algebra()
+    elif isinstance(group, str):
+        group = parse_group_spec(group)
     if isinstance(group, FiniteAlgebra):
-        return GroupStructure(group)
-    if isinstance(group, str):
-        return GroupStructure(parse_group_spec(group))
+        return GroupStructure.of(group)
     raise InvalidInputError(f"not a group input: {group!r}")
 
 

@@ -4,7 +4,8 @@ The oracles here are deliberately independent of the library internals:
 congruences by filtering all set partitions, split witnesses by exhaustive
 (delta, epsilon) search, clone parts by fixed-arity superposition closure.
 Replaced library paths are kept as oracles too: the bounded fixpoint clone
-closure, the row-by-row relation preservation check, the all-pairs
+closure, the row-by-row relation preservation check, the tuple-by-tuple
+congruence preservation check and Comp enumeration, the all-pairs
 congruence join closure, the all-pairs meet/join closedness check and the
 k x k x k lattice tables.
 """
@@ -12,8 +13,9 @@ k x k x k lattice tables.
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
-from congrex.algebra import FiniteAlgebra, Partition
+from congrex.algebra import FiniteAlgebra, Operation, Partition
 from congrex.clones import (
     FiniteFunction,
     add_dummy_arg,
@@ -51,6 +53,26 @@ def all_partitions(n):
             labels.pop()
 
     yield from assign(0, [], 0)
+
+
+@st.composite
+def small_algebras(draw, min_size=1, max_size=4):
+    """Algebras of min_size to max_size elements with random unary and
+    binary tables; about half have a permutation among their unary
+    operations, so pairs have nontrivial orbits under the permutation
+    translations."""
+    n = draw(st.integers(min_size, max_size))
+
+    def table(arity):
+        cells = n**arity
+        return draw(st.lists(st.integers(0, n - 1), min_size=cells, max_size=cells))
+
+    ops = []
+    if draw(st.booleans()):
+        ops.append(Operation("p", 1, draw(st.permutations(range(n)))))
+    ops += [Operation(f"u{i}", 1, table(1)) for i in range(draw(st.integers(0, 2)))]
+    ops += [Operation(f"b{i}", 2, table(2)) for i in range(draw(st.integers(0, 1)))]
+    return FiniteAlgebra(n, ops)
 
 
 def partition_respects(alg: FiniteAlgebra, part: Partition) -> bool:
@@ -244,6 +266,38 @@ def loop_preserves_relation(f, rel):
         if image not in member:
             return False
     return True
+
+
+def loop_congruence_preserving(f, congs):
+    """Congruence preservation by one pass over the argument tuples per
+    congruence, keeping the value block of the first tuple of each block
+    signature."""
+    s = f.universe_size
+    for alpha in congs:
+        seen = {}
+        for args in itertools.product(range(s), repeat=f.arity):
+            sig = tuple(alpha.block_id[a] for a in args)
+            v = alpha.block_id[f(*args)]
+            if seen.setdefault(sig, v) != v:
+                return False
+    return True
+
+
+def loop_comp_fragment(alg, max_arity):
+    """Comp(A) up to max_arity by checking every candidate table, one at a
+    time, in lexicographic order."""
+    s = alg.size
+    congs = alg.all_congruences()
+    parts = []
+    for arity in range(1, max_arity + 1):
+        candidates = (
+            FiniteFunction(s, arity, table)
+            for table in itertools.product(range(s), repeat=s**arity)
+        )
+        parts.append(
+            tuple(f for f in candidates if loop_congruence_preserving(f, congs))
+        )
+    return tuple(parts)
 
 
 def brute_group_axioms(table):

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from congrex.algebra import (
     FiniteAlgebra,
@@ -16,7 +15,12 @@ from congrex.algebra import (
 from congrex.errors import BudgetExceededError, InvalidInputError
 from congrex.groups import cyclic_group, parse_group_spec, quaternion_group
 
-from conftest import brute_congruences, pairwise_congruence_closure, partition_respects
+from conftest import (
+    brute_congruences,
+    pairwise_congruence_closure,
+    partition_respects,
+    small_algebras,
+)
 
 
 def semilattice_chain(n):
@@ -159,25 +163,6 @@ def test_is_congruence():
     z4 = cyclic_group(4)
     assert z4.is_congruence(Partition.from_blocks(4, [[0, 2], [1, 3]]))
     assert not z4.is_congruence(Partition.from_blocks(4, [[0, 1], [2, 3]]))
-
-
-@st.composite
-def small_algebras(draw):
-    """Size <= 4 with random unary and binary tables; about half have a
-    permutation among their unary operations, so pairs have nontrivial
-    orbits under the permutation translations."""
-    n = draw(st.integers(1, 4))
-
-    def table(arity):
-        cells = n**arity
-        return draw(st.lists(st.integers(0, n - 1), min_size=cells, max_size=cells))
-
-    ops = []
-    if draw(st.booleans()):
-        ops.append(Operation("p", 1, draw(st.permutations(range(n)))))
-    ops += [Operation(f"u{i}", 1, table(1)) for i in range(draw(st.integers(0, 2)))]
-    ops += [Operation(f"b{i}", 2, table(2)) for i in range(draw(st.integers(0, 1)))]
-    return FiniteAlgebra(n, ops)
 
 
 @settings(max_examples=150, deadline=None)

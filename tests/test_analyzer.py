@@ -113,11 +113,13 @@ def _count_group_work(monkeypatch) -> Counter:
 
 def test_decide_group_analyses_each_group_once(monkeypatch):
     q8 = GroupStructure(quaternion_group()).mul_table.tolist()
-    pgroup = group_from_cayley(relabeled_cayley(q8, [3, 0, 6, 1, 7, 2, 5, 4]))
-    q8z3 = group_from_cayley(q8_times_z3_cayley(), name="Q8xZ3")
+    q8z3_table = q8_times_z3_cayley()
     calls = _count_group_work(monkeypatch)
 
-    # a p-group is its own Sylow factor: one structure, one enumeration
+    # from table to verdict: group_from_cayley checks the axioms and
+    # decide_group reuses that structure. A p-group is its own Sylow
+    # factor: one structure, one enumeration
+    pgroup = group_from_cayley(relabeled_cayley(q8, [3, 0, 6, 1, 7, 2, 5, 4]))
     report = decide_group(pgroup)
     assert calls == {"GroupStructure": 1, "normal_subgroups": 1}
     assert report.verdict == VERDICT_INFINITE
@@ -133,7 +135,7 @@ def test_decide_group_analyses_each_group_once(monkeypatch):
 
     # the whole group and each of its two Sylow factors
     calls.clear()
-    report = decide_group(q8z3)
+    report = decide_group(group_from_cayley(q8z3_table, name="Q8xZ3"))
     assert calls == {"GroupStructure": 3, "normal_subgroups": 3}
     assert [fr["verdict"] for fr in report.factor_reports] == [
         VERDICT_INFINITE,
@@ -289,6 +291,20 @@ def test_verify_witness_catches_corruption():
     fam._cache[1] = bad
     with pytest.raises(WitnessCheckError):
         verify_witness(fam, 1)
+
+
+def test_verify_witness_names_the_first_tuple_not_constant_on_delta_blocks():
+    fam = build_witness_family(cyclic_group(4))
+    assert (fam.a, fam.b) == (0, 2) and fam.delta.block_id == (0, 1, 0, 1)
+    # values in {0, 2} preserve every congruence of Z4; (2, 1) is the first
+    # tuple whose value differs from that of (0, 1), the first tuple with
+    # its delta signature
+    table = [0] * 16
+    table[2 * 4 + 1] = table[3 * 4 + 3] = 2
+    fam._cache[2] = FiniteFunction(4, 2, tuple(table))
+    with pytest.raises(WitnessCheckError) as err:
+        verify_witness(fam, 2)
+    assert str(err.value) == "member of arity 2 not constant on delta blocks at (2, 1)"
 
 
 def test_q8_witness_family():

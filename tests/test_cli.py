@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from congrex import clones
 from congrex.algebra import FiniteAlgebra, Operation
 from congrex.cli import main
-from congrex.groups import cyclic_group, group_from_cayley
+from congrex.groups import GroupStructure, cyclic_group, group_from_cayley
 from congrex.lattice import chain
 
 from conftest import q8_times_z3_cayley
@@ -20,6 +21,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def stdout_under_hash_seeds(argv, cwd=None):
+    """The CLI's stdout in two processes, under PYTHONHASHSEED 0 and 1."""
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "congrex.cli", *argv],
+            cwd=cwd,
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
 
 
 def test_version(capsys):
@@ -264,19 +282,8 @@ def test_repeated_runs_are_byte_identical(capsys, argv):
 def test_decide_stdout_does_not_depend_on_hash_seed(tmp_path, inputs):
     group = group_from_cayley(q8_times_z3_cayley(), name="Q8xZ3")
     (tmp_path / "Q8xZ3.json").write_text(json.dumps(group.to_json_dict()))
-    outputs = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
-        proc = subprocess.run(
-            [sys.executable, "-m", "congrex.cli", "decide", *inputs],
-            cwd=tmp_path,
-            env=env,
-            capture_output=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    first, second = stdout_under_hash_seeds(["decide", *inputs], cwd=tmp_path)
+    assert first == second
 
 
 @pytest.mark.parametrize("argv", [["tensor", "Z2", "Z3"], ["witness", "Z4"]])
@@ -305,19 +312,55 @@ def test_con_z2_to_the_fifth_within_default_budget(capsys):
         ["con", "Z2xZ4"],
         ["lattice", "Z2xZ2xZ2", "--check", "splits"],
         ["skew", "Z4", "Z2"],
+        ["pol", "Z4", "--max-arity", "2"],
+        ["comp", "Z4", "--max-arity", "1"],
+        ["clone", "gens.json", "--max-arity", "2"],
+        ["tensor", "Z2", "Z3"],
+        ["witness", "Z4"],
     ],
-    ids=["con", "lattice", "skew"],
+    ids=["con", "lattice", "skew", "pol", "comp", "clone", "tensor", "witness"],
 )
-def test_congruence_stdout_does_not_depend_on_hash_seed(argv):
-    outputs = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
-        proc = subprocess.run(
-            [sys.executable, "-m", "congrex.cli", *argv],
-            env=env,
-            capture_output=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+def test_congruence_stdout_does_not_depend_on_hash_seed(tmp_path, argv):
+    # for clone: x -> y and a unary constant on two elements
+    gens = {
+        "universe_size": 2,
+        "functions": [
+            {"arity": 2, "table": [1, 1, 0, 1]},
+            {"arity": 1, "table": [0, 0]},
+        ],
+    }
+    (tmp_path / "gens.json").write_text(json.dumps(gens))
+    first, second = stdout_under_hash_seeds(argv, cwd=tmp_path)
+    assert first == second
+
+
+def test_decide_product_honours_budget_and_force(capsys):
+    code, out, err = run(capsys, "decide", "Z8", "Z9", "--budget", "1")
+    assert (code, out) == (3, "")
+    assert "budget" in err
+    forced = run(capsys, "decide", "Z8", "Z9", "--budget", "1", "--force")
+    assert forced[:2] == run(capsys, "decide", "Z8", "Z9")[:2]
+    assert forced[0] == 0
+
+
+def test_comp_refuses_before_any_preservation_check(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("preservation check before the refusal")
+
+    monkeypatch.setattr(clones, "_preserving", fail)
+    code, out, err = run(capsys, "comp", "Z3", "--max-arity", "3")
+    assert (code, out) == (3, "")
+    assert "7625597484987 candidates at arity 3" in err
+
+
+def test_group_shortcut_is_checked_once(capsys, monkeypatch):
+    built = []
+    init = GroupStructure.__init__
+
+    def counted_init(self, alg):
+        built.append(alg.size)
+        init(self, alg)
+
+    monkeypatch.setattr(GroupStructure, "__init__", counted_init)
+    assert run(capsys, "decide", "Q8")[0] == 0
+    assert built == [8]

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congrex.algebra import Partition, direct_product
+from congrex import clones
+from congrex.algebra import FiniteAlgebra, Operation, Partition, direct_product
 from congrex.clones import (
     CloneFragment,
     FiniteFunction,
@@ -32,7 +33,14 @@ from congrex.clones import (
 from congrex.errors import BudgetExceededError, InvalidInputError
 from congrex.groups import cyclic_group, parse_group_spec
 
-from conftest import fixpoint_closure, loop_preserves_relation, superposition_closure
+from conftest import (
+    fixpoint_closure,
+    loop_comp_fragment,
+    loop_congruence_preserving,
+    loop_preserves_relation,
+    small_algebras,
+    superposition_closure,
+)
 
 
 def unary(size, values):
@@ -283,6 +291,81 @@ def test_is_congruence_preserving_examples():
     assert is_congruence_preserving(f1, congs)
     swap01 = unary(4, [1, 0, 2, 3])
     assert not is_congruence_preserving(swap01, congs)
+
+
+def test_congruence_preserving_unary_functions_on_the_klein_group():
+    # Con(Z2 x Z2) is M3: each unary function is checked against every
+    # congruence alone and against all of them, and each of the three atoms
+    # is the one congruence broken by some function
+    congs = parse_group_spec("Z2xZ2").all_congruences()
+    atoms = [a for a in congs if a.num_blocks == 2]
+    broken_alone = set()
+    for values in itertools.product(range(4), repeat=4):
+        f = unary(4, values)
+        broken = []
+        for alpha in congs:
+            kept = is_congruence_preserving(f, [alpha])
+            assert kept == loop_congruence_preserving(f, [alpha])
+            if not kept:
+                broken.append(alpha)
+        assert is_congruence_preserving(f, congs) == (not broken)
+        if len(broken) == 1:
+            broken_alone.add(broken[0])
+    assert broken_alone == set(atoms)
+
+
+@st.composite
+def functions_on(draw, size):
+    """A random function of arity 0 to 3, fully random or a constant with
+    one entry changed (which breaks few congruences, often exactly one)."""
+    arity = draw(st.integers(0, 3))
+    cells = size**arity
+    value = st.integers(0, size - 1)
+    if draw(st.booleans()):
+        table = draw(st.lists(value, min_size=cells, max_size=cells))
+    else:
+        table = [draw(value)] * cells
+        table[draw(st.integers(0, cells - 1))] = draw(value)
+    return FiniteFunction(size, arity, tuple(table))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_congruence_preserving_matches_tuple_loop_on_random_algebras(data):
+    alg = data.draw(small_algebras())
+    f = data.draw(functions_on(alg.size))
+    congs = alg.all_congruences()
+    for alpha in congs:
+        assert is_congruence_preserving(f, [alpha]) == loop_congruence_preserving(
+            f, [alpha]
+        )
+    assert is_congruence_preserving(f, congs) == loop_congruence_preserving(f, congs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_algebras(min_size=2, max_size=3), st.integers(1, 2))
+def test_comp_fragment_matches_candidate_loop_on_random_algebras(alg, max_arity):
+    assert comp_fragment(alg, max_arity).members == loop_comp_fragment(alg, max_arity)
+
+
+def test_comp_fragment_keeps_order_and_members_across_candidate_blocks(monkeypatch):
+    # the 3^9 binary candidates span several blocks; Con is {0, 01|2, 1}
+    alg = FiniteAlgebra(3, [Operation("u", 1, [1, 0, 2])])
+    assert 3**9 > clones._COMP_BLOCK
+    enumerated = {}
+    from_sets = CloneFragment.from_sets
+
+    def record(size, max_arity, by_arity):
+        enumerated.update(by_arity)
+        return from_sets(size, max_arity, by_arity)
+
+    monkeypatch.setattr(CloneFragment, "from_sets", staticmethod(record))
+    frag = comp_fragment(alg, 2)
+    tables = [f.table for f in enumerated[2]]
+    assert tables == sorted(set(tables))  # strictly lexicographic, as enumerated
+    assert frag.members == loop_comp_fragment(alg, 2)
+    # each block signature class of k pairs goes into {0, 1} (2^k ways) or to 2
+    assert len(tables) == (2**4 + 1) * (2**2 + 1) * (2**2 + 1) * (2**1 + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,26 @@ def test_is_nilpotent_examples():
     assert not is_nilpotent_group("S4")
 
 
+def test_every_group_input_is_checked_once(monkeypatch):
+    q8_table = GroupStructure(quaternion_group()).mul_table.tolist()
+    built = []
+    init = GroupStructure.__init__
+
+    def counted_init(self, alg):
+        built.append(alg.size)
+        init(self, alg)
+
+    monkeypatch.setattr(GroupStructure, "__init__", counted_init)
+    for group in ("Q8", GroupPresentation.cayley(q8_table, "Q8")):
+        built.clear()
+        assert is_nilpotent_group(group)
+        assert built == [8]
+    built.clear()
+    alg = group_from_cayley(q8_table)
+    assert is_group_algebra(alg) and is_nilpotent_group(alg)
+    assert built == [8]
+
+
 def test_prime_helpers():
     assert prime_factors(12) == {2: 2, 3: 1}
     assert prime_factors(7) == {7: 1}

@@ -30,6 +30,7 @@ from conftest import (
     m3,
     n5,
     pairwise_closed,
+    small_algebras,
     small_lattice_corpus,
 )
 
@@ -279,6 +280,16 @@ def test_m3_and_n5():
 def test_split_predicates_match_brute_force(name, lat):
     assert (splits_strongly(lat) is not None) == brute_has_split(lat, strong=True)
     assert (splits(lat) is not None) == brute_has_split(lat, strong=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_algebras())
+def test_split_predicates_match_brute_force_on_random_algebras(alg):
+    lat, _ = congruence_lattice(alg)
+    for strong, predicate in ((True, splits_strongly), (False, splits)):
+        w = predicate(lat)
+        assert (w is not None) == brute_has_split(lat, strong=strong)
+        assert w is None or witness_is_valid(lat, w, strong=strong)
 
 
 @pytest.mark.parametrize("name,lat", sorted(small_lattice_corpus().items()))
