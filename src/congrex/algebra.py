@@ -3,6 +3,11 @@
 An algebra lives on the universe {0, ..., size-1}.  Every operation is a flat
 row-major table, so all computations here are pure table lookups; nothing is
 symbolic.  Congruences are represented as canonical partitions of the universe.
+
+One kernel does the congruence arithmetic, on (rows x n) arrays in which each
+element is labelled by the least member of its block: a canonical form, so two
+rows are equal partitions iff their bytes are equal.  Pairs of classes are
+merged by min-label hooking with pointer jumping, many partitions at once.
 """
 
 from __future__ import annotations
@@ -13,10 +18,16 @@ import os
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
+
 from .errors import BudgetExceededError, InvalidInputError
 
 #: default work budget for congruence enumeration (union/join steps)
 DEFAULT_BUDGET = 10**6
+
+#: entries per temporary array of the congruence kernel: 64 KB of intp,
+#: which keeps the kernel's share of peak memory small and is no slower
+_BLOCK = 1 << 13
 
 
 def budget_from_env(default: int = DEFAULT_BUDGET) -> int:
@@ -37,7 +48,7 @@ class Partition:
     partitions are equal iff their ``block_id`` tuples are equal.
     """
 
-    __slots__ = ("block_id", "_blocks")
+    __slots__ = ("block_id", "_blocks", "_least")
 
     def __init__(self, labels):
         labels = list(labels)
@@ -49,6 +60,7 @@ class Partition:
             block_id.append(relabel[lab])
         self.block_id = tuple(block_id)
         self._blocks = None
+        self._least = None
 
     # -- constructors ------------------------------------------------------
 
@@ -71,22 +83,6 @@ class Partition:
         if any(lab is None for lab in labels):
             raise InvalidInputError("blocks do not cover the universe")
         return Partition(labels)
-
-    @staticmethod
-    def from_pairs(size: int, pairs) -> "Partition":
-        parent = list(range(size))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return Partition(find(x) for x in range(size))
 
     # -- basic queries -----------------------------------------------------
 
@@ -120,39 +116,32 @@ class Partition:
 
     # -- lattice operations ------------------------------------------------
 
+    @staticmethod
+    def _of_row(row) -> "Partition":
+        """The partition of a least-member row, which it keeps."""
+        p = Partition(row.tolist())
+        p._least = row
+        return p
+
+    def _with(self, other: "Partition"):
+        """The least-member rows of self and other, as two 1 x n arrays."""
+        if other.size != self.size:
+            raise InvalidInputError("partition size mismatch")
+        for p in (self, other):
+            if p._least is None:
+                p._least = _least_members(np.array([p.block_id]))[0]
+        return self._least[None], other._least[None]
+
     def refines(self, other: "Partition") -> bool:
         """True iff self <= other in the refinement order."""
-        seen = {}
-        for x in range(self.size):
-            lab = self.block_id[x]
-            if lab in seen:
-                if seen[lab] != other.block_id[x]:
-                    return False
-            else:
-                seen[lab] = other.block_id[x]
-        return True
+        (mine,), (theirs,) = self._with(other)
+        return bool((theirs[mine] == theirs).all())
 
     def meet(self, other: "Partition") -> "Partition":
-        return Partition(zip(self.block_id, other.block_id))
+        return Partition._of_row(_meet_rows(*self._with(other))[0])
 
     def join(self, other: "Partition") -> "Partition":
-        n = self.size
-        pairs = []
-        first_self = {}
-        for x in range(n):
-            lab = self.block_id[x]
-            if lab in first_self:
-                pairs.append((first_self[lab], x))
-            else:
-                first_self[lab] = x
-        first_other = {}
-        for x in range(n):
-            lab = other.block_id[x]
-            if lab in first_other:
-                pairs.append((first_other[lab], x))
-            else:
-                first_other[lab] = x
-        return Partition.from_pairs(n, pairs)
+        return Partition._of_row(_join_rows(*self._with(other))[0])
 
     def composes_with(self, other: "Partition") -> bool:
         """True iff self o other == other o self (as relation composition).
@@ -223,11 +212,118 @@ def _flat_index(args, size: int) -> int:
     return idx
 
 
+def _chunks(count: int, width: int):
+    """Slices of range(count) of at most max(1, _BLOCK // width) items each."""
+    step = max(1, _BLOCK // max(1, width))
+    return [slice(s, s + step) for s in range(0, count, step)]
+
+
+def _least_members(labels):
+    """Rows of labels in [0, n), relabelled by the least member of each block."""
+    r, n = labels.shape
+    flat = labels.astype(np.intp) + np.arange(0, r * n, n)[:, None]
+    least = np.full(r * n, n, dtype=np.intp)
+    np.minimum.at(least, flat.ravel(), np.tile(np.arange(n), r))
+    return least[flat].astype(np.int32)
+
+
+def _hook(forest, left, right) -> bool:
+    """Merge, in place, the classes of left[i] and right[i] in a forest of
+    least-member labels over flat positions; True iff any two differed.
+
+    Each round hooks the larger of two class labels under the smaller one
+    (np.minimum.at keeps the least of competing hooks; the rest wait for the
+    next round) and then jumps pointers until every label is a root again,
+    so labels only decrease and stay the least member of their class."""
+    merged = False
+    while True:
+        a, b = forest[left], forest[right]
+        differ = a != b
+        if not differ.any():
+            return merged
+        merged = True
+        a, b = a[differ], b[differ]
+        np.minimum.at(forest, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = forest[forest]
+            if (up == forest).all():
+                break
+            forest[:] = up
+
+
+def _join_rows(left, right):
+    """Least-member rows of left[i] v right[i]."""
+    r, n = left.shape
+    offset = np.arange(0, r * n, n)[:, None]
+    forest = (left + offset).ravel().astype(np.intp)
+    moved = (right != np.arange(n)).ravel()
+    _hook(forest, np.flatnonzero(moved), (right + offset).ravel()[moved])
+    return (forest.reshape(r, n) - offset).astype(np.int32)
+
+
+def _meet_rows(left, right):
+    """Least-member rows of left[i] ^ right[i]: x goes to the first element
+    with x's pair of labels."""
+    r, n = left.shape
+    offset = np.arange(0, r * n, n)[:, None]
+    keys = ((left + offset).astype(np.int64) * n + right).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return (first[inverse].reshape(r, n) - offset).astype(np.int32)
+
+
+def _principal_rows(translations, a, b, n: int):
+    """Least-member rows of Cg(a[i], b[i]): the least equivalences relating
+    a[i] and b[i] that every translation t preserves, i.e. t(x) ~ t(y) for
+    each x and the least member y of its class."""
+    out = np.empty((len(a), n), dtype=np.int32)
+    for s in _chunks(len(a), n * max(1, len(translations))):
+        r = len(out[s])
+        offset = np.arange(0, r * n, n)
+        forest = np.arange(r * n)
+        _hook(forest, a[s] + offset, b[s] + offset)
+        changed = True
+        while changed:
+            changed = False
+            # only the elements x that are not the least member y of their
+            # class give a pair t(x), t(y) that may be in two classes
+            for t in _chunks(len(translations), r * n):
+                moved = np.flatnonzero(forest != np.arange(r * n))
+                x = moved % n
+                base = moved - x
+                left = (translations[t][:, x] + base).ravel()
+                right = (translations[t][:, forest[moved] - base] + base).ravel()
+                changed |= _hook(forest, left, right)
+        out[s] = forest.reshape(r, n) - offset[:, None]
+    return out
+
+
+def _fresh(seen: dict, rows):
+    """Add the bytes of each int32 row to seen (equal bytes, equal
+    partitions); the indices of the rows that were new, each distinct one once."""
+    buf = np.ascontiguousarray(rows, dtype=np.int32).tobytes()
+    width = 4 * rows.shape[1]
+    out = []
+    for i in range(len(rows)):
+        key = buf[i * width : (i + 1) * width]
+        if key not in seen:
+            seen[key] = None
+            out.append(i)
+    return out
+
+
+def require_int(value, what: str) -> int:
+    """value, if it is an int; a bool, or a float such as 1.0, is refused
+    as input, never truncated."""
+    if type(value) is not int:
+        raise InvalidInputError(f"{what} is not an integer: {value!r}")
+    return value
+
+
 class FiniteAlgebra:
     """A finite algebra: a universe size and a list of operation tables."""
 
     def __init__(self, size: int, operations, name: str = ""):
-        if size < 1:
+        if require_int(size, "universe size") < 1:
             raise InvalidInputError("universe must be nonempty")
         self.size = size
         self.name = name
@@ -235,14 +331,17 @@ class FiniteAlgebra:
         for op in operations:
             if not isinstance(op, Operation):
                 op = Operation(*op)
-            if op.arity < 0:
+            if require_int(op.arity, f"operation {op.name!r}: arity") < 0:
                 raise InvalidInputError(f"operation {op.name!r} has negative arity")
             if len(op.table) != size**op.arity:
                 raise InvalidInputError(
                     f"operation {op.name!r}: table length {len(op.table)} "
                     f"!= {size}^{op.arity}"
                 )
-            if any(not (0 <= v < size) for v in op.table):
+            if not set(map(type, op.table)) <= {int}:
+                bad = next(v for v in op.table if type(v) is not int)
+                require_int(bad, f"operation {op.name!r}: table entry")
+            if min(op.table) < 0 or max(op.table) >= size:
                 raise InvalidInputError(f"operation {op.name!r}: entry out of range")
             ops.append(op)
         names = [op.name for op in ops]
@@ -282,119 +381,112 @@ class FiniteAlgebra:
     # -- congruence machinery ----------------------------------------------
 
     def unary_translations(self):
-        """All single-operation unary polynomial translations, as tuples.
+        """All single-operation unary polynomial translations but the
+        identity, as the sorted distinct rows of a (t x n) int32 array.
 
         For each operation f and argument position i, every way of freezing
         the other positions with constants yields x |-> f(..., x, ...).
         Iterating these to a fixpoint generates the same congruences as
         arbitrary unary polynomials.
         """
-        if self._translations is not None:
-            return self._translations
-        out = set()
-        for op in self.operations:
-            if op.arity == 0:
-                continue
-            for pos in range(op.arity):
-                for rest in itertools.product(range(self.size), repeat=op.arity - 1):
-                    table = []
-                    for x in range(self.size):
-                        args = rest[:pos] + (x,) + rest[pos:]
-                        table.append(op.table[_flat_index(args, self.size)])
-                    t = tuple(table)
-                    if t != tuple(range(self.size)):
-                        out.add(t)
-        self._translations = tuple(sorted(out))
+        if self._translations is None:
+            n = self.size
+            rows = set()
+            for op in self.operations:
+                table = np.array(op.table).reshape((n,) * op.arity)
+                for i in range(op.arity):
+                    rows.update(map(tuple, np.moveaxis(table, i, -1).reshape(-1, n).tolist()))
+            rows.discard(tuple(range(n)))
+            self._translations = np.array(sorted(rows), dtype=np.int32).reshape(-1, n)
         return self._translations
 
     def principal_congruence(self, a: int, b: int) -> Partition:
         """Smallest congruence identifying a and b (Cg(a, b))."""
         if not (0 <= a < self.size and 0 <= b < self.size):
             raise InvalidInputError("element out of range")
-        translations = self.unary_translations()
-        parent = list(range(self.size))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                continue
-            parent[rx] = ry
-            for t in translations:
-                stack.append((t[x], t[y]))
-        return Partition(find(x) for x in range(self.size))
+        row = _principal_rows(self.unary_translations(), np.array([a]), np.array([b]), self.size)
+        return Partition._of_row(row[0])
 
     def is_congruence(self, theta: Partition) -> bool:
+        """True iff every translation t keeps t(x) in the block of t(y) for
+        each x and the least member y of its block."""
         if theta.size != self.size:
             raise InvalidInputError("partition size mismatch")
-        for t in self.unary_translations():
-            for block in theta.blocks():
-                first = t[block[0]]
-                if any(not theta.same(first, t[x]) for x in block[1:]):
-                    return False
-        return True
+        ids = np.array(theta.block_id)
+        least = _least_members(ids[None])[0]
+        trans = self.unary_translations()
+        return all(
+            (ids[trans[s]] == ids[trans[s][:, least]]).all()
+            for s in _chunks(len(trans), self.size)
+        )
 
-    def all_congruences(self, force: bool = False, budget: int | None = None):
-        """The full congruence lattice Con(A), sorted canonically.
+    def _orbit_representatives(self, trans):
+        """The least pair (a, b), a < b, of each orbit of pairs under the
+        translations that permute A, by label propagation over pairs."""
+        n = self.size
+        perms = trans[(np.sort(trans, axis=1) == np.arange(n)).all(axis=1)]
+        pairs = np.flatnonzero(np.arange(n)[:, None] < np.arange(n))
+        a, b = pairs // n, pairs % n
+        forest = np.arange(n * n)
+        for s in _chunks(len(perms), len(pairs)):
+            x, y = perms[s][:, a], perms[s][:, b]
+            image = np.minimum(x, y) * n + np.maximum(x, y)
+            _hook(forest, np.broadcast_to(pairs, image.shape).ravel(), image.ravel())
+        least = forest[pairs] == pairs
+        return a[least], b[least]
+
+    def congruence_rows(self, force: bool = False, budget: int | None = None):
+        """Con(A) as a (k x n) int32 array of least-member rows, the identity
+        first and the rest in the order found.
 
         Every congruence is a join of principal congruences, so the lattice
         is the closure of {0} and the distinct principal congruences under
         theta |-> theta v Cg(a, b).  A translation t that permutes A has its
         inverse among its powers, so Cg(t(a), t(b)) = Cg(a, b): one Cg is
         computed per orbit of pairs under the permutation translations.  The
-        work counter counts joins and guards against blowing up on large
+        work counter counts joins (the pairs theta, Cg(a, b) with a, b in
+        different blocks of theta) and guards against blowing up on large
         inputs; pass ``force=True`` or raise the budget to override.
+        Several thetas are joined with all their Cg(a, b) at once; the joins
+        counted, and so the refusal, do not depend on that order.
         """
-        if budget is None:
-            budget = budget_from_env()
-        work = 0
-        translations = self.unary_translations()
-        estimate = self.size * self.size * max(1, len(translations))
-        if estimate > budget and not force:
-            raise BudgetExceededError(
-                f"congruence enumeration estimate {estimate} exceeds budget {budget}"
-            )
-        perms = [t for t in translations if len(set(t)) == self.size]
-        principals = {}  # distinct Cg(a, b) -> its first pair (a, b)
-        done = set()
-        for a in range(self.size):
-            for b in range(a + 1, self.size):
-                if (a, b) in done:
-                    continue
-                principals.setdefault(self.principal_congruence(a, b), (a, b))
-                orbit = [(a, b)]
-                done.add((a, b))
-                while orbit:
-                    x, y = orbit.pop()
-                    for t in perms:
-                        pair = (min(t[x], t[y]), max(t[x], t[y]))
-                        if pair not in done:
-                            done.add(pair)
-                            orbit.append(pair)
-        congs = {Partition.identity(self.size), *principals}
+        n = self.size
+        trans = self.unary_translations()
+        if not force:
+            if budget is None:
+                budget = budget_from_env()
+            estimate = n * n * max(1, len(trans))
+            if estimate > budget:
+                raise BudgetExceededError(
+                    f"congruence enumeration estimate {estimate} exceeds budget {budget}"
+                )
+        a, b = self._orbit_representatives(trans)
+        seen = {np.arange(n, dtype=np.int32).tobytes(): None}
+        principals = _principal_rows(trans, a, b, n)
+        new = _fresh(seen, principals)
+        # each distinct Cg(a, b) with the first pair (a, b) that gave it
+        principals, first_a, first_b = principals[new], a[new], b[new]
         worklist = list(principals)
+        work = 0
+        per_batch = max(1, _BLOCK // (n * max(1, len(principals))))
         while worklist:
-            theta = worklist.pop()
-            for pi, (a, b) in principals.items():
-                if theta.block_id[a] == theta.block_id[b]:
-                    continue
-                work += 1
-                if work > budget and not force:
-                    raise BudgetExceededError(
-                        f"congruence join closure exceeded budget {budget}"
-                    )
-                joined = theta.join(pi)
-                if joined not in congs:
-                    congs.add(joined)
-                    worklist.append(joined)
-        return sorted(congs, key=lambda p: p.block_id)
+            thetas = np.array(worklist[-per_batch:])
+            del worklist[-per_batch:]
+            theta_i, pi_i = np.nonzero(thetas[:, first_a] != thetas[:, first_b])
+            work += len(theta_i)
+            if not force and work > budget:
+                raise BudgetExceededError(
+                    f"congruence join closure exceeded budget {budget}"
+                )
+            joined = _join_rows(thetas[theta_i], principals[pi_i])
+            worklist += list(joined[_fresh(seen, joined)])
+        return np.frombuffer(b"".join(seen), dtype=np.int32).reshape(-1, n)
+
+    def all_congruences(self, force: bool = False, budget: int | None = None):
+        """The full congruence lattice Con(A), sorted canonically (see
+        congruence_rows for the algorithm and the budget)."""
+        rows = self.congruence_rows(force, budget)
+        return sorted(map(Partition._of_row, rows), key=lambda p: p.block_id)
 
     def quotient(self, theta: Partition) -> "FiniteAlgebra":
         """The quotient algebra A/theta on block indices 0..num_blocks-1."""
@@ -463,13 +555,11 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     ops = []
     for op_a in a.operations:
         op_b = b.operation(op_a.name)
-        table = []
-        for args in itertools.product(range(size), repeat=op_a.arity):
-            xs = tuple(arg // b.size for arg in args)
-            ys = tuple(arg % b.size for arg in args)
-            va = op_a.table[_flat_index(xs, a.size)]
-            vb = op_b.table[_flat_index(ys, b.size)]
-            table.append(va * b.size + vb)
+        # args[i]: the i-th argument of every argument tuple, row-major
+        args = [g.ravel() for g in np.indices((size,) * op_a.arity)]
+        va = np.array(op_a.table)[_flat_index([x // b.size for x in args], a.size)]
+        vb = np.array(op_b.table)[_flat_index([x % b.size for x in args], b.size)]
+        table = np.ravel(va * b.size + vb).tolist()
         ops.append(Operation(op_a.name, op_a.arity, table))
     name = ""
     if a.name and b.name:

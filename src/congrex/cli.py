@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .algebra import FiniteAlgebra, budget_from_env, direct_product
+from .algebra import FiniteAlgebra, budget_from_env, direct_product, require_int
 from .analyzer import (
     decide_group,
     decide_product,
@@ -160,11 +160,11 @@ def cmd_witness(args) -> int:
 def cmd_clone(args) -> int:
     data = read_json(args.input)
     try:
-        size = data["universe_size"]
-        gens = [
-            FiniteFunction(size, f["arity"], tuple(f["table"]))
-            for f in data.get("functions", [])
-        ]
+        size = require_int(data["universe_size"], "universe_size")
+        gens = []
+        for f in data.get("functions", []):
+            table = tuple(require_int(v, "table entry") for v in f["table"])
+            gens.append(FiniteFunction(size, require_int(f["arity"], "arity"), table))
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed generator JSON: {exc!r}") from exc
     from .clones import clone_closure

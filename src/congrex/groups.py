@@ -231,10 +231,6 @@ class GroupStructure:
     def mul(self, x: int, y: int) -> int:
         return int(self.mul_table[x, y])
 
-    def conjugates(self, g: int):
-        n = self.size
-        return {self.mul(self.mul(x, g), self.inv[x]) for x in range(n)}
-
     def subgroup_closure(self, elements) -> frozenset:
         """Subgroup generated by the given elements (identity always included)."""
         member = np.zeros(self.size, dtype=bool)
@@ -244,9 +240,6 @@ class GroupStructure:
             member[self.mul_table[np.ix_(cur, cur)]] = True
             if member.sum() == len(cur):
                 return frozenset(cur.tolist())
-
-    def normal_closure(self, g: int) -> frozenset:
-        return self.subgroup_closure(self.conjugates(g))
 
     def element_order(self, g: int) -> int:
         k, x = 1, g
@@ -369,54 +362,23 @@ def _is_p_power(n: int, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# normal subgroup lattice (fast path for Con of a group)
-
-
-def _mask_of(elements) -> int:
-    m = 0
-    for x in elements:
-        m |= 1 << int(x)
-    return m
-
-
-def _mask_elements(mask: int):
-    out = []
-    x = 0
-    while mask:
-        if mask & 1:
-            out.append(x)
-        mask >>= 1
-        x += 1
-    return out
+# normal subgroup lattice
 
 
 def normal_subgroups(group):
     """All normal subgroups, as frozensets sorted by (order, elements).
 
-    Computed as the join closure of the normal closures of single elements;
-    every normal subgroup is such a join.  Subgroups are deduplicated via
-    bitmasks, which keeps this usable up to a few thousand subgroups.
+    They are the classes of the identity in the congruences of the reduct
+    (G; *), which are those of the group, since in a finite group the
+    inverse is a power.  The reduct keeps other operations of the algebra
+    out, and no budget applies.
     """
     g = _as_structure(group)
-    closures = sorted(
-        {_mask_of(g.normal_closure(x)) for x in range(g.size)},
-        key=lambda m: (bin(m).count("1"), m),
-    )
-    trivial = 1 << g.identity
-    subs = {trivial}
-    worklist = [trivial]
-    while worklist:
-        h = worklist.pop()
-        for c in closures:
-            if c & ~h == 0:
-                continue
-            j = _mask_of(g.subgroup_closure(_mask_elements(h | c)))
-            if j not in subs:
-                subs.add(j)
-                worklist.append(j)
-    return sorted(
-        (frozenset(_mask_elements(m)) for m in subs), key=lambda s: (len(s), sorted(s))
-    )
+    reduct = FiniteAlgebra(g.size, [Operation("*", 2, g.mul_table.ravel().tolist())])
+    rows = reduct.congruence_rows(force=True)
+    classes = rows == rows[:, [g.identity]]
+    subs = [frozenset(np.flatnonzero(c).tolist()) for c in classes]
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
 def coset_partition(group, subgroup) -> Partition:

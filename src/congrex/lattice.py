@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Partition
+from .algebra import Partition, _chunks, _fresh, _join_rows, _least_members, _meet_rows
 from .errors import InvalidInputError
 
 
@@ -131,6 +131,8 @@ def lattice_from_covers(n: int, covers) -> FiniteLattice:
 def from_congruences(congs) -> FiniteLattice:
     """Order a meet/join closed set of partitions by refinement.
 
+    a <= b iff b's labels are constant on a's blocks, i.e. B[b, least[a]]
+    == B[b] for the least-member rows B, checked one row a at a time.
     Closure is checked on irreducibles only: b is the join of the
     join-irreducibles below it, so a v b is in the set for all a, b once
     a v j is for every join-irreducible j (one lower cover) not below a;
@@ -139,26 +141,32 @@ def from_congruences(congs) -> FiniteLattice:
     congs = sorted(set(congs), key=lambda p: p.block_id)
     if not congs:
         raise InvalidInputError("empty congruence set")
-    leq = [[a.refines(b) for b in congs] for a in congs]
+    rows = _least_members(np.array([p.block_id for p in congs]))
+    k, n = rows.shape
+    leq = np.empty((k, k), dtype=bool)
+    for s in _chunks(k, n):
+        block = rows[s]
+        for a in range(k):
+            leq[a, s] = (block[:, rows[a]] == block).all(axis=1)
     try:
-        lat = FiniteLattice(leq)
+        lat = FiniteLattice(leq.tolist())
     except InvalidInputError as exc:
         raise InvalidInputError("congruence set is not meet/join closed") from exc
     L = lat._L
-    strict = L & ~np.eye(lat.size, dtype=bool)
+    strict = L & ~np.eye(k, dtype=bool)
     covers = strict & ~((strict.astype(np.int32) @ strict.astype(np.int32)) > 0)
-    present = set(congs)
-    for j in np.flatnonzero(covers.sum(axis=0) == 1):
-        for a in np.flatnonzero(~L[j]):
-            if congs[a].join(congs[j]) not in present:
+    present = {}
+    _fresh(present, rows)
+    checks = [(_join_rows, j, ~L[j]) for j in np.flatnonzero(covers.sum(axis=0) == 1)]
+    checks += [(_meet_rows, m, ~L[:, m]) for m in np.flatnonzero(covers.sum(axis=1) == 1)]
+    for kernel, irreducible, outside in checks:
+        others = np.flatnonzero(outside)
+        for s in _chunks(len(others), n):
+            pair = np.broadcast_to(rows[irreducible], (len(others[s]), n))
+            if _fresh(present, kernel(rows[others[s]], pair)):
                 raise InvalidInputError("congruence set is not meet/join closed")
-    for m in np.flatnonzero(covers.sum(axis=1) == 1):
-        for a in np.flatnonzero(~L[:, m]):
-            if congs[a].meet(congs[m]) not in present:
-                raise InvalidInputError("congruence set is not meet/join closed")
-    size = congs[0].size
-    assert congs[lat.bottom] == Partition.identity(size)
-    assert congs[lat.top] == Partition.full(size)
+    assert congs[lat.bottom] == Partition.identity(n)
+    assert congs[lat.top] == Partition.full(n)
     return lat
 
 

@@ -6,8 +6,10 @@ congruences by filtering all set partitions, split witnesses by exhaustive
 Replaced library paths are kept as oracles too: the bounded fixpoint clone
 closure, the row-by-row relation preservation check, the tuple-by-tuple
 congruence preservation check and Comp enumeration, the all-pairs
-congruence join closure, the all-pairs meet/join closedness check and the
-k x k x k lattice tables.
+congruence join closure, the all-pairs meet/join closedness check, the
+k x k x k lattice tables, the union-find principal congruence and pair-list
+partition join, the orbit-by-orbit principal join closure with its budget,
+the bitmask normal subgroup closure and the tuple-by-tuple direct product.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from congrex.algebra import FiniteAlgebra, Operation, Partition
+from congrex.algebra import FiniteAlgebra, Operation, Partition, _flat_index
 from congrex.clones import (
     FiniteFunction,
     add_dummy_arg,
@@ -24,6 +26,7 @@ from congrex.clones import (
     rotate_args,
     swap_args,
 )
+from congrex.errors import BudgetExceededError
 from congrex.groups import GroupStructure, quaternion_group
 from congrex.lattice import FiniteLattice, chain, lattice_from_covers, lattice_product
 
@@ -57,8 +60,8 @@ def all_partitions(n):
 
 @st.composite
 def small_algebras(draw, min_size=1, max_size=4):
-    """Algebras of min_size to max_size elements with random unary and
-    binary tables; about half have a permutation among their unary
+    """Algebras of min_size to max_size elements with random nullary, unary
+    and binary tables; about half have a permutation among their unary
     operations, so pairs have nontrivial orbits under the permutation
     translations."""
     n = draw(st.integers(min_size, max_size))
@@ -72,6 +75,7 @@ def small_algebras(draw, min_size=1, max_size=4):
         ops.append(Operation("p", 1, draw(st.permutations(range(n)))))
     ops += [Operation(f"u{i}", 1, table(1)) for i in range(draw(st.integers(0, 2)))]
     ops += [Operation(f"b{i}", 2, table(2)) for i in range(draw(st.integers(0, 1)))]
+    ops += [Operation(f"c{i}", 0, table(0)) for i in range(draw(st.integers(0, 1)))]
     return FiniteAlgebra(n, ops)
 
 
@@ -97,28 +101,202 @@ def brute_congruences(alg: FiniteAlgebra):
     )
 
 
+def loop_translations(alg: FiniteAlgebra):
+    """Every non-identity x |-> f(c1, ..., x, ..., ck), sorted, as tuples."""
+    out = set()
+    for op in alg.operations:
+        for pos in range(op.arity):
+            for rest in itertools.product(range(alg.size), repeat=op.arity - 1):
+                t = tuple(
+                    op.table[_flat_index(rest[:pos] + (x,) + rest[pos:], alg.size)]
+                    for x in range(alg.size)
+                )
+                if t != tuple(range(alg.size)):
+                    out.add(t)
+    return tuple(sorted(out))
+
+
+def union_find_partition(size, pairs):
+    """The least equivalence on range(size) relating each given pair."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return Partition(find(x) for x in range(size))
+
+
+def pair_list_join(p: Partition, q: Partition) -> Partition:
+    """p v q by union-find over each element and the first of its block."""
+    pairs = []
+    for part in (p, q):
+        first = {}
+        for x, lab in enumerate(part.block_id):
+            pairs.append((first.setdefault(lab, x), x))
+    return union_find_partition(p.size, pairs)
+
+
+def zip_meet(p: Partition, q: Partition) -> Partition:
+    return Partition(zip(p.block_id, q.block_id))
+
+
+def loop_refines(p: Partition, q: Partition) -> bool:
+    seen = {}
+    return all(seen.setdefault(a, b) == b for a, b in zip(p.block_id, q.block_id))
+
+
+def union_find_principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
+    """Cg(a, b) by union-find, pushing (t(x), t(y)) for every merge."""
+    translations = loop_translations(alg)
+    parent = list(range(alg.size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[rx] = ry
+        for t in translations:
+            stack.append((t[x], t[y]))
+    return Partition(find(x) for x in range(alg.size))
+
+
 def pairwise_congruence_closure(alg: FiniteAlgebra):
     """Con(A) from every Cg(a, b), closed under theta v sigma for every pair."""
     congs = {Partition.identity(alg.size)}
     for a in range(alg.size):
         for b in range(a + 1, alg.size):
-            congs.add(alg.principal_congruence(a, b))
+            congs.add(union_find_principal_congruence(alg, a, b))
     worklist = list(congs)
     while worklist:
         theta = worklist.pop()
         for sigma in list(congs):
-            joined = theta.join(sigma)
+            joined = pair_list_join(theta, sigma)
             if joined not in congs:
                 congs.add(joined)
                 worklist.append(joined)
     return sorted(congs, key=lambda p: p.block_id)
 
 
+def orbit_join_closure(alg: FiniteAlgebra, budget=None):
+    """(Con(A), joins counted) by one Cg per orbit of pairs under the
+    permutation translations and the closure theta |-> theta v Cg(a, b),
+    one join at a time, with the estimate and join budget of
+    FiniteAlgebra.all_congruences (budget None: no limit)."""
+    translations = loop_translations(alg)
+    n = alg.size
+    estimate = n * n * max(1, len(translations))
+    if budget is not None and estimate > budget:
+        raise BudgetExceededError(
+            f"congruence enumeration estimate {estimate} exceeds budget {budget}"
+        )
+    perms = [t for t in translations if len(set(t)) == n]
+    principals = {}
+    done = set()
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (a, b) in done:
+                continue
+            principals.setdefault(union_find_principal_congruence(alg, a, b), (a, b))
+            orbit = [(a, b)]
+            done.add((a, b))
+            while orbit:
+                x, y = orbit.pop()
+                for t in perms:
+                    pair = (min(t[x], t[y]), max(t[x], t[y]))
+                    if pair not in done:
+                        done.add(pair)
+                        orbit.append(pair)
+    congs = {Partition.identity(n), *principals}
+    worklist = list(principals)
+    work = 0
+    while worklist:
+        theta = worklist.pop()
+        for pi, (a, b) in principals.items():
+            if theta.block_id[a] == theta.block_id[b]:
+                continue
+            work += 1
+            if budget is not None and work > budget:
+                raise BudgetExceededError(
+                    f"congruence join closure exceeded budget {budget}"
+                )
+            joined = pair_list_join(theta, pi)
+            if joined not in congs:
+                congs.add(joined)
+                worklist.append(joined)
+    return sorted(congs, key=lambda p: p.block_id), work
+
+
+def bitmask_normal_subgroups(g: GroupStructure):
+    """Normal subgroups sorted by (order, elements): the join closure, on
+    bitmasks, of the normal closures of single elements."""
+
+    def mask(elements):
+        return sum(1 << int(x) for x in set(elements))
+
+    def elements(m):
+        return [x for x in range(g.size) if m >> x & 1]
+
+    conjugates = [
+        {g.mul(g.mul(x, y), g.inv[x]) for x in range(g.size)} for y in range(g.size)
+    ]
+    closures = sorted(
+        {mask(g.subgroup_closure(c)) for c in conjugates},
+        key=lambda m: (bin(m).count("1"), m),
+    )
+    trivial = 1 << g.identity
+    subs = {trivial}
+    worklist = [trivial]
+    while worklist:
+        h = worklist.pop()
+        for c in closures:
+            if c & ~h == 0:
+                continue
+            j = mask(g.subgroup_closure(elements(h | c)))
+            if j not in subs:
+                subs.add(j)
+                worklist.append(j)
+    return sorted(
+        (frozenset(elements(m)) for m in subs), key=lambda s: (len(s), sorted(s))
+    )
+
+
+def loop_direct_product(a: FiniteAlgebra, b: FiniteAlgebra):
+    """The operation tables of a x b, one argument tuple at a time."""
+    size = a.size * b.size
+    ops = []
+    for op_a in a.operations:
+        op_b = b.operation(op_a.name)
+        table = []
+        for args in itertools.product(range(size), repeat=op_a.arity):
+            xs = tuple(arg // b.size for arg in args)
+            ys = tuple(arg % b.size for arg in args)
+            va = op_a.table[_flat_index(xs, a.size)]
+            vb = op_b.table[_flat_index(ys, b.size)]
+            table.append(va * b.size + vb)
+        ops.append(Operation(op_a.name, op_a.arity, table))
+    return tuple(ops)
+
+
 def pairwise_closed(parts) -> bool:
     """True iff every two of the partitions have their meet and join among them."""
     present = set(parts)
     return all(
-        a.meet(b) in present and a.join(b) in present
+        zip_meet(a, b) in present and pair_list_join(a, b) in present
         for a, b in itertools.combinations(present, 2)
     )
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congrex.algebra import (
     FiniteAlgebra,
@@ -17,9 +18,16 @@ from congrex.groups import cyclic_group, parse_group_spec, quaternion_group
 
 from conftest import (
     brute_congruences,
+    loop_direct_product,
+    loop_refines,
+    loop_translations,
+    orbit_join_closure,
+    pair_list_join,
     pairwise_congruence_closure,
     partition_respects,
     small_algebras,
+    union_find_principal_congruence,
+    zip_meet,
 )
 
 
@@ -144,6 +152,7 @@ def test_all_congruences_z4():
         semilattice_chain(4),
         FiniteAlgebra(1, [Operation("f", 1, [0])]),
         FiniteAlgebra(4, []),
+        FiniteAlgebra(5, [Operation("c", 0, [3]), Operation("d", 0, [1])]),
     ],
 )
 def test_all_congruences_matches_brute_force(alg):
@@ -166,11 +175,56 @@ def test_is_congruence():
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_algebras())
+@given(small_algebras(max_size=6))
 def test_all_congruences_matches_oracles_on_random_algebras(alg):
     congs = alg.all_congruences()
     assert congs == pairwise_congruence_closure(alg)
     assert congs == brute_congruences(alg)
+    assert alg.unary_translations().tolist() == [list(t) for t in loop_translations(alg)]
+    for a, b in itertools.combinations(range(alg.size), 2):
+        assert alg.principal_congruence(a, b) == union_find_principal_congruence(alg, a, b)
+
+
+def _refusal(closure, budget):
+    try:
+        closure(budget=budget)
+    except BudgetExceededError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_algebras(max_size=5))
+def test_budget_refusal_comes_at_the_join_count_of_the_oracle_closure(alg):
+    _, joins = orbit_join_closure(alg)
+    for budget in (joins - 1, joins):
+        assert _refusal(alg.all_congruences, budget) == _refusal(
+            lambda budget: orbit_join_closure(alg, budget), budget
+        )
+
+
+@st.composite
+def partition_pairs(draw):
+    n = draw(st.integers(1, 8))
+    labels = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return Partition(draw(labels)), Partition(draw(labels))
+
+
+@given(partition_pairs())
+def test_partition_kernel_matches_the_loops(pair):
+    p, q = pair
+    assert p.join(q) == pair_list_join(p, q)
+    assert p.meet(q) == zip_meet(p, q)
+    assert p.refines(q) == loop_refines(p, q)
+    assert q.refines(p) == loop_refines(q, p)
+
+
+@given(small_algebras(max_size=5), st.data())
+def test_is_congruence_matches_substitution(alg, data):
+    n = alg.size
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    part = Partition(labels)
+    assert alg.is_congruence(part) == partition_respects(alg, part)
 
 
 def subtraction_algebra(m):
@@ -275,6 +329,31 @@ def test_direct_product_records_projection_kernels():
     congs = prod.all_congruences()
     assert k1 in congs and k2 in congs
     assert k1.meet(k2) in congs and k1.join(k2) in congs
+
+
+@st.composite
+def algebra_pairs(draw):
+    """Two algebras of at most 3 elements with one random signature."""
+    arities = draw(st.lists(st.integers(0, 3), max_size=3))
+
+    def algebra():
+        n = draw(st.integers(1, 3))
+        cells = st.integers(0, n - 1)
+        tables = [draw(st.lists(cells, min_size=n**k, max_size=n**k)) for k in arities]
+        return FiniteAlgebra(n, [(f"f{i}", k, t) for i, (k, t) in enumerate(zip(arities, tables))])
+
+    return algebra(), algebra()
+
+
+@given(algebra_pairs())
+def test_direct_product_matches_the_tuple_loop(pair):
+    a, b = pair
+    prod = direct_product(a, b)
+    assert prod.operations == loop_direct_product(a, b)
+    assert prod.product_kernels == (
+        Partition(x // b.size for x in range(prod.size)),
+        Partition(x % b.size for x in range(prod.size)),
+    )
 
 
 def test_direct_product_signature_mismatch():

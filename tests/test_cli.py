@@ -244,8 +244,22 @@ def test_missing_file_is_error(capsys):
         ("clone", "{not json"),
         ("clone", json.dumps({"functions": [{"arity": 1, "table": [1, 0]}]})),
         ("lattice", "{not json"),
+        ("con", json.dumps({"size": 2, "operations": [{"name": "f", "arity": 1, "table": [1.5, 0]}]})),
+        ("con", json.dumps({"size": 2, "operations": [{"name": "f", "arity": 1, "table": [1.0, 0]}]})),
+        ("con", json.dumps({"size": 2.0, "operations": [{"name": "f", "arity": 1, "table": [1, 0]}]})),
+        ("clone", json.dumps({"universe_size": 2.0, "functions": [{"arity": 1, "table": [1, 0]}]})),
+        ("clone", json.dumps({"universe_size": 2, "functions": [{"arity": 1, "table": [1.0, 0]}]})),
     ],
-    ids=["clone-invalid-json", "clone-no-universe-size", "lattice-invalid-json"],
+    ids=[
+        "clone-invalid-json",
+        "clone-no-universe-size",
+        "lattice-invalid-json",
+        "con-fractional-entry",
+        "con-float-entry",
+        "con-float-size",
+        "clone-float-universe-size",
+        "clone-float-entry",
+    ],
 )
 def test_malformed_input_is_error(tmp_path, capsys, command, content):
     path = tmp_path / "input.json"
@@ -276,8 +290,8 @@ def test_repeated_runs_are_byte_identical(capsys, argv):
 
 @pytest.mark.parametrize(
     "inputs",
-    [["Z4xZ2"], ["Q8xZ3.json"], ["Z4", "Z9"]],
-    ids=["p-group", "Q8xZ3", "coprime"],
+    [["Z4xZ2"], ["Q8xZ3.json"], ["Z4", "Z9"], ["Z2xZ2xZ2xZ2"]],
+    ids=["p-group", "Q8xZ3", "coprime", "Z2^4"],
 )
 def test_decide_stdout_does_not_depend_on_hash_seed(tmp_path, inputs):
     group = group_from_cayley(q8_times_z3_cayley(), name="Q8xZ3")
@@ -317,8 +331,21 @@ def test_con_z2_to_the_fifth_within_default_budget(capsys):
         ["clone", "gens.json", "--max-arity", "2"],
         ["tensor", "Z2", "Z3"],
         ["witness", "Z4"],
+        ["con", "Z2xZ2xZ2xZ2"],
+        ["lattice", "Z2xZ2xZ2xZ2", "--check", "splits"],
     ],
-    ids=["con", "lattice", "skew", "pol", "comp", "clone", "tensor", "witness"],
+    ids=[
+        "con",
+        "lattice",
+        "skew",
+        "pol",
+        "comp",
+        "clone",
+        "tensor",
+        "witness",
+        "con-Z2^4",
+        "lattice-Z2^4",
+    ],
 )
 def test_congruence_stdout_does_not_depend_on_hash_seed(tmp_path, argv):
     # for clone: x -> y and a unary constant on two elements

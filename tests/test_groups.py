@@ -25,7 +25,12 @@ from congrex.groups import (
 )
 from congrex.lattice import congruence_lattice, splits, splits_strongly
 
-from conftest import brute_group_axioms, q8_times_z3_cayley
+from conftest import (
+    bitmask_normal_subgroups,
+    brute_group_axioms,
+    q8_times_z3_cayley,
+    relabeled_cayley,
+)
 
 
 def test_cyclic_group_tables():
@@ -242,6 +247,69 @@ def test_normal_subgroups_match_congruences(spec):
     congs = set(alg.all_congruences())
     assert {coset_partition(alg, s) for s in subs} == congs
     assert len(subs) == len(congs)
+
+
+def _dihedral_cayley():
+    """D4 as the symmetries of a square, (p*q)(x) = p(q(x))."""
+    r, f = (1, 2, 3, 0), (0, 3, 2, 1)
+    perms = {(0, 1, 2, 3)}
+    while True:
+        more = perms | {tuple(p[q[x]] for x in range(4)) for p in perms for q in (r, f)}
+        if more == perms:
+            break
+        perms = more
+    perms = sorted(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[x]] for x in range(4))] for q in perms] for p in perms]
+
+
+def _abelian_p_groups(bound):
+    def exponents(total, cap):
+        if total == 0:
+            yield []
+        for first in range(min(total, cap), 0, -1):
+            for rest in exponents(total - first, first):
+                yield [first, *rest]
+
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        k = 1
+        while p**k <= bound:
+            for exps in exponents(k, k):
+                yield abelian_group(p, exps)
+            k += 1
+
+
+def _cayley(alg):
+    return GroupStructure(alg).mul_table.tolist()
+
+
+NAMED_GROUPS = {
+    "Q8": lambda: _cayley(quaternion_group()),
+    "D4": _dihedral_cayley,
+    "Q8xZ3": q8_times_z3_cayley,
+    "S3": lambda: _cayley(symmetric_group(3)),
+    "S4": lambda: _cayley(symmetric_group(4)),
+    **{alg.name: (lambda alg=alg: _cayley(alg)) for alg in _abelian_p_groups(32)},
+}
+
+
+@pytest.mark.parametrize("name", NAMED_GROUPS)
+def test_normal_subgroups_match_the_bitmask_closure(name):
+    table = NAMED_GROUPS[name]()
+    perm = list(range(len(table)))
+    random.Random(name).shuffle(perm)
+    g = GroupStructure(group_from_cayley(relabeled_cayley(table, perm)))
+    assert normal_subgroups(g) == bitmask_normal_subgroups(g)
+
+
+def test_normal_subgroups_ignore_operations_beyond_the_group():
+    # (Z4; +, f) with f swapping 0 and 1 has only two congruences, but the
+    # normal subgroups of its group (Z4; +) are those of Z4
+    z4 = cyclic_group(4)
+    alg = FiniteAlgebra(4, [z4.operation("+"), Operation("f", 1, [1, 0, 2, 3])])
+    assert len(alg.all_congruences()) == 2
+    subs = normal_subgroups(GroupStructure(alg))
+    assert sorted(coset_partition(z4, s) for s in subs) == z4.all_congruences()
 
 
 def test_normal_subgroups_s3():
