@@ -12,7 +12,6 @@ merged by min-label hooking with pointer jumping, many partitions at once.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from fractions import Fraction
@@ -31,8 +30,9 @@ _BLOCK = 1 << 13
 
 
 def budget_from_env(default: int = DEFAULT_BUDGET) -> int:
+    """CONGREX_BUDGET as an int; default when it is unset or empty."""
     raw = os.environ.get("CONGREX_BUDGET")
-    if raw is None:
+    if not raw:
         return default
     try:
         return int(raw)
@@ -212,6 +212,13 @@ def _flat_index(args, size: int) -> int:
     return idx
 
 
+def _grid(shape):
+    """The argument tuples of a mixed-radix grid in row-major order, as one
+    flat intp array per coordinate: _flat_index(_grid((s,) * n), s) is
+    arange(s**n), so a table over A^n holds the value at the i-th tuple at i."""
+    return [x.ravel() for x in np.indices(shape, dtype=np.intp)]
+
+
 def _chunks(count: int, width: int):
     """Slices of range(count) of at most max(1, _BLOCK // width) items each."""
     step = max(1, _BLOCK // max(1, width))
@@ -319,6 +326,17 @@ def require_int(value, what: str) -> int:
     return value
 
 
+def check_table(table, size: int, arity: int, where: str = "") -> None:
+    """Refuse a table that is not size**arity ints in range(size); where
+    prefixes each message."""
+    if len(table) != size**arity:
+        raise InvalidInputError(f"{where}table length {len(table)} != {size}^{arity}")
+    if not set(map(type, table)) <= {int}:
+        require_int(next(v for v in table if type(v) is not int), f"{where}table entry")
+    if table and (min(table) < 0 or max(table) >= size):
+        raise InvalidInputError(f"{where}entry out of range")
+
+
 class FiniteAlgebra:
     """A finite algebra: a universe size and a list of operation tables."""
 
@@ -333,16 +351,7 @@ class FiniteAlgebra:
                 op = Operation(*op)
             if require_int(op.arity, f"operation {op.name!r}: arity") < 0:
                 raise InvalidInputError(f"operation {op.name!r} has negative arity")
-            if len(op.table) != size**op.arity:
-                raise InvalidInputError(
-                    f"operation {op.name!r}: table length {len(op.table)} "
-                    f"!= {size}^{op.arity}"
-                )
-            if not set(map(type, op.table)) <= {int}:
-                bad = next(v for v in op.table if type(v) is not int)
-                require_int(bad, f"operation {op.name!r}: table entry")
-            if min(op.table) < 0 or max(op.table) >= size:
-                raise InvalidInputError(f"operation {op.name!r}: entry out of range")
+            check_table(op.table, size, op.arity, f"operation {op.name!r}: ")
             ops.append(op)
         names = [op.name for op in ops]
         if len(set(names)) != len(names):
@@ -492,17 +501,15 @@ class FiniteAlgebra:
         """The quotient algebra A/theta on block indices 0..num_blocks-1."""
         if not self.is_congruence(theta):
             raise InvalidInputError("partition is not a congruence; quotient undefined")
-        reps = [block[0] for block in theta.blocks()]
-        k = theta.num_blocks
+        reps = np.array([block[0] for block in theta.blocks()])
+        ids = np.array(theta.block_id)
         ops = []
         for op in self.operations:
-            table = []
-            for args in itertools.product(range(k), repeat=op.arity):
-                lifted = tuple(reps[i] for i in args)
-                table.append(theta.block_id[op.table[_flat_index(lifted, self.size)]])
-            ops.append(Operation(op.name, op.arity, table))
+            args = [reps[x] for x in _grid((len(reps),) * op.arity)]
+            table = ids[np.array(op.table)[_flat_index(args, self.size)]]
+            ops.append(Operation(op.name, op.arity, np.ravel(table).tolist()))
         name = f"{self.name}/~" if self.name else ""
-        return FiniteAlgebra(k, ops, name=name)
+        return FiniteAlgebra(len(reps), ops, name=name)
 
     # -- serialization -----------------------------------------------------
 
@@ -555,8 +562,7 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     ops = []
     for op_a in a.operations:
         op_b = b.operation(op_a.name)
-        # args[i]: the i-th argument of every argument tuple, row-major
-        args = [g.ravel() for g in np.indices((size,) * op_a.arity)]
+        args = _grid((size,) * op_a.arity)
         va = np.array(op_a.table)[_flat_index([x // b.size for x in args], a.size)]
         vb = np.array(op_b.table)[_flat_index([x % b.size for x in args], b.size)]
         table = np.ravel(va * b.size + vb).tolist()

@@ -18,6 +18,8 @@ import numpy as np
 from .algebra import (
     FiniteAlgebra,
     Partition,
+    _flat_index,
+    _grid,
     direct_product,
     is_congruence_uniform,
 )
@@ -39,13 +41,12 @@ from .errors import (
     WitnessCheckError,
 )
 from .groups import (
-    GroupPresentation,
     GroupStructure,
+    as_group_algebra,
     check_prime,
     is_nilpotent_group,
     lower_central_series,
     normal_subgroups,
-    parse_group_spec,
     prime_factors,
     split_normal_subgroup_lattice,
     sylow_decomposition,
@@ -77,16 +78,6 @@ class AnalysisReport:
     @property
     def exit_code(self) -> int:
         return 2 if self.verdict == VERDICT_NA else 0
-
-
-def _as_group_algebra(group) -> FiniteAlgebra:
-    if isinstance(group, FiniteAlgebra):
-        return group
-    if isinstance(group, GroupPresentation):
-        return group.algebra()
-    if isinstance(group, str):
-        return parse_group_spec(group)
-    raise InvalidInputError(f"not a group input: {group!r}")
 
 
 def _subgroup_split_report(g: GroupStructure):
@@ -121,7 +112,7 @@ def decide_group(group) -> AnalysisReport:
     their group, are outside the scope of the characterization and come back
     not-applicable.
     """
-    alg = _as_group_algebra(group)
+    alg = as_group_algebra(group)
     g = GroupStructure.of(alg)
     # the multiplication, inverse map and identity of g, by arity
     group_tables = {2: g.mul_table.ravel().tolist(), 1: list(g.inv), 0: [g.identity]}
@@ -221,9 +212,7 @@ def decide_product(
     splitting tests, which must agree.  ``force`` and ``budget`` go to every
     congruence enumeration.
     """
-    factors = [
-        f if isinstance(f, FiniteAlgebra) else _as_group_algebra(f) for f in factors
-    ]
+    factors = [as_group_algebra(f) for f in factors]
     if not factors:
         raise InvalidInputError("empty factor list")
     orders = [f.size for f in factors]
@@ -364,12 +353,10 @@ class WitnessFamily:
             raise InvalidInputError("family members have arity >= 1")
         if n not in self._cache:
             s = self.base.size
-            marked = self.marked_class
-            table = tuple(
-                self.a if any(x in marked for x in args) else self.b
-                for args in itertools.product(range(s), repeat=n)
-            )
-            self._cache[n] = FiniteFunction(s, n, table)
+            ids = np.array(self.delta.block_id)
+            hit = (ids[np.stack(_grid((s,) * n))] == ids[self.a]).any(axis=0)
+            table = np.where(hit, self.a, self.b).tolist()
+            self._cache[n] = FiniteFunction(s, n, tuple(table))
         return self._cache[n]
 
     def functions(self, up_to_n: int):
@@ -465,14 +452,11 @@ def build_rho(
     if d.universe_size != base.size:
         raise InvalidInputError("universe size mismatch")
     s = base.size
-    tuples = [
-        (x1, x2, x3, d(x1, x2, x3))
-        for x1 in range(s)
-        for x2 in range(s)
-        if epsilon.same(x1, x2)
-        for x3 in range(s)
-    ]
-    return Relation4.from_tuples(s, tuples)
+    ids = np.array(epsilon.block_id)
+    x1, x2, x3 = _grid((s,) * 3)
+    # d's table lists d(x1, x2, x3) in the grid's order
+    tuples = np.stack([x1, x2, x3, np.array(d.table)], axis=1)[ids[x1] == ids[x2]]
+    return Relation4.from_tuples(s, tuples.tolist())
 
 
 def check_centrality(base: FiniteAlgebra, extra, rho: Relation4) -> bool:
@@ -513,29 +497,24 @@ def build_commutator_witness(
         raise InvalidInputError(
             f"table of size {s}^{arity} exceeds budget {table_budget}"
         )
-    f = fam.function(k + 1)
+    f = np.array(fam.function(k + 1).table)
+    dt = np.array(d.table)
     a, b = fam.a, fam.b
+    *xs, z = _grid((s,) * arity)
+    inner = [dt[_flat_index((x, z, a), s)] for x in xs]
+    table = dt[_flat_index((f[_flat_index(inner, s)], a, z), s)]
+    w = FiniteFunction(s, arity, tuple(table.tolist()))
 
-    def w_value(args):
-        last = args[-1]
-        inner = tuple(d(x, last, a) for x in args[:-1])
-        return d(f(*inner), a, last)
-
-    table = tuple(
-        w_value(args) for args in itertools.product(range(s), repeat=arity)
-    )
-    w = FiniteFunction(s, arity, table)
-
+    # w(..., z, ..., z), z at position j and the others in lexicographic order
+    *partial, z = _grid((s,) * (k + 1))
     for j in range(k + 1):
-        for partial in itertools.product(range(s), repeat=k):
-            for z in range(s):
-                args = list(partial[:j]) + [z] + list(partial[j:])
-                args.append(z)
-                got = w(*args)
-                if got != z:
-                    raise WitnessCheckError(
-                        f"absorption fails at position {j}: w{tuple(args)} = {got}"
-                    )
+        args = partial[:j] + [z] + partial[j:] + [z]
+        bad = np.flatnonzero(table[_flat_index(args, s)] != z)
+        if len(bad):
+            at = tuple(int(x[bad[0]]) for x in args)
+            raise WitnessCheckError(
+                f"absorption fails at position {j}: w{at} = {w(*at)}"
+            )
     marked = fam.marked_class
     for c in range(s):
         if c in marked:
@@ -558,7 +537,7 @@ def group_witness_pipeline(
     NotApplicableError before any congruence work.  ``force`` and ``budget``
     go to the congruence enumeration.
     """
-    alg = _as_group_algebra(group)
+    alg = as_group_algebra(group)
     try:
         g = GroupStructure.of(alg)
     except NotAGroupError:

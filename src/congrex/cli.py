@@ -20,7 +20,10 @@ from .analyzer import (
     group_witness_pipeline,
 )
 from .clones import (
+    DEFAULT_COMP_BUDGET,
+    DEFAULT_MEMBER_CAP,
     FiniteFunction,
+    clone_closure,
     comp_fragment,
     pol_fragment,
     skew_congruences,
@@ -96,12 +99,10 @@ def cmd_con(args) -> int:
         "count": len(congs),
         "congruences": [[list(b) for b in c.blocks()] for c in congs],
     }
-    emit(
-        payload,
-        args.format,
-        [f"{alg.name or 'algebra'}: {len(congs)} congruences"]
-        + [str(c) for c in congs],
-    )
+    text = None
+    if args.format == "text":
+        text = [f"{alg.name or 'algebra'}: {len(congs)} congruences", *map(str, congs)]
+    emit(payload, args.format, text)
     return EXIT_OK
 
 
@@ -161,16 +162,14 @@ def cmd_clone(args) -> int:
     data = read_json(args.input)
     try:
         size = require_int(data["universe_size"], "universe_size")
-        gens = []
-        for f in data.get("functions", []):
-            table = tuple(require_int(v, "table entry") for v in f["table"])
-            gens.append(FiniteFunction(size, require_int(f["arity"], "arity"), table))
+        gens = [
+            FiniteFunction(size, require_int(f["arity"], "arity"), tuple(f["table"]))
+            for f in data.get("functions", [])
+        ]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed generator JSON: {exc!r}") from exc
-    from .clones import clone_closure
-
     frag = clone_closure(
-        gens, args.max_arity, universe_size=size, member_cap=args.budget or 10**6
+        gens, args.max_arity, universe_size=size, member_cap=args.budget or DEFAULT_MEMBER_CAP
     )
     payload = frag.to_json_dict()
     emit(payload, args.format, [f"{frag.member_count()} members"])
@@ -179,7 +178,7 @@ def cmd_clone(args) -> int:
 
 def cmd_comp(args) -> int:
     alg = load_algebra(args.input)
-    frag = comp_fragment(alg, args.max_arity, budget=args.budget or 10**7)
+    frag = comp_fragment(alg, args.max_arity, budget=args.budget or DEFAULT_COMP_BUDGET)
     payload = frag.to_json_dict()
     emit(payload, args.format, [f"{frag.member_count()} members"])
     return EXIT_OK
@@ -187,7 +186,7 @@ def cmd_comp(args) -> int:
 
 def cmd_pol(args) -> int:
     alg = load_algebra(args.input)
-    frag = pol_fragment(alg, args.max_arity, member_cap=args.budget or 10**6)
+    frag = pol_fragment(alg, args.max_arity, member_cap=args.budget or DEFAULT_MEMBER_CAP)
     payload = frag.to_json_dict()
     emit(payload, args.format, [f"{frag.member_count()} members"])
     return EXIT_OK
@@ -213,7 +212,7 @@ def cmd_skew(args) -> int:
 def cmd_tensor(args) -> int:
     left = load_algebra(args.left)
     right = load_algebra(args.right)
-    cap = args.budget or 10**6
+    cap = args.budget or DEFAULT_MEMBER_CAP
     frag_l = pol_fragment(left, args.max_arity, member_cap=cap)
     frag_r = pol_fragment(right, args.max_arity, member_cap=cap)
     tensored = tensor_fragments(frag_l, frag_r)
@@ -313,11 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget", None) is None:
-        args.budget = (
-            budget_from_env(None) if os.environ.get("CONGREX_BUDGET") else None
-        )
     try:
+        if args.budget is None:
+            args.budget = budget_from_env(None)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

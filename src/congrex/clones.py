@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Partition, _flat_index
+from .algebra import FiniteAlgebra, Partition, _flat_index, _grid, check_table
+from .algebra import _join_rows, _least_members, _meet_rows
 from .errors import BudgetExceededError, InvalidInputError
 
 DEFAULT_MEMBER_CAP = 10**6
@@ -30,12 +31,7 @@ class FiniteFunction:
     table: tuple
 
     def __post_init__(self):
-        if len(self.table) != self.universe_size**self.arity:
-            raise InvalidInputError(
-                f"table length {len(self.table)} != {self.universe_size}^{self.arity}"
-            )
-        if any(not (0 <= v < self.universe_size) for v in self.table):
-            raise InvalidInputError("table entry out of range")
+        check_table(self.table, self.universe_size, self.arity)
 
     def __call__(self, *args) -> int:
         if len(args) != self.arity:
@@ -46,11 +42,8 @@ class FiniteFunction:
     def projection(universe_size: int, arity: int, index: int) -> "FiniteFunction":
         if not (0 <= index < arity):
             raise InvalidInputError("projection index out of range")
-        table = [
-            args[index]
-            for args in itertools.product(range(universe_size), repeat=arity)
-        ]
-        return FiniteFunction(universe_size, arity, tuple(table))
+        table = _grid((universe_size,) * arity)[index]
+        return FiniteFunction(universe_size, arity, tuple(table.tolist()))
 
     @staticmethod
     def constant(universe_size: int, value: int, arity: int = 1) -> "FiniteFunction":
@@ -73,13 +66,11 @@ class FiniteFunction:
 
 
 def _retabulate(f: FiniteFunction, arity: int, argmap) -> FiniteFunction:
-    """New function of the given arity whose args feed f via argmap(args)."""
+    """New function of the given arity whose grid coordinates feed f via argmap."""
     s = f.universe_size
-    table = [
-        f.table[_flat_index(argmap(args), s)]
-        for args in itertools.product(range(s), repeat=arity)
-    ]
-    return FiniteFunction(s, arity, tuple(table))
+    index = _flat_index(argmap(tuple(_grid((s,) * arity))), s)
+    table = np.array(f.table)[np.broadcast_to(index, (s**arity,))]
+    return FiniteFunction(s, arity, tuple(table.tolist()))
 
 
 def rotate_args(f: FiniteFunction) -> FiniteFunction:
@@ -125,11 +116,10 @@ def compose_first(f: FiniteFunction, g: FiniteFunction) -> FiniteFunction:
         raise InvalidInputError("composition needs f of arity >= 1")
     s = f.universe_size
     m, n = g.arity, f.arity
-    table = []
-    for args in itertools.product(range(s), repeat=m + n - 1):
-        head = g.table[_flat_index(args[:m], s)]
-        table.append(f.table[_flat_index((head,) + args[m:], s)])
-    return FiniteFunction(s, m + n - 1, tuple(table))
+    args = _grid((s,) * (m + n - 1))
+    head = np.array(g.table)[_flat_index(args[:m], s)]
+    table = np.array(f.table)[_flat_index([head] + args[m:], s)]
+    return FiniteFunction(s, m + n - 1, tuple(np.ravel(table).tolist()))
 
 
 @dataclass(frozen=True)
@@ -204,8 +194,8 @@ def _arity_part(gens, size: int, arity: int, count: int, member_cap: int):
                         f"clone closure exceeded member cap {member_cap}"
                     )
 
-    start = list(np.indices((size,) * arity, dtype=dtype).reshape(arity, n))
-    add(np.stack(start + [t for g, t in zip(gens, tables) if g.arity == arity]))
+    start = _grid((size,) * arity) + [t for g, t in zip(gens, tables) if g.arity == arity]
+    add(np.stack(start).astype(dtype))
     done = 0
     while True:
         known = len(members)
@@ -361,7 +351,7 @@ def comp_fragment(
         while tail < n and s ** (tail + 1) <= _COMP_BLOCK:
             tail += 1
         block = np.empty((s**tail, n), dtype=np.intp)
-        block[:, n - tail :] = np.indices((s,) * tail).reshape(tail, -1).T
+        block[:, n - tail :] = np.stack(_grid((s,) * tail), axis=1)
         found = []
         for head in itertools.product(range(s), repeat=n - tail):
             block[:, : n - tail] = head
@@ -381,15 +371,10 @@ def tensor_function(c: FiniteFunction, d: FiniteFunction) -> FiniteFunction:
     if c.arity != d.arity:
         raise InvalidInputError("tensor requires equal arities")
     sa, sb = c.universe_size, d.universe_size
-    s = sa * sb
-    table = []
-    for args in itertools.product(range(s), repeat=c.arity):
-        xs = tuple(a // sb for a in args)
-        ys = tuple(a % sb for a in args)
-        va = c.table[_flat_index(xs, sa)]
-        vb = d.table[_flat_index(ys, sb)]
-        table.append(va * sb + vb)
-    return FiniteFunction(s, c.arity, tuple(table))
+    args = _grid((sa * sb,) * c.arity)
+    va = np.array(c.table)[_flat_index([x // sb for x in args], sa)]
+    vb = np.array(d.table)[_flat_index([x % sb for x in args], sb)]
+    return FiniteFunction(sa * sb, c.arity, tuple(np.ravel(va * sb + vb).tolist()))
 
 
 def tensor_set(cs, ds):
@@ -442,30 +427,39 @@ def tensor_generators(x_gens, y_gens, size_a: int, size_b: int):
 # product congruences and skew-freeness
 
 
-def is_product_congruence(
-    theta: Partition, kernel_first: Partition, kernel_second: Partition
-) -> bool:
-    """True iff theta decomposes over the two projection kernels, i.e.
-    theta = (theta v ker1) ^ (theta v ker2)."""
-    size = theta.size
-    if kernel_first.size != size or kernel_second.size != size:
+def _product_congruences(congs, kernel_first: Partition, kernel_second: Partition):
+    """Mask of the thetas in congs that decompose over the two projection
+    kernels, i.e. theta = (theta v ker1) ^ (theta v ker2); the kernels are
+    checked once and all thetas are rebuilt at once."""
+    size = kernel_first.size
+    if kernel_second.size != size or any(t.size != size for t in congs):
         raise InvalidInputError("kernel size mismatch")
     if not kernel_first.meet(kernel_second).is_identity():
         raise InvalidInputError("kernels do not intersect trivially")
     if not kernel_first.join(kernel_second).is_full():
         raise InvalidInputError("kernels do not join to the full relation")
-    rebuilt = theta.join(kernel_first).meet(theta.join(kernel_second))
-    return rebuilt == theta
+    rows = _least_members(np.array([t.block_id for t in congs]).reshape(-1, size))
+    kernels = _least_members(np.array([kernel_first.block_id, kernel_second.block_id]))
+    rebuilt = _meet_rows(*(_join_rows(rows, np.broadcast_to(k, rows.shape)) for k in kernels))
+    return (rebuilt == rows).all(axis=1)
+
+
+def is_product_congruence(
+    theta: Partition, kernel_first: Partition, kernel_second: Partition
+) -> bool:
+    """True iff theta decomposes over the two projection kernels, i.e.
+    theta = (theta v ker1) ^ (theta v ker2)."""
+    return bool(_product_congruences([theta], kernel_first, kernel_second)[0])
 
 
 def skew_congruences(prod: FiniteAlgebra, congs=None):
     """Congruences of a recorded product that are not product congruences."""
     if prod.product_kernels is None:
         raise InvalidInputError("algebra was not built by direct_product")
-    k1, k2 = prod.product_kernels
     if congs is None:
         congs = prod.all_congruences()
-    return [t for t in congs if not is_product_congruence(t, k1, k2)]
+    product = _product_congruences(congs, *prod.product_kernels)
+    return [t for t, ok in zip(congs, product) if not ok]
 
 
 def is_skew_free(prod: FiniteAlgebra, congs=None) -> bool:
@@ -525,10 +519,11 @@ def is_malcev_function(d: FiniteFunction) -> bool:
     if d.arity != 3:
         return False
     s = d.universe_size
-    return all(
-        d(x, y, y) == x and d(x, x, y) == y
-        for x in range(s)
-        for y in range(s)
+    x, y = _grid((s, s))
+    table = np.array(d.table)
+    return bool(
+        (table[_flat_index((x, y, y), s)] == x).all()
+        and (table[_flat_index((x, x, y), s)] == y).all()
     )
 
 
@@ -546,12 +541,10 @@ def group_malcev_function(alg) -> FiniteFunction | None:
             g = GroupStructure.of(alg)
         except NotAGroupError:
             return None
-    s = g.size
-    table = [
-        g.mul(g.mul(x, g.inv[y]), z)
-        for x, y, z in itertools.product(range(s), repeat=3)
-    ]
-    return FiniteFunction(s, 3, tuple(table))
+    x, y, z = _grid((g.size,) * 3)
+    m = g.mul_table
+    table = m[m[x, np.array(g.inv)[y]], z]
+    return FiniteFunction(g.size, 3, tuple(table.tolist()))
 
 
 def malcev_term(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Operation, Partition, direct_product
+from .algebra import FiniteAlgebra, Operation, Partition, _flat_index, _grid, direct_product
 from .errors import InvalidInputError, NotAGroupError
 
 ABELIAN_OPS = ("+", "-", "0")
@@ -287,16 +287,21 @@ def is_nilpotent_group(group) -> bool:
     return lower_central_series(g)[-1] == frozenset({g.identity})
 
 
+def as_group_algebra(group) -> FiniteAlgebra:
+    """The algebra of a group given as an algebra, a presentation or a spec."""
+    if isinstance(group, FiniteAlgebra):
+        return group
+    if isinstance(group, GroupPresentation):
+        return group.algebra()
+    if isinstance(group, str):
+        return parse_group_spec(group)
+    raise InvalidInputError(f"not a group input: {group!r}")
+
+
 def _as_structure(group) -> GroupStructure:
     if isinstance(group, GroupStructure):
         return group
-    if isinstance(group, GroupPresentation):
-        group = group.algebra()
-    elif isinstance(group, str):
-        group = parse_group_spec(group)
-    if isinstance(group, FiniteAlgebra):
-        return GroupStructure.of(group)
-    raise InvalidInputError(f"not a group input: {group!r}")
+    return GroupStructure.of(as_group_algebra(group))
 
 
 def prime_factors(n: int):
@@ -319,20 +324,21 @@ def check_prime(p: int) -> None:
 
 def subalgebra_on(alg: FiniteAlgebra, elements, name: str = "") -> FiniteAlgebra:
     """Restrict all operations of alg to a closed subset, re-indexed sorted."""
-    elems = sorted(elements)
-    index = {x: i for i, x in enumerate(elems)}
+    elems = np.array(sorted(elements), dtype=np.intp)
     k = len(elems)
+    if k and not (0 <= elems[0] and elems[-1] < alg.size):
+        raise InvalidInputError("element out of range")
+    index = np.full(alg.size, -1)
+    index[elems] = np.arange(k)
     ops = []
     for op in alg.operations:
-        table = []
-        for args in itertools.product(elems, repeat=op.arity):
-            v = alg.apply(op.name, args)
-            if v not in index:
-                raise InvalidInputError(
-                    f"subset not closed under {op.name!r} at {args}"
-                )
-            table.append(index[v])
-        ops.append(Operation(op.name, op.arity, table))
+        args = [elems[x] for x in _grid((k,) * op.arity)]
+        table = np.ravel(index[np.array(op.table)[_flat_index(args, alg.size)]])
+        bad = np.flatnonzero(table < 0)
+        if len(bad):
+            at = tuple(int(x[bad[0]]) for x in args)
+            raise InvalidInputError(f"subset not closed under {op.name!r} at {at}")
+        ops.append(Operation(op.name, op.arity, table.tolist()))
     return FiniteAlgebra(k, ops, name=name)
 
 
@@ -384,12 +390,8 @@ def normal_subgroups(group):
 def coset_partition(group, subgroup) -> Partition:
     """The congruence of the group given by the cosets of a normal subgroup."""
     g = _as_structure(group)
-    labels = [None] * g.size
-    for x in range(g.size):
-        if labels[x] is None:
-            for h in subgroup:
-                labels[g.mul(x, h)] = x
-    return Partition(labels)
+    # each x is labelled by the least member of its coset xH
+    return Partition(g.mul_table[:, sorted(subgroup)].min(axis=1).tolist())
 
 
 def split_normal_subgroup_lattice(g: GroupStructure, subs, strong: bool = True):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Partition, _chunks, _fresh, _join_rows, _least_members, _meet_rows
+from .algebra import Partition, _chunks, _fresh, _grid, _join_rows, _least_members, _meet_rows
 from .errors import InvalidInputError
 
 
@@ -252,24 +252,8 @@ def lattice_product(ls) -> FiniteLattice:
     ls = list(ls)
     if not ls:
         raise InvalidInputError("empty lattice product")
-    sizes = [l.size for l in ls]
-    total = 1
-    for s in sizes:
-        total *= s
-
-    def decode(i):
-        out = []
-        for s in reversed(sizes):
-            out.append(i % s)
-            i //= s
-        return tuple(reversed(out))
-
-    coords = [decode(i) for i in range(total)]
-    leq = [
-        [
-            all(l.leq[xa][xb] for l, xa, xb in zip(ls, a, b))
-            for b in coords
-        ]
-        for a in coords
-    ]
-    return FiniteLattice(leq)
+    coords = _grid([l.size for l in ls])
+    leq = np.ones((len(coords[0]),) * 2, dtype=bool)
+    for l, x in zip(ls, coords):
+        leq &= l._L[np.ix_(x, x)]
+    return FiniteLattice(leq.tolist())

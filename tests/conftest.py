@@ -9,7 +9,8 @@ congruence preservation check and Comp enumeration, the all-pairs
 congruence join closure, the all-pairs meet/join closedness check, the
 k x k x k lattice tables, the union-find principal congruence and pair-list
 partition join, the orbit-by-orbit principal join closure with its budget,
-the bitmask normal subgroup closure and the tuple-by-tuple direct product.
+the bitmask normal subgroup closure, and the tuple-by-tuple direct product
+and every other table over A^n that the library builds on its argument grid.
 """
 
 import itertools
@@ -519,3 +520,162 @@ def q8_times_z3_cayley():
     return [
         [3 * q(a // 3, b // 3) + (a + b) % 3 for b in range(24)] for a in range(24)
     ]
+
+
+# ---------------------------------------------------------------------------
+# tables over A^n, one argument tuple at a time (the library builds them on
+# one argument grid)
+
+
+def loop_quotient(alg: FiniteAlgebra, theta: Partition):
+    """The operation tables of alg/theta on block indices, each block
+    represented by its least member."""
+    reps = [block[0] for block in theta.blocks()]
+    ops = []
+    for op in alg.operations:
+        table = []
+        for args in itertools.product(range(theta.num_blocks), repeat=op.arity):
+            lifted = tuple(reps[i] for i in args)
+            table.append(theta.block_id[op.table[_flat_index(lifted, alg.size)]])
+        ops.append(Operation(op.name, op.arity, table))
+    return tuple(ops)
+
+
+def loop_subalgebra_on(alg: FiniteAlgebra, elements):
+    """The operation tables of alg restricted to the sorted elements, or the
+    message naming the first argument tuple whose value leaves them."""
+    elems = sorted(elements)
+    index = {x: i for i, x in enumerate(elems)}
+    ops = []
+    for op in alg.operations:
+        table = []
+        for args in itertools.product(elems, repeat=op.arity):
+            v = alg.apply(op.name, args)
+            if v not in index:
+                return f"subset not closed under {op.name!r} at {args}"
+            table.append(index[v])
+        ops.append(Operation(op.name, op.arity, table))
+    return tuple(ops)
+
+
+def loop_coset_partition(g: GroupStructure, subgroup) -> Partition:
+    """Left cosets xH, each labelled by the first x that reaches it."""
+    labels = [None] * g.size
+    for x in range(g.size):
+        if labels[x] is None:
+            for h in subgroup:
+                labels[g.mul(x, h)] = x
+    return Partition(labels)
+
+
+def loop_table(size: int, arity: int, value):
+    """The table of (x1, ..., xn) |-> value(args), in lexicographic order."""
+    return tuple(value(args) for args in itertools.product(range(size), repeat=arity))
+
+
+def loop_compose_first(f: FiniteFunction, g: FiniteFunction):
+    m = g.arity
+    return loop_table(
+        f.universe_size,
+        m + f.arity - 1,
+        lambda args: f(g(*args[:m]), *args[m:]),
+    )
+
+
+def loop_tensor_function(c: FiniteFunction, d: FiniteFunction):
+    sb = d.universe_size
+    return loop_table(
+        c.universe_size * sb,
+        c.arity,
+        lambda args: c(*(a // sb for a in args)) * sb + d(*(a % sb for a in args)),
+    )
+
+
+def loop_group_malcev_function(g: GroupStructure):
+    return loop_table(g.size, 3, lambda t: g.mul(g.mul(t[0], g.inv[t[1]]), t[2]))
+
+
+def loop_is_malcev_function(d: FiniteFunction) -> bool:
+    return d.arity == 3 and all(
+        d(x, y, y) == x and d(x, x, y) == y
+        for x in range(d.universe_size)
+        for y in range(d.universe_size)
+    )
+
+
+def loop_witness_function(fam, n: int):
+    """The n-ary family member: a where some argument is delta-related to a."""
+    marked = fam.marked_class
+    return loop_table(
+        fam.base.size, n, lambda args: fam.a if any(x in marked for x in args) else fam.b
+    )
+
+
+def loop_rho_tuples(epsilon: Partition, d: FiniteFunction):
+    s = d.universe_size
+    return [
+        (x1, x2, x3, d(x1, x2, x3))
+        for x1 in range(s)
+        for x2 in range(s)
+        if epsilon.same(x1, x2)
+        for x3 in range(s)
+    ]
+
+
+def loop_commutator_witness(fam, d: FiniteFunction, k: int):
+    """The table of w (see build_commutator_witness), or the message of the
+    first failed absorption or nontriviality check, in loop order."""
+    s = fam.base.size
+    f = fam.function(k + 1)
+    a, b = fam.a, fam.b
+
+    def w(*args):
+        last = args[-1]
+        return d(f(*(d(x, last, a) for x in args[:-1])), a, last)
+
+    table = loop_table(s, k + 2, lambda args: w(*args))
+    for j in range(k + 1):
+        for partial in itertools.product(range(s), repeat=k):
+            for z in range(s):
+                args = list(partial[:j]) + [z] + list(partial[j:]) + [z]
+                got = w(*args)
+                if got != z:
+                    return f"absorption fails at position {j}: w{tuple(args)} = {got}"
+    for c in range(s):
+        if c not in fam.marked_class:
+            got = w(*((c,) * (k + 1) + (a,)))
+            if got != b:
+                return f"nontriviality fails: w({c},...,{c},{a}) = {got}, expected {b}"
+    return table
+
+
+def loop_lattice_product(ls):
+    """The product order on row-major coordinate tuples, pair by pair."""
+    coords = list(itertools.product(*(range(l.size) for l in ls)))
+    return [
+        [all(l.leq[xa][xb] for l, xa, xb in zip(ls, a, b)) for b in coords]
+        for a in coords
+    ]
+
+
+@st.composite
+def small_groups(draw):
+    """A group of 1 to 4 elements on randomly renamed elements."""
+    from congrex.groups import group_from_cayley, parse_group_spec
+
+    spec = draw(st.sampled_from(("Z1", "Z2", "Z3", "Z4", "Z2xZ2")))
+    table = GroupStructure(parse_group_spec(spec)).mul_table.tolist()
+    perm = draw(st.permutations(range(len(table))))
+    return group_from_cayley(relabeled_cayley(table, perm), name=spec)
+
+
+@st.composite
+def malcev_functions(draw, size):
+    """A random ternary function with d(x, y, y) = x and d(x, x, y) = y."""
+    table = draw(st.lists(st.integers(0, size - 1), min_size=size**3, max_size=size**3))
+    for x, y, z in itertools.product(range(size), repeat=3):
+        if y == z:
+            table[_flat_index((x, y, z), size)] = x
+        elif x == y:
+            table[_flat_index((x, y, z), size)] = z
+    return FiniteFunction(size, 3, tuple(table))

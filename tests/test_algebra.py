@@ -1,13 +1,18 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrex.algebra import (
+    DEFAULT_BUDGET,
     FiniteAlgebra,
     Operation,
     Partition,
+    _flat_index,
+    _grid,
+    budget_from_env,
     direct_product,
     is_congruence_uniform,
     product_of,
@@ -19,6 +24,7 @@ from congrex.groups import cyclic_group, parse_group_spec, quaternion_group
 from conftest import (
     brute_congruences,
     loop_direct_product,
+    loop_quotient,
     loop_refines,
     loop_translations,
     orbit_join_closure,
@@ -276,6 +282,13 @@ def test_budget_env_var(monkeypatch):
         z4.all_congruences()
 
 
+def test_empty_budget_env_var_counts_as_unset(monkeypatch):
+    monkeypatch.setenv("CONGREX_BUDGET", "")
+    assert budget_from_env() == DEFAULT_BUDGET
+    assert budget_from_env(None) is None
+    assert len(cyclic_group(4).all_congruences()) == 3
+
+
 # ---------------------------------------------------------------------------
 # quotients and products
 
@@ -333,11 +346,12 @@ def test_direct_product_records_projection_kernels():
 
 @st.composite
 def algebra_pairs(draw):
-    """Two algebras of at most 3 elements with one random signature."""
+    """Two algebras of at most 4 elements with one random signature of
+    arities 0 to 3."""
     arities = draw(st.lists(st.integers(0, 3), max_size=3))
 
     def algebra():
-        n = draw(st.integers(1, 3))
+        n = draw(st.integers(1, 4))
         cells = st.integers(0, n - 1)
         tables = [draw(st.lists(cells, min_size=n**k, max_size=n**k)) for k in arities]
         return FiniteAlgebra(n, [(f"f{i}", k, t) for i, (k, t) in enumerate(zip(arities, tables))])
@@ -354,6 +368,37 @@ def test_direct_product_matches_the_tuple_loop(pair):
         Partition(x // b.size for x in range(prod.size)),
         Partition(x % b.size for x in range(prod.size)),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_algebras(), algebra_pairs().map(lambda pair: pair[0])))
+def test_quotient_matches_the_tuple_loop(alg):
+    for theta in alg.all_congruences(force=True):
+        assert alg.quotient(theta).operations == loop_quotient(alg, theta)
+
+
+@given(st.lists(st.integers(1, 4), max_size=4))
+def test_grid_lists_the_tuples_in_row_major_order(shape):
+    grid = _grid(tuple(shape))
+    assert len(grid) == len(shape)
+    assert all(x.dtype == np.intp for x in grid)
+    tuples = list(itertools.product(*map(range, shape)))
+    if shape:
+        assert list(zip(*(x.tolist() for x in grid))) == tuples
+        if len(set(shape)) == 1:
+            assert np.array_equal(_flat_index(grid, shape[0]), np.arange(len(tuples)))
+
+
+def test_table_messages_name_the_operation():
+    for table, message in [
+        ([0, 1, 1], "operation 'f': table length 3 != 2^1"),
+        ([1.5, 0], "operation 'f': table entry is not an integer: 1.5"),
+        ([0, 2], "operation 'f': entry out of range"),
+        ([-1, 0], "operation 'f': entry out of range"),
+    ]:
+        with pytest.raises(InvalidInputError) as err:
+            FiniteAlgebra(2, [Operation("f", 1, table)])
+        assert str(err.value) == message
 
 
 def test_direct_product_signature_mismatch():

@@ -1,9 +1,11 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congrex import analyzer
-from congrex.algebra import FiniteAlgebra, Partition
+from congrex.algebra import FiniteAlgebra, Partition, direct_product
 from congrex.analyzer import (
     VERDICT_FINITE,
     VERDICT_INFINITE,
@@ -19,7 +21,15 @@ from congrex.analyzer import (
     group_witness_pipeline,
     verify_witness,
 )
-from congrex.clones import FiniteFunction, group_malcev_function
+from congrex.clones import (
+    FiniteFunction,
+    add_dummy_arg,
+    compose_first,
+    group_malcev_function,
+    pol_fragment,
+    rotate_args,
+    tensor_function,
+)
 from congrex.errors import (
     CongrexError,
     InvalidInputError,
@@ -29,13 +39,23 @@ from congrex.errors import (
 from congrex.groups import (
     GroupStructure,
     abelian_group,
+    coset_partition,
     cyclic_group,
     group_from_cayley,
     parse_group_spec,
     quaternion_group,
+    subalgebra_on,
 )
 
-from conftest import q8_times_z3_cayley, relabeled_cayley
+from conftest import (
+    loop_commutator_witness,
+    loop_rho_tuples,
+    loop_witness_function,
+    malcev_functions,
+    q8_times_z3_cayley,
+    relabeled_cayley,
+    small_groups,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -391,3 +411,128 @@ def test_group_witness_pipeline_fails_loudly_without_centrality(monkeypatch):
     monkeypatch.setattr(analyzer, "check_centrality", lambda *args: False)
     with pytest.raises(WitnessCheckError):
         group_witness_pipeline("Z4", up_to_n=2)
+
+
+# ---------------------------------------------------------------------------
+# tables on the argument grid against the tuple loops
+
+
+def family_on(size, delta, a, b):
+    """A WitnessFamily with only what its tables read, unchecked: any delta
+    and any a, b."""
+    fam = WitnessFamily.__new__(WitnessFamily)
+    fam.base = FiniteAlgebra(size, [])
+    fam.delta, fam.a, fam.b, fam._cache = delta, a, b, {}
+    return fam
+
+
+@st.composite
+def family_shells(draw):
+    size = draw(st.integers(1, 4))
+    element = st.integers(0, size - 1)
+    delta = Partition(draw(st.lists(element, min_size=size, max_size=size)))
+    return family_on(size, delta, draw(element), draw(element))
+
+
+@settings(max_examples=150)
+@given(family_shells(), st.integers(1, 3))
+def test_witness_function_matches_the_loop(fam, n):
+    assert fam.function(n).table == loop_witness_function(fam, n)
+
+
+@pytest.mark.parametrize("spec", ["Z4", "Z8", "Z9", "Z2xZ4", "Q8"])
+def test_witness_family_members_match_the_loop(spec):
+    fam = build_witness_family(parse_group_spec(spec))
+    for n in (1, 2, 3):
+        assert fam.function(n).table == loop_witness_function(fam, n)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 4), st.data())
+def test_build_rho_matches_the_loop(size, data):
+    element = st.integers(0, size - 1)
+    epsilon = Partition(data.draw(st.lists(element, min_size=size, max_size=size)))
+    d = data.draw(malcev_functions(size))
+    rho = build_rho(FiniteAlgebra(size, []), epsilon, d)
+    assert rho.tuples == tuple(sorted(loop_rho_tuples(epsilon, d)))
+
+
+@given(small_groups())
+def test_build_rho_of_groups_matches_the_loop(alg):
+    d = group_malcev_function(alg)
+    for epsilon in alg.all_congruences():
+        assert build_rho(alg, epsilon, d).tuples == tuple(sorted(loop_rho_tuples(epsilon, d)))
+
+
+def commutator_witness_or_message(fam, d, k):
+    try:
+        return build_commutator_witness(fam, d, k).table
+    except WitnessCheckError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150)
+@given(family_shells(), st.integers(1, 2), st.data())
+def test_commutator_witness_matches_the_loop(fam, k, data):
+    d = data.draw(malcev_functions(fam.base.size))
+    assert commutator_witness_or_message(fam, d, k) == loop_commutator_witness(fam, d, k)
+
+
+@pytest.mark.parametrize("spec,k", [("Z4", 1), ("Z4", 2), ("Z8", 1), ("Z9", 1), ("Q8", 1)])
+def test_commutator_witness_of_groups_matches_the_loop(spec, k):
+    alg = parse_group_spec(spec)
+    fam = build_witness_family(alg)
+    d = group_malcev_function(alg)
+    assert build_commutator_witness(fam, d, k).table == loop_commutator_witness(fam, d, k)
+
+
+@pytest.mark.parametrize(
+    "args,value,failure",
+    [
+        # f(a, 1) = b: w(z, x, z) with x - z = 1 is not z; the loop runs
+        # over x, then z, so (x, z) = (0, 3) comes first
+        ((0, 1), 2, "absorption fails at position 0: w(3, 0, 3) = 1"),
+        # f(1, 1) = a: w(1, 1, a) is not b; no absorption case reads f(1, 1)
+        ((1, 1), 0, "nontriviality fails: w(1,...,1,0) = 0, expected 2"),
+    ],
+    ids=["absorption", "nontriviality"],
+)
+def test_commutator_witness_failures_name_the_first_tuple_of_the_loop(args, value, failure):
+    z4 = cyclic_group(4)
+    fam = build_witness_family(z4)
+    d = group_malcev_function(z4)
+    assert (fam.a, fam.b) == (0, 2)
+    table = list(fam.function(2).table)
+    table[4 * args[0] + args[1]] = value
+    fam._cache[2] = FiniteFunction(4, 2, tuple(table))
+    with pytest.raises(WitnessCheckError) as err:
+        build_commutator_witness(fam, d, 1)
+    assert str(err.value) == loop_commutator_witness(fam, d, 1) == failure
+
+
+def test_every_grid_built_table_is_a_tuple_of_python_ints():
+    z4, q8 = cyclic_group(4), quaternion_group()
+    fam = build_witness_family(z4)
+    d = group_malcev_function(z4)
+    f = fam.function(2)
+    algebras = [
+        z4.quotient(Partition.from_blocks(4, [[0, 2], [1, 3]])),
+        direct_product(z4, cyclic_group(2)),
+        subalgebra_on(q8, [0, 1]),
+    ]
+    functions = [
+        FiniteFunction.projection(4, 2, 1),
+        compose_first(d, f),
+        tensor_function(f, f),
+        rotate_args(d),
+        add_dummy_arg(f),
+        d,
+        build_commutator_witness(fam, d, 1),
+        *pol_fragment(z4, 1).arity_part(1),
+    ]
+    tables = [op.table for alg in algebras for op in alg.operations]
+    tables += [g.table for g in functions]
+    tables += list(build_rho(z4, fam.epsilon, d).tuples)
+    tables.append(coset_partition(q8, frozenset({0, 1})).block_id)
+    for table in tables:
+        assert type(table) is tuple and {type(v) for v in table} == {int}

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from congrex import clones
-from congrex.algebra import FiniteAlgebra, Operation
+from congrex.algebra import FiniteAlgebra, Operation, Partition
 from congrex.cli import main
 from congrex.groups import GroupStructure, cyclic_group, group_from_cayley
 from congrex.lattice import chain
@@ -66,6 +66,26 @@ def test_con_text_format(capsys):
     code, out, _ = run(capsys, "con", "Z4", "--format", "text")
     assert code == 0
     assert "3 congruences" in out
+
+
+def test_con_text_lines_are_built_only_for_text(capsys, monkeypatch):
+    code, out, _ = run(capsys, "con", "Z2xZ2", "--format", "text")
+    assert code == 0
+    assert out == (
+        "Z2xZ2: 5 congruences\n"
+        "Partition(0,1,2,3)\n"
+        "Partition(0,1|2,3)\n"
+        "Partition(0,2|1,3)\n"
+        "Partition(0,3|1,2)\n"
+        "Partition(0|1|2|3)\n"
+    )
+
+    def no_text(self):
+        raise AssertionError("text line built for JSON output")
+
+    monkeypatch.setattr(Partition, "__repr__", no_text)
+    code, out, _ = run(capsys, "con", "Z2xZ2")
+    assert code == 0 and json.loads(out)["count"] == 5
 
 
 def test_lattice_checks(tmp_path, capsys):
@@ -167,6 +187,26 @@ def test_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("CONGREX_BUDGET", "5")
     code, _, _ = run(capsys, "con", "Z12")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv", [["decide", "Q8"], ["con", "Q8", "--force"], ["pol", "Z4"]]
+)
+def test_invalid_budget_env_is_one_error_line(capsys, monkeypatch, argv):
+    monkeypatch.setenv("CONGREX_BUDGET", "banana")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: CONGREX_BUDGET is not an integer: 'banana'\n"
+
+
+@pytest.mark.parametrize("argv", [["con", "Z4"], ["pol", "Z4"]])
+def test_empty_budget_env_counts_as_unset(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CONGREX_BUDGET", raising=False)
+    unset = run(capsys, *argv)
+    monkeypatch.setenv("CONGREX_BUDGET", "")
+    assert run(capsys, *argv) == unset
+    assert unset[0] == 0
 
 
 def test_witness_cli(capsys):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,15 +32,24 @@ from congrex.clones import (
     tensor_generators,
 )
 from congrex.errors import BudgetExceededError, InvalidInputError
-from congrex.groups import cyclic_group, parse_group_spec
+from congrex.groups import GroupStructure, cyclic_group, parse_group_spec
 
 from conftest import (
     fixpoint_closure,
     loop_comp_fragment,
+    loop_compose_first,
     loop_congruence_preserving,
+    loop_group_malcev_function,
+    loop_is_malcev_function,
     loop_preserves_relation,
+    loop_table,
+    loop_tensor_function,
+    malcev_functions,
+    pair_list_join,
     small_algebras,
+    small_groups,
     superposition_closure,
+    zip_meet,
 )
 
 
@@ -534,3 +544,144 @@ def test_malcev_term_group_shortcut_and_none():
     meet2 = FiniteAlgebra(2, [Operation("meet", 2, [0, 0, 0, 1])])
     assert group_malcev_function(meet2) is None
     assert malcev_term(meet2) is None
+
+
+# ---------------------------------------------------------------------------
+# tables on the argument grid against the tuple loops
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_projection_matches_the_loop(size, arity, data):
+    index = data.draw(st.integers(0, arity - 1))
+    p = FiniteFunction.projection(size, arity, index)
+    assert p.table == loop_table(size, arity, lambda args: args[index])
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 4).flatmap(functions_on))
+def test_argument_operations_match_the_loops(f):
+    s, n = f.universe_size, f.arity
+    assert add_dummy_arg(f).table == loop_table(s, n + 1, lambda a: f(*a[:-1]))
+    if n >= 2:
+        assert rotate_args(f).table == loop_table(s, n, lambda a: f(*a[1:], a[0]))
+        assert swap_args(f).table == loop_table(s, n, lambda a: f(a[1], a[0], *a[2:]))
+        assert diagonal_minor(f).table == loop_table(s, n - 1, lambda a: f(a[0], *a))
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 4).flatmap(lambda s: st.tuples(functions_on(s), functions_on(s))))
+def test_compose_first_matches_the_loop(pair):
+    f, g = pair
+    if f.arity == 0:
+        f = add_dummy_arg(f)
+    assert compose_first(f, g).table == loop_compose_first(f, g)
+
+
+def test_compose_first_with_a_nullary_g():
+    g = FiniteFunction(3, 0, (2,))
+    neg = FiniteFunction(3, 1, (0, 2, 1))
+    assert compose_first(neg, g) == FiniteFunction(3, 0, (1,))
+    minus = FiniteFunction(3, 2, tuple((x - y) % 3 for x in range(3) for y in range(3)))
+    h = compose_first(minus, g)
+    assert h == FiniteFunction(3, 1, (2, 1, 0))
+    assert h.table == loop_compose_first(minus, g)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3), st.data())
+def test_tensor_function_matches_the_loop(sa, sb, arity, data):
+    def function(size):
+        cells = st.integers(0, size - 1)
+        table = data.draw(st.lists(cells, min_size=size**arity, max_size=size**arity))
+        return FiniteFunction(size, arity, tuple(table))
+
+    c, d = function(sa), function(sb)
+    assert tensor_function(c, d).table == loop_tensor_function(c, d)
+
+
+@given(small_groups())
+def test_group_malcev_function_matches_the_loop(alg):
+    d = group_malcev_function(alg)
+    assert d.table == loop_group_malcev_function(GroupStructure.of(alg))
+    assert is_malcev_function(d)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 4), st.data())
+def test_is_malcev_function_matches_the_loop(size, data):
+    d = data.draw(st.one_of(functions_on(size), malcev_functions(size)))
+    if data.draw(st.booleans()) and d.arity == 3:
+        table = list(d.table)
+        table[data.draw(st.integers(0, len(table) - 1))] = data.draw(st.integers(0, size - 1))
+        d = FiniteFunction(size, 3, tuple(table))
+    assert is_malcev_function(d) == loop_is_malcev_function(d)
+
+
+@pytest.mark.parametrize(
+    "entry", [True, 1.0, np.int64(1)], ids=["bool", "float", "numpy-int"]
+)
+def test_function_table_entries_must_be_python_ints(entry):
+    with pytest.raises(InvalidInputError, match="table entry is not an integer"):
+        FiniteFunction(2, 1, (0, entry))
+    with pytest.raises(InvalidInputError, match="table entry is not an integer"):
+        FiniteAlgebra(2, [Operation("f", 1, (0, entry))])
+
+
+def test_function_table_length_and_range_messages():
+    with pytest.raises(InvalidInputError, match=r"^table length 3 != 2\^1$"):
+        FiniteFunction(2, 1, (0, 1, 1))
+    with pytest.raises(InvalidInputError, match="^entry out of range$"):
+        FiniteFunction(2, 1, (0, 2))
+    with pytest.raises(InvalidInputError, match="^entry out of range$"):
+        FiniteFunction(2, 1, (-1, 0))
+
+
+# ---------------------------------------------------------------------------
+# skew congruences, all at once against one at a time
+
+
+def loop_skew_congruences(prod, congs):
+    k1, k2 = prod.product_kernels
+    return [t for t in congs if zip_meet(pair_list_join(t, k1), pair_list_join(t, k2)) != t]
+
+
+@st.composite
+def same_signature_products(draw):
+    """a x b for a random algebra a of 1 to 3 elements and random tables of
+    its signature on 1 to 3 elements."""
+    a = draw(small_algebras(max_size=3))
+    m = draw(st.integers(1, 3))
+    cells = st.integers(0, m - 1)
+    ops = [
+        (op.name, op.arity, draw(st.lists(cells, min_size=m**op.arity, max_size=m**op.arity)))
+        for op in a.operations
+    ]
+    return direct_product(a, FiniteAlgebra(m, ops))
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_signature_products())
+def test_skew_congruences_match_the_per_congruence_loop(prod):
+    congs = prod.all_congruences(force=True)
+    assert skew_congruences(prod, congs) == loop_skew_congruences(prod, congs)
+
+
+@pytest.mark.parametrize("spec,count", [("Z2xZ2", 1), ("Z4xZ2", 2), ("Z2xZ3", 0)])
+def test_skew_congruences_of_groups_match_the_per_congruence_loop(spec, count):
+    prod = parse_group_spec(spec)
+    congs = prod.all_congruences()
+    skew = skew_congruences(prod, congs)
+    assert skew == loop_skew_congruences(prod, congs)
+    assert len(skew) == count
+    k1, k2 = prod.product_kernels
+    assert [not is_product_congruence(t, k1, k2) for t in congs] == [t in skew for t in congs]
+
+
+def test_skew_congruences_check_the_kernels_once(monkeypatch):
+    prod = parse_group_spec("Z2xZ2xZ2")
+    congs = prod.all_congruences()
+    calls = []
+    meet = Partition.meet
+    monkeypatch.setattr(Partition, "meet", lambda p, q: calls.append(1) or meet(p, q))
+    assert len(skew_congruences(prod, congs)) > 1
+    assert len(calls) == 1

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congrex.algebra import FiniteAlgebra, Operation, Partition
 from congrex.errors import InvalidInputError, NotAGroupError
@@ -20,6 +23,7 @@ from congrex.groups import (
     prime_factors,
     quaternion_group,
     split_normal_subgroup_lattice,
+    subalgebra_on,
     symmetric_group,
     sylow_decomposition,
 )
@@ -28,8 +32,12 @@ from congrex.lattice import congruence_lattice, splits, splits_strongly
 from conftest import (
     bitmask_normal_subgroups,
     brute_group_axioms,
+    loop_coset_partition,
+    loop_subalgebra_on,
     q8_times_z3_cayley,
     relabeled_cayley,
+    small_algebras,
+    small_groups,
 )
 
 
@@ -351,3 +359,66 @@ def test_witness_partitions_for_z4():
     delta, eps = split_normal_subgroup_lattice(g, normal_subgroups(g), strong=True)
     assert coset_partition(z4, eps) == Partition.from_blocks(4, [[0, 2], [1, 3]])
     assert coset_partition(z4, delta) == Partition.from_blocks(4, [[0, 2], [1, 3]])
+
+
+# ---------------------------------------------------------------------------
+# tables on the argument grid against the tuple loops
+
+
+def closed_under(alg, elements):
+    """The least subset containing elements that every operation keeps."""
+    elems = set(elements)
+    while True:
+        image = {
+            alg.apply(op.name, args)
+            for op in alg.operations
+            for args in itertools.product(sorted(elems), repeat=op.arity)
+        }
+        if image <= elems:
+            return elems
+        elems |= image
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_algebras(), st.data())
+def test_subalgebra_on_matches_the_loop(alg, data):
+    elements = data.draw(st.sets(st.integers(0, alg.size - 1), min_size=1))
+    if data.draw(st.booleans()):
+        elements = closed_under(alg, elements)
+    expected = loop_subalgebra_on(alg, elements)
+    if isinstance(expected, str):
+        with pytest.raises(InvalidInputError) as err:
+            subalgebra_on(alg, elements)
+        assert str(err.value) == expected
+    else:
+        assert subalgebra_on(alg, elements).operations == expected
+
+
+def test_subalgebra_on_names_the_first_tuple_that_leaves_the_subset():
+    z4 = cyclic_group(4)
+    expected = "subset not closed under '+' at (1, 1)"
+    assert loop_subalgebra_on(z4, {0, 1}) == expected
+    with pytest.raises(InvalidInputError) as err:
+        subalgebra_on(z4, {0, 1})
+    assert str(err.value) == expected
+    # the nullary identity is not in {1}
+    with pytest.raises(InvalidInputError, match=r"under '0' at \(\)$"):
+        subalgebra_on(FiniteAlgebra(4, [z4.operation("0")]), {1})
+    for outside in ({0, 4}, {-1, 0}):
+        with pytest.raises(InvalidInputError, match="element out of range"):
+            subalgebra_on(z4, outside)
+
+
+@given(small_groups())
+def test_coset_partition_matches_the_loop(alg):
+    g = GroupStructure.of(alg)
+    for h in normal_subgroups(g):
+        assert coset_partition(g, h) == loop_coset_partition(g, h)
+
+
+@pytest.mark.parametrize("spec", ["S3", "Q8", "Z2xZ4"])
+def test_coset_partition_of_every_subgroup_matches_the_loop(spec):
+    g = GroupStructure.of(parse_group_spec(spec))
+    subgroups = {g.subgroup_closure(pair) for pair in itertools.combinations(range(g.size), 2)}
+    for h in subgroups:
+        assert coset_partition(g, h) == loop_coset_partition(g, h)

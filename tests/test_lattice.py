@@ -1,8 +1,9 @@
 import itertools
 import json
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congrex.algebra import Partition
@@ -27,6 +28,7 @@ from conftest import (
     all_partitions,
     brute_has_split,
     cube_bound_tables,
+    loop_lattice_product,
     m3,
     n5,
     pairwise_closed,
@@ -350,3 +352,12 @@ def test_product_split_equivalence_small():
         prod = lattice_product([a, b])
         expect = (splits_strongly(a) is not None) or (splits_strongly(b) is not None)
         assert (splits_strongly(prod) is not None) == expect, (na, nb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(sorted(small_lattice_corpus().items())), min_size=1, max_size=3))
+def test_lattice_product_matches_the_pairwise_loop(named):
+    lattices = [lat for _, lat in named]
+    assume(math.prod(lat.size for lat in lattices) <= 64)
+    expected = loop_lattice_product(lattices)
+    assert lattice_product(lattices).leq == tuple(map(tuple, expected))
