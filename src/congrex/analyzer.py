@@ -51,7 +51,7 @@ from .groups import (
     split_normal_subgroup_lattice,
     sylow_decomposition,
 )
-from .lattice import SplitWitness, congruence_lattice, splits, splits_strongly
+from .lattice import SplitWitness, congruence_lattice, from_congruences, splits, splits_strongly
 
 VERDICT_INFINITE = "infinitely-many"
 VERDICT_FINITE = "finitely-many"
@@ -380,15 +380,7 @@ def build_witness_family(
             raise InvalidInputError("congruence lattice does not split strongly")
     delta = congs[w.delta]
     epsilon = congs[w.epsilon]
-    atoms = [
-        congs[e]
-        for e in range(lat.size)
-        if e != lat.bottom
-        and not any(
-            o != lat.bottom and o != e and lat.leq[o][e] for o in range(lat.size)
-        )
-    ]
-    refined = next((atom for atom in atoms if atom.refines(epsilon)), None)
+    refined = next((congs[e] for e in lat.atoms() if congs[e].refines(epsilon)), None)
     if refined is None:
         raise CongrexError("internal: no atom below a valid epsilon")
     a, b = next(
@@ -401,8 +393,6 @@ def build_witness_family(
 
 
 def _lattice_with(congs):
-    from .lattice import from_congruences
-
     congs = sorted(set(congs), key=lambda p: p.block_id)
     return from_congruences(congs), congs
 
@@ -414,6 +404,8 @@ def verify_witness(fam: WitnessFamily, up_to_n: int) -> dict:
 
     Raises WitnessCheckError with the offending tuple on any failure.
     """
+    if up_to_n < 1:
+        raise InvalidInputError("up_to_n must be >= 1")
     record = {}
     s = fam.base.size
     for n in range(1, up_to_n + 1):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteAlgebra, Partition, _flat_index, _grid, check_table
-from .algebra import _join_rows, _least_members, _meet_rows
+from .algebra import _join_rows, _least_members, _meet_rows, require_int
 from .errors import BudgetExceededError, InvalidInputError
 
 DEFAULT_MEMBER_CAP = 10**6
@@ -31,6 +31,8 @@ class FiniteFunction:
     table: tuple
 
     def __post_init__(self):
+        require_int(self.universe_size, "universe_size")
+        require_int(self.arity, "arity")
         check_table(self.table, self.universe_size, self.arity)
 
     def __call__(self, *args) -> int:
@@ -333,6 +335,8 @@ def comp_fragment(
     candidates that share all but their last few entries; the candidate
     count |A|^(|A|^n) of every arity is checked against the budget first.
     """
+    if max_arity < 1:
+        raise InvalidInputError("max_arity must be >= 1")
     s = alg.size
     for arity in range(1, max_arity + 1):
         count = s ** (s**arity)

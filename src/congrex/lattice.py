@@ -1,9 +1,13 @@
 """Finite bounded lattices and the splitting predicates.
 
-A lattice is stored with its full order relation and meet/join tables, so the
-predicates are plain table scans.  A lattice "splits" if it is the union of
-two proper subintervals I[0, delta] and I[epsilon, 1]; it "splits strongly"
-if moreover the subintervals overlap (epsilon <= delta).
+A lattice is stored with its full order relation and meet/join tables as
+numpy arrays, so the predicates are array expressions over them.  On bool
+arrays ``A @ B`` is the relation product (an OR of ANDs in numpy's own loop);
+a float matmul would be faster on large orders, but it makes BLAS allocate
+work buffers that stay resident for the rest of the process.  A lattice
+"splits" if it is the union of two proper subintervals I[0, delta] and
+I[epsilon, 1]; it "splits strongly" if moreover the subintervals overlap
+(epsilon <= delta).
 """
 
 from __future__ import annotations
@@ -14,8 +18,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Partition, _chunks, _fresh, _grid, _join_rows, _least_members, _meet_rows
+from .algebra import Partition, _chunks, _fresh, _grid, _join_rows, _least_members
+from .algebra import _meet_rows, require_int
 from .errors import InvalidInputError
+
+
+def _meets(L: np.ndarray) -> np.ndarray:
+    """Meet table of the bounded order L; the join table is _meets(L.T).
+
+    Among the common lower bounds of a and b the meet dominates all others,
+    so it has the strictly largest down-set: an argmax of down-set sizes, 0
+    off the common lower bounds, finds it, and a dominance check validates
+    it.  One row a at a time, so memory stays O(k^2).
+    """
+    L, LT = np.ascontiguousarray(L), np.ascontiguousarray(L.T)
+    below = L.sum(axis=0, dtype=np.int32)
+    meet = np.empty(L.shape, dtype=np.intp)
+    for a in range(len(L)):
+        lower = L[:, a] & LT  # lower[b, c] = c <= a and c <= b
+        meet[a] = (lower * below).argmax(axis=1)
+        # every common lower bound c must satisfy c <= meet[a, b]
+        if not (~lower | LT[meet[a]]).all():
+            raise InvalidInputError("meet or join missing; not a lattice")
+    return meet
 
 
 @dataclass(frozen=True)
@@ -28,74 +53,60 @@ class SplitWitness:
 
 
 class FiniteLattice:
-    """Bounded lattice on 0..size-1 given by its order relation."""
+    """Bounded lattice on 0..size-1 given by its order relation.
+
+    ``leq`` is the k x k bool order, ``meet`` and ``join`` are k x k intp
+    tables and ``bottom``, ``top`` and ``size`` are ints.
+    """
 
     def __init__(self, leq):
-        leq = tuple(tuple(bool(v) for v in row) for row in leq)
-        n = len(leq)
-        if any(len(row) != n for row in leq):
+        if not (isinstance(leq, np.ndarray) and leq.dtype == bool):
+            rows = [list(row) for row in leq]
+            if any(len(row) != len(rows) for row in rows):
+                raise InvalidInputError("leq must be a square boolean matrix")
+            for v in itertools.chain.from_iterable(rows):
+                if not isinstance(v, (bool, np.bool_)):
+                    raise InvalidInputError(f"leq entry is not a boolean: {v!r}")
+            leq = np.array(rows, dtype=bool).reshape(len(rows), len(rows))
+        L = np.array(leq)
+        k = len(L)
+        if L.shape != (k, k):
             raise InvalidInputError("leq must be a square boolean matrix")
-        self.size = n
-        self.leq = leq
-        self._validate_order()
-        self.bottom = self._extreme(lambda a, b: leq[a][b])
-        self.top = self._extreme(lambda a, b: leq[b][a])
-        self.meet, self.join = self._bound_tables()
-        self._below_count = tuple(sum(leq[a][b] for a in range(n)) for b in range(n))
-
-    def _validate_order(self):
-        n = self.size
-        if n == 0:
+        if k == 0:
             raise InvalidInputError("lattice must be nonempty")
-        L = np.array(self.leq, dtype=bool)
         if not L.diagonal().all():
             raise InvalidInputError("order not reflexive")
-        if (L & L.T & ~np.eye(n, dtype=bool)).any():
+        if (L & L.T & ~np.eye(k, dtype=bool)).any():
             raise InvalidInputError("order not antisymmetric")
-        reach = (L.astype(np.int32) @ L.astype(np.int32)) > 0
-        if (reach & ~L).any():
+        if ((L @ L) & ~L).any():
             raise InvalidInputError("order not transitive")
-        self._L = L
+        bottom, top = np.flatnonzero(L.all(axis=1)), np.flatnonzero(L.all(axis=0))
+        if not (len(bottom) and len(top)):
+            raise InvalidInputError("lattice is not bounded")
+        self.size, self.leq = k, L
+        self.bottom, self.top = int(bottom[0]), int(top[0])
+        self.meet, self.join = _meets(L), _meets(L.T)
 
-    def _extreme(self, below):
-        for cand in range(self.size):
-            if all(below(cand, other) for other in range(self.size)):
-                return cand
-        raise InvalidInputError("lattice is not bounded")
-
-    def _bound_tables(self):
-        # GLB of (a, b): among common lower bounds, the one dominating all
-        # others; it has the strictly largest down-set, so argmax by down-set
-        # size finds it, and a vectorized dominance check validates it.  One
-        # row a at a time, so memory stays O(n^2).
-        n = self.size
-        L = self._L
-        below_count = L.sum(axis=0)
-        above_count = L.sum(axis=1)
-        meet, join = [], []
-        for a in range(n):
-            lower = L[:, a][None, :] & L.T  # lower[b,c] = c<=a and c<=b
-            upper = L[a][None, :] & L       # upper[b,c] = a<=c and b<=c
-            meet_a = np.where(lower, below_count[None, :], -1).argmax(axis=1)
-            join_a = np.where(upper, above_count[None, :], -1).argmax(axis=1)
-            # validity: every common lower bound c must satisfy c <= meet[a,b]
-            if not (np.all(~lower | L[:, meet_a].T) and np.all(~upper | L[join_a])):
-                raise InvalidInputError("meet or join missing; not a lattice")
-            meet.append(tuple(meet_a.tolist()))
-            join.append(tuple(join_a.tolist()))
-        return tuple(meet), tuple(join)
+    def atoms(self) -> np.ndarray:
+        """The elements covering the bottom, ascending."""
+        return np.flatnonzero(self.leq.sum(axis=0) == 2)
 
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"size": self.size, "leq": [list(row) for row in self.leq]}
+        return {"size": self.size, "leq": self.leq.tolist()}
 
     @staticmethod
     def from_json_dict(data: dict) -> "FiniteLattice":
         try:
-            return FiniteLattice(data["leq"])
+            lat = FiniteLattice(data["leq"])
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed lattice JSON: {exc}") from exc
+        if "size" in data and require_int(data["size"], "size") != lat.size:
+            raise InvalidInputError(
+                f"size {data['size']} does not match the {lat.size} rows of leq"
+            )
+        return lat
 
     @staticmethod
     def from_json(text: str) -> "FiniteLattice":
@@ -115,16 +126,12 @@ def chain(n: int) -> FiniteLattice:
 
 def lattice_from_covers(n: int, covers) -> FiniteLattice:
     """Build a lattice from a cover list [(lower, upper), ...]."""
-    leq = [[a == b for b in range(n)] for a in range(n)]
-    for a, b in covers:
-        leq[a][b] = True
-    changed = True
-    while changed:
-        changed = False
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if leq[a][b] and leq[b][c] and not leq[a][c]:
-                leq[a][c] = True
-                changed = True
+    leq = np.eye(n, dtype=bool)
+    pairs = np.array(covers, dtype=np.intp).reshape(-1, 2)
+    leq[pairs[:, 0], pairs[:, 1]] = True
+    # leq is reflexive, so squaring it until it stops growing closes it
+    while ((closed := leq @ leq) & ~leq).any():
+        leq = closed
     return FiniteLattice(leq)
 
 
@@ -149,12 +156,12 @@ def from_congruences(congs) -> FiniteLattice:
         for a in range(k):
             leq[a, s] = (block[:, rows[a]] == block).all(axis=1)
     try:
-        lat = FiniteLattice(leq.tolist())
+        lat = FiniteLattice(leq)
     except InvalidInputError as exc:
         raise InvalidInputError("congruence set is not meet/join closed") from exc
-    L = lat._L
+    L = lat.leq
     strict = L & ~np.eye(k, dtype=bool)
-    covers = strict & ~((strict.astype(np.int32) @ strict.astype(np.int32)) > 0)
+    covers = strict & ~(strict @ strict)
     present = {}
     _fresh(present, rows)
     checks = [(_join_rows, j, ~L[j]) for j in np.flatnonzero(covers.sum(axis=0) == 1)]
@@ -177,34 +184,21 @@ def congruence_lattice(alg, **kwargs):
 
 
 def _split_witness(l: FiniteLattice, strong: bool):
-    if l.bottom == l.top:
+    # epsilon ranges over atoms only: an atom below a witness epsilon is a
+    # witness with the same delta, and atoms have the least down-sets, so
+    # they come first in the witness order.  admissible[i, d]: every alpha
+    # is <= d or >= atom i (and atom i <= d, if strong).
+    L = l.leq
+    atoms = l.atoms()
+    admissible = ~(~L[atoms] @ ~L)
+    if strong:
+        admissible &= L[atoms]
+    admissible[:, l.top] = False
+    found = np.flatnonzero(admissible.any(axis=1))
+    if not len(found):
         return None
-    n = l.size
-    eps_candidates = sorted(
-        (e for e in range(n) if e != l.bottom),
-        key=lambda e: (l._below_count[e], e),
-    )
-    for eps in eps_candidates:
-        # every alpha not above eps must sit below delta, so the least
-        # admissible delta is the join of all such alpha
-        need = l.bottom
-        for alpha in range(n):
-            if not l.leq[eps][alpha]:
-                need = l.join[need][alpha]
-        if strong:
-            need = l.join[need][eps]
-        if need == l.top:
-            continue
-        deltas = [
-            d
-            for d in range(n)
-            if d != l.top and l.leq[need][d] and (not strong or l.leq[eps][d])
-        ]
-        if not deltas:
-            continue
-        deltas.sort(key=lambda d: (-l._below_count[d], d))
-        return SplitWitness(delta=deltas[0], epsilon=eps)
-    return None
+    delta = np.where(admissible[found[0]], L.sum(axis=0), -1).argmax()
+    return SplitWitness(delta=int(delta), epsilon=int(atoms[found[0]]))
 
 
 def splits_strongly(l: FiniteLattice):
@@ -222,29 +216,27 @@ def splits(l: FiniteLattice):
 
 
 def witness_is_valid(l: FiniteLattice, w: SplitWitness, strong: bool) -> bool:
-    if not (w.epsilon != l.bottom and w.delta != l.top):
+    if w.epsilon == l.bottom or w.delta == l.top:
         return False
-    if strong and not l.leq[w.epsilon][w.delta]:
+    if strong and not l.leq[w.epsilon, w.delta]:
         return False
-    return all(
-        l.leq[a][w.delta] or l.leq[w.epsilon][a] for a in range(l.size)
-    )
+    return bool((l.leq[:, w.delta] | l.leq[w.epsilon]).all())
 
 
 def is_modular(l: FiniteLattice) -> bool:
-    """a <= c  implies  a v (b ^ c) = (a v b) ^ c, for all triples."""
-    for a, b, c in itertools.product(range(l.size), repeat=3):
-        if l.leq[a][c]:
-            if l.join[a][l.meet[b][c]] != l.meet[l.join[a][b]][c]:
-                return False
-    return True
+    """a <= c  implies  a v (b ^ c) = (a v b) ^ c, for all triples; one row
+    a at a time, over [b, c] for the c above a."""
+    L, M, J = l.leq, l.meet, l.join
+    return all(
+        bool((J[a][M[:, L[a]]] == M[np.ix_(J[a], L[a])]).all()) for a in range(l.size)
+    )
 
 
 def transposes_up(l: FiniteLattice, a: int, b: int, c: int, d: int) -> bool:
     """True iff I[a,b] transposes up to I[c,d]: a = b ^ c and b v c = d."""
-    if not (l.leq[a][b] and l.leq[c][d]):
+    if not (l.leq[a, b] and l.leq[c, d]):
         raise InvalidInputError("arguments do not form intervals")
-    return l.meet[b][c] == a and l.join[b][c] == d
+    return bool(l.meet[b, c] == a and l.join[b, c] == d)
 
 
 def lattice_product(ls) -> FiniteLattice:
@@ -255,5 +247,5 @@ def lattice_product(ls) -> FiniteLattice:
     coords = _grid([l.size for l in ls])
     leq = np.ones((len(coords[0]),) * 2, dtype=bool)
     for l, x in zip(ls, coords):
-        leq &= l._L[np.ix_(x, x)]
-    return FiniteLattice(leq.tolist())
+        leq &= l.leq[np.ix_(x, x)]
+    return FiniteLattice(leq)

@@ -7,9 +7,11 @@ Replaced library paths are kept as oracles too: the bounded fixpoint clone
 closure, the row-by-row relation preservation check, the tuple-by-tuple
 congruence preservation check and Comp enumeration, the all-pairs
 congruence join closure, the all-pairs meet/join closedness check, the
-k x k x k lattice tables, the union-find principal congruence and pair-list
-partition join, the orbit-by-orbit principal join closure with its budget,
-the bitmask normal subgroup closure, and the tuple-by-tuple direct product
+k x k x k lattice tables, the join-fold split witness search over every
+epsilon, the triple-loop modularity check and transitive closure of a
+cover list, the union-find principal congruence and pair-list partition
+join, the orbit-by-orbit principal join closure with its budget, the
+bitmask normal subgroup closure, and the tuple-by-tuple direct product
 and every other table over A^n that the library builds on its argument grid.
 """
 
@@ -29,7 +31,7 @@ from congrex.clones import (
 )
 from congrex.errors import BudgetExceededError
 from congrex.groups import GroupStructure, quaternion_group
-from congrex.lattice import FiniteLattice, chain, lattice_from_covers, lattice_product
+from congrex.lattice import FiniteLattice, SplitWitness, chain, lattice_from_covers, lattice_product
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -316,10 +318,7 @@ def cube_bound_tables(leq):
     join_ok = np.all(~upper | L[join])
     if not (meet_ok and join_ok):
         return None
-    return (
-        tuple(tuple(int(v) for v in row) for row in meet),
-        tuple(tuple(int(v) for v in row) for row in join),
-    )
+    return meet.tolist(), join.tolist()
 
 
 def brute_has_split(lat: FiniteLattice, strong: bool) -> bool:
@@ -336,6 +335,62 @@ def brute_has_split(lat: FiniteLattice, strong: bool) -> bool:
             if all(lat.leq[a][delta] or lat.leq[eps][a] for a in range(n)):
                 return True
     return False
+
+
+def loop_split_witness(lat: FiniteLattice, strong: bool):
+    """The split witness by a join fold for every epsilon, in the witness
+    order: epsilon with the least down-set first, then delta with the
+    largest, ties by element index."""
+    if lat.bottom == lat.top:
+        return None
+    n = lat.size
+    leq, join = lat.leq.tolist(), lat.join.tolist()
+    below = [sum(col) for col in zip(*leq)]
+    for eps in sorted((e for e in range(n) if e != lat.bottom), key=lambda e: (below[e], e)):
+        # every alpha not above eps must sit below delta, so the least
+        # admissible delta is the join of all such alpha
+        need = lat.bottom
+        for alpha in range(n):
+            if not leq[eps][alpha]:
+                need = join[need][alpha]
+        if strong:
+            need = join[need][eps]
+        if need == lat.top:
+            continue
+        deltas = [
+            d
+            for d in range(n)
+            if d != lat.top and leq[need][d] and (not strong or leq[eps][d])
+        ]
+        if not deltas:
+            continue
+        deltas.sort(key=lambda d: (-below[d], d))
+        return SplitWitness(delta=deltas[0], epsilon=eps)
+    return None
+
+
+def loop_covers_order(n, covers):
+    """The order generated by a cover list, closed triple by triple."""
+    leq = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in covers:
+        leq[a][b] = True
+    changed = True
+    while changed:
+        changed = False
+        for a, b, c in itertools.product(range(n), repeat=3):
+            if leq[a][b] and leq[b][c] and not leq[a][c]:
+                leq[a][c] = True
+                changed = True
+    return leq
+
+
+def loop_is_modular(lat: FiniteLattice) -> bool:
+    """a <= c implies a v (b ^ c) = (a v b) ^ c, triple by triple."""
+    leq, meet, join = lat.leq.tolist(), lat.meet.tolist(), lat.join.tolist()
+    for a, b, c in itertools.product(range(lat.size), repeat=3):
+        if leq[a][c] and join[a][meet[b][c]] != meet[join[a][b]][c]:
+            return False
+    return True
 
 
 def m3() -> FiniteLattice:

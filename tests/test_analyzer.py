@@ -305,6 +305,13 @@ def test_verify_witness_z4():
         assert record[n]["range"] == [0, 2]
 
 
+@pytest.mark.parametrize("up_to_n", [0, -1])
+def test_verify_witness_refuses_up_to_n_below_one(up_to_n):
+    fam = build_witness_family(cyclic_group(4))
+    with pytest.raises(InvalidInputError, match="^up_to_n must be >= 1$"):
+        verify_witness(fam, up_to_n)
+
+
 def test_verify_witness_catches_corruption():
     fam = build_witness_family(cyclic_group(4))
     bad = FiniteFunction(4, 1, (0, 1, 0, 2))

@@ -217,6 +217,12 @@ def test_witness_cli(capsys):
     assert payload["centrality"] is True
 
 
+@pytest.mark.parametrize("up_to_n", ["0", "-1"])
+def test_witness_refuses_up_to_n_below_one(capsys, up_to_n):
+    code, out, err = run(capsys, "witness", "Z4", "--up-to-n", up_to_n)
+    assert (code, out, err) == (1, "", "error: up_to_n must be >= 1\n")
+
+
 def test_witness_refuses_non_nilpotent_group(capsys):
     code, out, err = run(capsys, "witness", "S3")
     assert code == 2
@@ -243,6 +249,12 @@ def test_pol_and_comp_cli(capsys):
     code, out, _ = run(capsys, "comp", "Z4", "--max-arity", "1")
     assert code == 0
     assert len(json.loads(out)["members"]["1"]) == 64
+
+
+@pytest.mark.parametrize("command", ["comp", "pol"])
+def test_max_arity_below_one_is_refused(capsys, command):
+    code, out, err = run(capsys, command, "Z3", "--max-arity", "0")
+    assert (code, out, err) == (1, "", "error: max_arity must be >= 1\n")
 
 
 def test_clone_cli(tmp_path, capsys):
@@ -289,6 +301,8 @@ def test_missing_file_is_error(capsys):
         ("con", json.dumps({"size": 2.0, "operations": [{"name": "f", "arity": 1, "table": [1, 0]}]})),
         ("clone", json.dumps({"universe_size": 2.0, "functions": [{"arity": 1, "table": [1, 0]}]})),
         ("clone", json.dumps({"universe_size": 2, "functions": [{"arity": 1, "table": [1.0, 0]}]})),
+        ("lattice", json.dumps({"leq": [[1, "no"], [0, 1]]})),
+        ("lattice", json.dumps({"size": 3, "leq": [[True, True], [False, True]]})),
     ],
     ids=[
         "clone-invalid-json",
@@ -299,6 +313,8 @@ def test_missing_file_is_error(capsys):
         "con-float-size",
         "clone-float-universe-size",
         "clone-float-entry",
+        "lattice-non-boolean-entry",
+        "lattice-size-mismatch",
     ],
 )
 def test_malformed_input_is_error(tmp_path, capsys, command, content):

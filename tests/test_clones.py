@@ -289,6 +289,12 @@ def test_comp_budget():
         comp_fragment(cyclic_group(4), 2, budget=100)
 
 
+@pytest.mark.parametrize("max_arity", [0, -1])
+def test_comp_refuses_max_arity_below_one_before_the_budget(max_arity):
+    with pytest.raises(InvalidInputError, match="^max_arity must be >= 1$"):
+        comp_fragment(cyclic_group(3), max_arity, budget=0)
+
+
 def test_comp_on_simple_algebra_is_everything():
     # Con(Z3) is trivial, so every unary function preserves it
     frag = comp_fragment(cyclic_group(3), 1)
@@ -625,6 +631,15 @@ def test_function_table_entries_must_be_python_ints(entry):
         FiniteFunction(2, 1, (0, entry))
     with pytest.raises(InvalidInputError, match="table entry is not an integer"):
         FiniteAlgebra(2, [Operation("f", 1, (0, entry))])
+
+
+@pytest.mark.parametrize(
+    "size,arity", [(2, 1.0), (2, True), (2.0, 1), (np.int64(2), 1)],
+    ids=["float-arity", "bool-arity", "float-size", "numpy-int-size"],
+)
+def test_function_size_and_arity_must_be_python_ints(size, arity):
+    with pytest.raises(InvalidInputError, match="is not an integer"):
+        FiniteFunction(size, arity, (0, 1))
 
 
 def test_function_table_length_and_range_messages():

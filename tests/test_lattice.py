@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,10 @@ from conftest import (
     all_partitions,
     brute_has_split,
     cube_bound_tables,
+    loop_covers_order,
+    loop_is_modular,
     loop_lattice_product,
+    loop_split_witness,
     m3,
     n5,
     pairwise_closed,
@@ -96,7 +100,7 @@ def bound_table_inputs():
 
 @pytest.mark.parametrize("name,lat", bound_table_inputs())
 def test_row_tables_equal_cube_tables(name, lat):
-    assert (lat.meet, lat.join) == cube_bound_tables(lat.leq)
+    assert (lat.meet.tolist(), lat.join.tolist()) == cube_bound_tables(lat.leq)
 
 
 @st.composite
@@ -120,13 +124,71 @@ def test_lattice_tables_and_rejections_match_cube_tables(leq):
             FiniteLattice(leq)
     else:
         lat = FiniteLattice(leq)
-        assert (lat.meet, lat.join) == expect
+        assert (lat.meet.tolist(), lat.join.tolist()) == expect
+
+
+@st.composite
+def relabeled_lattices(draw):
+    """The bounded_orders that are lattices, with their elements renamed."""
+    leq = draw(bounded_orders())
+    assume(cube_bound_tables(leq) is not None)
+    perm = draw(st.permutations(range(len(leq))))
+    inverse = np.argsort(perm)
+    return FiniteLattice(np.array(leq)[np.ix_(inverse, inverse)])
+
+
+@st.composite
+def cover_lists(draw):
+    """Random cover lists on 1..7 elements; half of them get every element
+    placed between 0 and n - 1, which makes a lattice likelier."""
+    n = draw(st.integers(1, 7))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    covers = draw(st.lists(pairs, max_size=2 * n))
+    if draw(st.booleans()):
+        covers += [(0, x) for x in range(n)] + [(x, n - 1) for x in range(n)]
+    return n, covers
+
+
+@settings(max_examples=200, deadline=None)
+@given(cover_lists())
+def test_lattice_from_covers_matches_the_loop(case):
+    n, covers = case
+    expected = loop_covers_order(n, covers)
+    try:
+        FiniteLattice(expected)
+    except InvalidInputError:
+        with pytest.raises(InvalidInputError):
+            lattice_from_covers(n, covers)
+    else:
+        assert lattice_from_covers(n, covers).leq.tolist() == expected
+
+
+@pytest.mark.parametrize("entry", [1, "no", None, 2.5], ids=["int", "string", "null", "float"])
+def test_lattice_json_entries_must_be_booleans(entry):
+    with pytest.raises(InvalidInputError, match="^leq entry is not a boolean"):
+        FiniteLattice.from_json_dict({"leq": [[True, entry], [False, True]]})
+
+
+def test_lattice_entries_may_be_numpy_bools_and_ragged_rows_keep_their_error():
+    assert FiniteLattice([[np.True_, np.True_], [np.False_, np.True_]]).top == 1
+    with pytest.raises(InvalidInputError, match="^leq entry is not a boolean"):
+        FiniteLattice(np.eye(2, dtype=int))
+    with pytest.raises(InvalidInputError, match="^leq must be a square boolean matrix$"):
+        FiniteLattice([[True, 1], [False]])
+
+
+@pytest.mark.parametrize("size", [1, 3, True, "2"])
+def test_lattice_json_size_must_match_leq(size):
+    leq = chain(2).to_json_dict()["leq"]
+    assert FiniteLattice.from_json_dict({"size": 2, "leq": leq}).size == 2
+    with pytest.raises(InvalidInputError):
+        FiniteLattice.from_json_dict({"size": size, "leq": leq})
 
 
 def test_lattice_json_round_trip():
     lat = m3()
     again = FiniteLattice.from_json(json.dumps(lat.to_json_dict()))
-    assert again.leq == lat.leq
+    assert again.leq.tolist() == lat.leq.tolist()
     with pytest.raises(InvalidInputError):
         FiniteLattice.from_json("{}")
 
@@ -306,6 +368,37 @@ def test_returned_witnesses_are_valid(name, lat):
         assert witness_is_valid(lat, w, strong=False)
 
 
+def assert_predicates_match_the_loops(lat):
+    """The same witness, not only its existence, and the same modularity."""
+    for strong, predicate in ((True, splits_strongly), (False, splits)):
+        assert predicate(lat) == loop_split_witness(lat, strong)
+    assert is_modular(lat) == loop_is_modular(lat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabeled_lattices())
+def test_split_witness_and_modularity_match_the_loops(lat):
+    assert_predicates_match_the_loops(lat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_algebras())
+def test_split_witness_and_modularity_of_congruence_lattices_match_the_loops(alg):
+    assert_predicates_match_the_loops(congruence_lattice(alg)[0])
+
+
+@pytest.mark.parametrize("name,lat", sorted(small_lattice_corpus().items()))
+def test_predicates_return_python_scalars(name, lat):
+    results = [lat.size, lat.bottom, lat.top, is_modular(lat)]
+    results += [transposes_up(lat, lat.bottom, lat.bottom, lat.bottom, lat.top)]
+    for strong, predicate in ((True, splits_strongly), (False, splits)):
+        w = predicate(lat)
+        if w is not None:
+            results += [w.delta, w.epsilon, witness_is_valid(lat, w, strong)]
+    assert {type(v) for v in results} <= {int, bool}
+    json.dumps(results)
+
+
 def test_witness_is_valid_rejects_bad_pairs():
     c3 = chain(3)
     assert not witness_is_valid(c3, SplitWitness(delta=2, epsilon=1), strong=True)
@@ -360,4 +453,4 @@ def test_lattice_product_matches_the_pairwise_loop(named):
     lattices = [lat for _, lat in named]
     assume(math.prod(lat.size for lat in lattices) <= 64)
     expected = loop_lattice_product(lattices)
-    assert lattice_product(lattices).leq == tuple(map(tuple, expected))
+    assert lattice_product(lattices).leq.tolist() == expected
