@@ -526,8 +526,11 @@ def group_witness_pipeline(
     relation, and commutator-style term, all exhaustively verified.
 
     A non-nilpotent group is outside the theorem's scope and raises
-    NotApplicableError before any congruence work.  ``force`` and ``budget``
-    go to the congruence enumeration.
+    NotApplicableError before any congruence work; so does an algebra with
+    no Mal'cev term, once its family is built and before it is verified.
+    The family comes first because it is cheap and refuses most algebras,
+    while the Mal'cev search can fill the member cap of the whole ternary
+    clone.  ``force`` and ``budget`` go to the congruence enumeration.
     """
     alg = as_group_algebra(group)
     try:
@@ -538,10 +541,10 @@ def group_witness_pipeline(
         raise NotApplicableError(f"{alg.name or 'the group'} is not nilpotent")
     congs = alg.all_congruences(force=force, budget=budget)
     fam = build_witness_family(alg, congs=congs)
-    record = verify_witness(fam, up_to_n)
     d = group_malcev_function(g) if g is not None else malcev_term(alg)
     if d is None:
-        raise CongrexError("no Mal'cev function found for the base algebra")
+        raise NotApplicableError(f"{alg.name or 'the algebra'} has no Mal'cev term")
+    record = verify_witness(fam, up_to_n)
     rho = build_rho(alg, fam.epsilon, d)
     if not check_centrality(alg, fam.functions(up_to_n), rho):
         raise WitnessCheckError(

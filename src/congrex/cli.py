@@ -82,12 +82,57 @@ def load_lattice(token: str, force: bool = False, budget: int | None = None):
     return congruence_lattice(alg, force=force, budget=budget)
 
 
+def _int_row(obj, pad: str):
+    """The json.dumps(obj, indent=2) text of a non-empty list or tuple of
+    ints (bools excluded) nested at indent pad, else None."""
+    if isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) == {int}:
+        inner = "\n  " + pad
+        return "[" + inner + ("," + inner).join(map(repr, obj)) + "\n" + pad + "]"
+    return None
+
+
+def _json_pieces(obj, pad: str, out: list) -> None:
+    """Append to out the text of json.dumps(obj, sort_keys=True, indent=2)
+    nested at indent pad.  With an indent, json.dumps runs CPython's
+    pure-Python encoder item by item; here an int row, and a list of int
+    rows, is one join, and only scalars go through json.dumps."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        out.append("{\n" + inner)
+        for i, key in enumerate(sorted(obj)):
+            out.append((sep if i else "") + json.dumps(key) + ": ")
+            _json_pieces(obj[key], inner, out)
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, dict):  # empty, or with keys that json converts
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad))
+    elif not isinstance(obj, (list, tuple)) or not obj:
+        out.append(json.dumps(obj))
+    elif (row := _int_row(obj, pad)) is not None:
+        out.append(row)
+    elif None not in (rows := [_int_row(r, inner) for r in obj]):
+        out.append("[\n" + inner + sep.join(rows) + "\n" + pad + "]")
+    else:
+        out.append("[\n" + inner)
+        for i, item in enumerate(obj):
+            if i:
+                out.append(sep)
+            _json_pieces(item, inner, out)
+        out.append("\n" + pad + "]")
+
+
 def emit(payload, fmt: str, text_lines=None) -> None:
+    """Print text_lines for --format text, else the payload as
+    json.dumps(payload, sort_keys=True, indent=2) does, with one write once
+    the whole text is built."""
     if fmt == "text" and text_lines is not None:
         for line in text_lines:
             print(line)
     else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        out = []
+        _json_pieces(payload, "", out)
+        out.append("\n")
+        sys.stdout.write("".join(out))
 
 
 def cmd_con(args) -> int:

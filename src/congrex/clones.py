@@ -67,6 +67,26 @@ class FiniteFunction:
         return {"arity": self.arity, "table": list(self.table)}
 
 
+def _functions(size: int, arity: int, rows) -> list:
+    """FiniteFunction(size, arity, tuple(row)) for each row of a 2-D array of
+    function tables, with the checks of FiniteFunction made once for the
+    whole array rather than once per row."""
+    require_int(size, "universe_size")
+    require_int(arity, "arity")
+    if rows.shape[1] != size**arity:
+        raise InvalidInputError(f"table length {rows.shape[1]} != {size}^{arity}")
+    if rows.size and (rows.min() < 0 or rows.max() >= size):
+        raise InvalidInputError("entry out of range")
+    out = []
+    for row in rows.tolist():
+        f = object.__new__(FiniteFunction)
+        object.__setattr__(f, "universe_size", size)
+        object.__setattr__(f, "arity", arity)
+        object.__setattr__(f, "table", tuple(row))
+        out.append(f)
+    return out
+
+
 def _retabulate(f: FiniteFunction, arity: int, argmap) -> FiniteFunction:
     """New function of the given arity whose grid coordinates feed f via argmap."""
     s = f.universe_size
@@ -203,7 +223,7 @@ def _arity_part(gens, size: int, arity: int, count: int, member_cap: int):
         known = len(members)
         rows = np.frombuffer(b"".join(members), dtype=dtype).reshape(known, n)
         if done == known:
-            return [FiniteFunction(size, arity, tuple(row)) for row in rows.tolist()]
+            return _functions(size, arity, rows)
         rows = rows.astype(np.intp)
         for g, table in zip(gens, tables):
             # the last argument takes a block of members at once; it must be
@@ -359,8 +379,7 @@ def comp_fragment(
         found = []
         for head in itertools.product(range(s), repeat=n - tail):
             block[:, : n - tail] = head
-            rows = block[_preserving(block, checks)].tolist()
-            found += [FiniteFunction(s, arity, tuple(row)) for row in rows]
+            found += _functions(s, arity, block[_preserving(block, checks)])
         by_arity[arity] = found
     return CloneFragment.from_sets(s, max_arity, by_arity)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrex import analyzer
-from congrex.algebra import FiniteAlgebra, Partition, direct_product
+from congrex.algebra import FiniteAlgebra, Operation, Partition, direct_product
 from congrex.analyzer import (
     VERDICT_FINITE,
     VERDICT_INFINITE,
@@ -412,6 +412,24 @@ def test_group_witness_pipeline_rejects_non_splitting():
 def test_group_witness_pipeline_refuses_non_nilpotent_groups():
     with pytest.raises(NotApplicableError):
         group_witness_pipeline("S3")
+
+
+def test_group_witness_pipeline_refuses_an_algebra_without_malcev_term(monkeypatch):
+    # the 4-cycle (Z4; x+1): Con is the chain 0 < 02|13 < 1, which splits
+    # strongly, but a unary clone has no Mal'cev term
+    cycle = FiniteAlgebra(4, [Operation("s", 1, [1, 2, 3, 0])], name="(Z4;x+1)")
+    assert cycle.all_congruences() == [
+        Partition((0, 0, 0, 0)),
+        Partition((0, 1, 0, 1)),
+        Partition((0, 1, 2, 3)),
+    ]
+
+    def fail(*args):
+        raise AssertionError("verification before the refusal")
+
+    monkeypatch.setattr(analyzer, "verify_witness", fail)
+    with pytest.raises(NotApplicableError, match="no Mal'cev term"):
+        group_witness_pipeline(cycle, up_to_n=2)
 
 
 def test_group_witness_pipeline_fails_loudly_without_centrality(monkeypatch):

@@ -1,18 +1,24 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from congrex import clones
+from congrex import cli, clones
 from congrex.algebra import FiniteAlgebra, Operation, Partition
 from congrex.cli import main
 from congrex.groups import GroupStructure, cyclic_group, group_from_cayley
 from congrex.lattice import chain
 
 from conftest import q8_times_z3_cayley
+from test_acceptance import CORPUS_COMMANDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -242,6 +248,16 @@ def test_witness_on_non_group_algebra(tmp_path, capsys):
     assert payload["centrality"] is True
 
 
+def test_witness_refuses_an_algebra_without_malcev_term(tmp_path, capsys):
+    # the 4-cycle (Z4; x+1): Con splits strongly, but a unary clone has no
+    # Mal'cev term
+    path = tmp_path / "cycle4.json"
+    alg = FiniteAlgebra(4, [Operation("s", 1, [1, 2, 3, 0])], name="(Z4;x+1)")
+    path.write_text(json.dumps(alg.to_json_dict()))
+    code, out, err = run(capsys, "witness", str(path), "--up-to-n", "2")
+    assert (code, out, err) == (2, "", "not applicable: (Z4;x+1) has no Mal'cev term\n")
+
+
 def test_pol_and_comp_cli(capsys):
     code, out, _ = run(capsys, "pol", "Z4", "--max-arity", "1")
     assert code == 0
@@ -283,6 +299,7 @@ def test_tensor_cli(capsys):
     code, out, _ = run(capsys, "tensor", "Z2", "Z3", "--max-arity", "2")
     assert code == 0
     assert json.loads(out)["equal"] is True
+    assert '"equal": true' in out
 
 
 def test_missing_file_is_error(capsys):
@@ -447,3 +464,90 @@ def test_group_shortcut_is_checked_once(capsys, monkeypatch):
     monkeypatch.setattr(GroupStructure, "__init__", counted_init)
     assert run(capsys, "decide", "Q8")[0] == 0
     assert built == [8]
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps(payload, sort_keys=True, indent=2)
+
+
+def emitted(payload) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.emit(payload, "json")
+    return buf.getvalue()
+
+
+big_ints = st.integers(-(2**70), 2**70)
+int_rows = st.lists(big_ints, max_size=5)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    big_ints,
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+    st.text(),  # escapes, control characters and non-ASCII
+    int_rows,
+    int_rows.map(tuple),
+    st.lists(int_rows | int_rows.map(tuple), max_size=4),
+)
+payloads = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+        st.dictionaries(big_ints, inner, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payloads)
+def test_emit_writes_the_text_of_json_dumps(payload):
+    assert emitted(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[], {}, [[]], [[], [1]], [True, 1], [[1, 2], [False]], [1.0, 2], {"": [[0]]}, (("a",),)],
+    ids=repr,
+)
+def test_emit_keeps_the_layout_of_mixed_and_empty_containers(payload):
+    assert emitted(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+EMIT_COMMANDS = [
+    *CORPUS_COMMANDS,
+    ["comp", "Z3", "--max-arity", "2"],
+    ["con", "Z2xZ2xZ2xZ2xZ2"],
+    ["witness", "Q8"],
+]
+
+
+@pytest.mark.parametrize("argv", EMIT_COMMANDS, ids=" ".join)
+def test_cli_prints_the_json_dumps_text_of_its_payload(capsys, monkeypatch, argv):
+    payloads = []
+    emit = cli.emit
+
+    def spy(payload, fmt, text_lines=None):
+        payloads.append(payload)
+        emit(payload, fmt, text_lines)
+
+    monkeypatch.setattr(cli, "emit", spy)
+    code, out, _ = run(capsys, *argv)
+    assert len(payloads) == 1
+    expected = json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
+    # by lines, so that a failure names the first differing line quickly
+    # instead of diffing megabytes of text
+    assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def test_unencodable_payload_raises_and_prints_nothing(capsys):
+    # the rows sort before the numpy scalar, so they are built first
+    payload = {"a": [[0, 1], [1, 0]], "z": np.int64(1)}
+    with pytest.raises(TypeError):
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli.emit(payload, "json")
+    assert capsys.readouterr().out == ""

@@ -384,6 +384,59 @@ def test_comp_fragment_keeps_order_and_members_across_candidate_blocks(monkeypat
     assert len(tables) == (2**4 + 1) * (2**2 + 1) * (2**2 + 1) * (2**1 + 1)
 
 
+def assert_checked_functions(frag):
+    """Every member equals, and hashes like, the checked FiniteFunction of
+    its table, and its table is a tuple of Python ints."""
+    for part in frag.members:
+        for f in part:
+            checked = FiniteFunction(frag.universe_size, f.arity, tuple(f.table))
+            assert f == checked and hash(f) == hash(checked)
+            assert type(f.table) is tuple and set(map(type, f.table)) <= {int}
+            assert type(f.universe_size) is int and type(f.arity) is int
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_algebras(min_size=1, max_size=3), st.integers(1, 2))
+def test_comp_members_are_checked_functions(alg, max_arity):
+    assert_checked_functions(comp_fragment(alg, max_arity))
+
+
+@settings(max_examples=50, deadline=None)
+@given(generator_sets())
+def test_closure_members_are_checked_functions(spec):
+    size, gens, max_arity = spec
+    assert_checked_functions(clone_closure(gens, max_arity, universe_size=size, working_arity=2))
+
+
+@pytest.mark.parametrize(
+    "size,arity,rows",
+    [
+        (2, 1, [[0, 2]]),
+        (2, 1, [[0, 1], [-1, 0]]),
+        (3, 1, [[0, 1, 2], [3, 0, 0]]),
+        (3, 2, [[0] * 8]),
+        (2.0, 1, [[0, 1]]),
+        (2, True, [[0, 1]]),
+    ],
+)
+def test_functions_refuse_what_finite_function_refuses(size, arity, rows):
+    with pytest.raises(InvalidInputError) as want:
+        for row in rows:
+            FiniteFunction(size, arity, tuple(row))
+    with pytest.raises(InvalidInputError) as got:
+        clones._functions(size, arity, np.array(rows))
+    assert str(got.value) == str(want.value)
+
+
+def test_functions_refuse_an_out_of_range_array():
+    with pytest.raises(InvalidInputError, match="^entry out of range$"):
+        clones._functions(2, 2, np.array([[0, 1, 1, 0], [0, 2, 1, 1]]))
+
+
+def test_functions_of_an_empty_array():
+    assert clones._functions(3, 2, np.empty((0, 9), dtype=np.intp)) == []
+
+
 # ---------------------------------------------------------------------------
 # tensor construction
 
