@@ -547,6 +547,16 @@ class FiniteAlgebra:
         return f"<{label}: size {self.size}, ops {sig}>"
 
 
+def _pair_tables(left, right, size_a: int, size_b: int, arity: int):
+    """Componentwise product tables over (A x B)^arity, the pair (x, y)
+    encoded as x * |B| + y: the last axis of left holds tables over A^arity,
+    that of right tables over B^arity, and the other axes broadcast."""
+    args = _grid((size_a * size_b,) * arity)
+    va = np.asarray(left, dtype=np.intp)[..., _flat_index([x // size_b for x in args], size_a)]
+    vb = np.asarray(right, dtype=np.intp)[..., _flat_index([x % size_b for x in args], size_b)]
+    return va * size_b + vb
+
+
 def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """Componentwise product, pair (x, y) encoded as x * |b| + y.
 
@@ -562,11 +572,8 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     ops = []
     for op_a in a.operations:
         op_b = b.operation(op_a.name)
-        args = _grid((size,) * op_a.arity)
-        va = np.array(op_a.table)[_flat_index([x // b.size for x in args], a.size)]
-        vb = np.array(op_b.table)[_flat_index([x % b.size for x in args], b.size)]
-        table = np.ravel(va * b.size + vb).tolist()
-        ops.append(Operation(op_a.name, op_a.arity, table))
+        table = _pair_tables(op_a.table, op_b.table, a.size, b.size, op_a.arity)
+        ops.append(Operation(op_a.name, op_a.arity, np.ravel(table).tolist()))
     name = ""
     if a.name and b.name:
         name = f"{a.name}x{b.name}"

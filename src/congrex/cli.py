@@ -8,12 +8,13 @@ or computed, 1 error, 2 not-applicable, 3 budget refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from . import __version__
-from .algebra import FiniteAlgebra, budget_from_env, direct_product, require_int
+from .algebra import DEFAULT_BUDGET, FiniteAlgebra, budget_from_env, direct_product, require_int
 from .analyzer import (
     decide_group,
     decide_product,
@@ -213,27 +214,22 @@ def cmd_clone(args) -> int:
         ]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed generator JSON: {exc!r}") from exc
-    frag = clone_closure(
-        gens, args.max_arity, universe_size=size, member_cap=args.budget or DEFAULT_MEMBER_CAP
-    )
-    payload = frag.to_json_dict()
-    emit(payload, args.format, [f"{frag.member_count()} members"])
+    frag = clone_closure(gens, args.max_arity, universe_size=size, member_cap=args.budget)
+    emit(frag.to_json_dict(), args.format, [f"{frag.member_count()} members"])
     return EXIT_OK
 
 
 def cmd_comp(args) -> int:
     alg = load_algebra(args.input)
-    frag = comp_fragment(alg, args.max_arity, budget=args.budget or DEFAULT_COMP_BUDGET)
-    payload = frag.to_json_dict()
-    emit(payload, args.format, [f"{frag.member_count()} members"])
+    frag = comp_fragment(alg, args.max_arity, budget=args.budget)
+    emit(frag.to_json_dict(), args.format, [f"{frag.member_count()} members"])
     return EXIT_OK
 
 
 def cmd_pol(args) -> int:
     alg = load_algebra(args.input)
-    frag = pol_fragment(alg, args.max_arity, member_cap=args.budget or DEFAULT_MEMBER_CAP)
-    payload = frag.to_json_dict()
-    emit(payload, args.format, [f"{frag.member_count()} members"])
+    frag = pol_fragment(alg, args.max_arity, member_cap=args.budget)
+    emit(frag.to_json_dict(), args.format, [f"{frag.member_count()} members"])
     return EXIT_OK
 
 
@@ -257,13 +253,12 @@ def cmd_skew(args) -> int:
 def cmd_tensor(args) -> int:
     left = load_algebra(args.left)
     right = load_algebra(args.right)
-    cap = args.budget or DEFAULT_MEMBER_CAP
-    frag_l = pol_fragment(left, args.max_arity, member_cap=cap)
-    frag_r = pol_fragment(right, args.max_arity, member_cap=cap)
+    frag_l = pol_fragment(left, args.max_arity, member_cap=args.budget)
+    frag_r = pol_fragment(right, args.max_arity, member_cap=args.budget)
     tensored = tensor_fragments(frag_l, frag_r)
     prod = direct_product(left, right)
-    frag_p = pol_fragment(prod, args.max_arity, member_cap=cap)
-    equal = tensored.members == frag_p.members
+    frag_p = pol_fragment(prod, args.max_arity, member_cap=args.budget)
+    equal = tensored == frag_p
     payload = {
         "left": left.name,
         "right": right.name,
@@ -276,6 +271,7 @@ def cmd_tensor(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="congrex",
@@ -287,14 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, budget: int):
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--force", action="store_true")
+        p.set_defaults(default_budget=budget)
 
     p = sub.add_parser("con", help="congruence lattice of an algebra")
     p.add_argument("input")
-    common(p)
+    common(p, DEFAULT_BUDGET)
     p.set_defaults(func=cmd_con)
 
     p = sub.add_parser("lattice", help="splitting/modularity checks")
@@ -304,62 +301,61 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["splits", "splits-strongly", "modular"],
         default="splits-strongly",
     )
-    common(p)
+    common(p, DEFAULT_BUDGET)
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("decide", help="expansion verdict for a group or product")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--assume-nilpotent-pp-factors", action="store_true")
-    common(p)
+    common(p, DEFAULT_BUDGET)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("witness", help="build and verify the witness pipeline")
     p.add_argument("input")
     p.add_argument("--up-to-n", type=int, default=3)
     p.add_argument("--k", type=int, default=1)
-    common(p)
+    common(p, DEFAULT_BUDGET)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("clone", help="closure of a generator file")
     p.add_argument("input")
     p.add_argument("--max-arity", type=int, default=2)
-    common(p)
+    common(p, DEFAULT_MEMBER_CAP)
     p.set_defaults(func=cmd_clone)
 
     p = sub.add_parser("comp", help="congruence preserving functions")
     p.add_argument("input")
     p.add_argument("--max-arity", type=int, default=2)
-    common(p)
+    common(p, DEFAULT_COMP_BUDGET)
     p.set_defaults(func=cmd_comp)
 
     p = sub.add_parser("pol", help="polynomial functions")
     p.add_argument("input")
     p.add_argument("--max-arity", type=int, default=2)
-    common(p)
+    common(p, DEFAULT_MEMBER_CAP)
     p.set_defaults(func=cmd_pol)
 
     p = sub.add_parser("skew", help="skew congruences of a binary product")
     p.add_argument("left")
     p.add_argument("right")
-    common(p)
+    common(p, DEFAULT_BUDGET)
     p.set_defaults(func=cmd_skew)
 
     p = sub.add_parser("tensor", help="compare tensor of Pol fragments with Pol of product")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--max-arity", type=int, default=2)
-    common(p)
+    common(p, DEFAULT_MEMBER_CAP)
     p.set_defaults(func=cmd_tensor)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.budget is None:
-            args.budget = budget_from_env(None)
+            args.budget = budget_from_env(args.default_budget)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Clone fragments on a finite universe.
 
 Functions are flat row-major tables; a fragment holds every member of a clone
-up to an arity bound.  The k-ary part of the clone generated by F is exactly
-the subuniverse of (A; F)^(A^k) generated by the k projections, with F acting
-coordinatewise on value arrays over A^k (the construction behind the
-free-algebra computation of Freese, Kiss and Valeriote).
+up to an arity bound, the members of each arity as the rows of one array.
+The k-ary part of the clone generated by F is exactly the subuniverse of
+(A; F)^(A^k) generated by the k projections, with F acting coordinatewise on
+value arrays over A^k (the construction behind the free-algebra computation
+of Freese, Kiss and Valeriote).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteAlgebra, Partition, _flat_index, _grid, check_table
-from .algebra import _join_rows, _least_members, _meet_rows, require_int
+from .algebra import _join_rows, _least_members, _meet_rows, _pair_tables, require_int
 from .errors import BudgetExceededError, InvalidInputError
 
 DEFAULT_MEMBER_CAP = 10**6
@@ -38,6 +39,8 @@ class FiniteFunction:
     def __call__(self, *args) -> int:
         if len(args) != self.arity:
             raise InvalidInputError(f"arity {self.arity}, got {len(args)} arguments")
+        if any(not (0 <= a < self.universe_size) for a in args):
+            raise InvalidInputError(f"argument out of range in {args}")
         return self.table[_flat_index(args, self.universe_size)]
 
     @staticmethod
@@ -62,29 +65,6 @@ class FiniteFunction:
             self == FiniteFunction.projection(self.universe_size, self.arity, i)
             for i in range(self.arity)
         )
-
-    def to_json_dict(self) -> dict:
-        return {"arity": self.arity, "table": list(self.table)}
-
-
-def _functions(size: int, arity: int, rows) -> list:
-    """FiniteFunction(size, arity, tuple(row)) for each row of a 2-D array of
-    function tables, with the checks of FiniteFunction made once for the
-    whole array rather than once per row."""
-    require_int(size, "universe_size")
-    require_int(arity, "arity")
-    if rows.shape[1] != size**arity:
-        raise InvalidInputError(f"table length {rows.shape[1]} != {size}^{arity}")
-    if rows.size and (rows.min() < 0 or rows.max() >= size):
-        raise InvalidInputError("entry out of range")
-    out = []
-    for row in rows.tolist():
-        f = object.__new__(FiniteFunction)
-        object.__setattr__(f, "universe_size", size)
-        object.__setattr__(f, "arity", arity)
-        object.__setattr__(f, "table", tuple(row))
-        out.append(f)
-    return out
 
 
 def _retabulate(f: FiniteFunction, arity: int, argmap) -> FiniteFunction:
@@ -144,34 +124,65 @@ def compose_first(f: FiniteFunction, g: FiniteFunction) -> FiniteFunction:
     return FiniteFunction(s, m + n - 1, tuple(np.ravel(table).tolist()))
 
 
-@dataclass(frozen=True)
+def _member_rows(size: int, arity: int, rows):
+    """rows, a 2-D int array of function tables over A^arity (|A| = size),
+    refused as FiniteFunction refuses a table, else sorted into
+    lexicographic order without repeats, in the least dtype that holds
+    range(size)."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.dtype.kind not in "iu":
+        raise InvalidInputError(f"member tables must be a 2-D int array: {rows.dtype} {rows.shape}")
+    if rows.shape[1] != require_int(size, "universe_size") ** require_int(arity, "arity"):
+        raise InvalidInputError(f"table length {rows.shape[1]} != {size}^{arity}")
+    if rows.size and (rows.min() < 0 or rows.max() >= size):
+        raise InvalidInputError("entry out of range")
+    rows = rows.astype(np.min_scalar_type(size - 1))[np.lexsort(rows.T[::-1])]
+    distinct = np.ones(len(rows), dtype=bool)
+    distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[distinct]
+
+
 class CloneFragment:
-    """All members of a clone with arity between 1 and max_arity."""
+    """All members of a clone with arity between 1 and max_arity.
 
-    universe_size: int
-    max_arity: int
-    members: tuple  # tuple over arities 1..max_arity of sorted function tuples
+    parts[k-1] holds the k-ary members as the rows of one 2-D array of
+    function tables, distinct and in lexicographic order."""
 
-    @staticmethod
-    def from_sets(universe_size: int, max_arity: int, by_arity) -> "CloneFragment":
-        members = tuple(
-            tuple(sorted(by_arity.get(k, ()), key=lambda f: f.table))
-            for k in range(1, max_arity + 1)
+    def __init__(self, universe_size: int, max_arity: int, parts):
+        if len(parts) != require_int(max_arity, "max_arity"):
+            raise InvalidInputError(f"{len(parts)} arity parts for max_arity {max_arity}")
+        self.universe_size = universe_size
+        self.max_arity = max_arity
+        self.parts = tuple(
+            _member_rows(universe_size, k, rows) for k, rows in enumerate(parts, 1)
         )
-        return CloneFragment(universe_size, max_arity, members)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CloneFragment):
+            return NotImplemented
+        same = (self.universe_size, self.max_arity) == (other.universe_size, other.max_arity)
+        return same and all(map(np.array_equal, self.parts, other.parts))
 
     def arity_part(self, arity: int):
+        """The members of the given arity, as FiniteFunctions in table order."""
         if not (1 <= arity <= self.max_arity):
             raise InvalidInputError(f"arity {arity} outside fragment bound")
-        return self.members[arity - 1]
+        return tuple(
+            FiniteFunction(self.universe_size, arity, tuple(row))
+            for row in self.parts[arity - 1].tolist()
+        )
+
+    @property
+    def members(self):
+        return tuple(self.arity_part(k) for k in range(1, self.max_arity + 1))
 
     def __contains__(self, f: FiniteFunction) -> bool:
-        if not (1 <= f.arity <= self.max_arity):
+        if f.universe_size != self.universe_size or not (1 <= f.arity <= self.max_arity):
             return False
-        return f in set(self.members[f.arity - 1])
+        return bool((self.parts[f.arity - 1] == f.table).all(axis=1).any())
 
     def member_count(self) -> int:
-        return sum(len(part) for part in self.members)
+        return sum(len(part) for part in self.parts)
 
     def function_set(self):
         return {f for part in self.members for f in part}
@@ -180,10 +191,7 @@ class CloneFragment:
         return {
             "universe_size": self.universe_size,
             "max_arity": self.max_arity,
-            "members": {
-                str(k): [list(f.table) for f in self.members[k - 1]]
-                for k in range(1, self.max_arity + 1)
-            },
+            "members": {str(k): part.tolist() for k, part in enumerate(self.parts, 1)},
         }
 
 
@@ -223,7 +231,7 @@ def _arity_part(gens, size: int, arity: int, count: int, member_cap: int):
         known = len(members)
         rows = np.frombuffer(b"".join(members), dtype=dtype).reshape(known, n)
         if done == known:
-            return _functions(size, arity, rows)
+            return rows
         rows = rows.astype(np.intp)
         for g, table in zip(gens, tables):
             # the last argument takes a block of members at once; it must be
@@ -265,12 +273,11 @@ def clone_closure(
     for f in gens:
         if f.arity > bound:
             raise InvalidInputError(f"generator arity {f.arity} exceeds bound {bound}")
-    by_arity = {}
-    count = 0
+    parts = []
     for k in range(1, max_arity + 1):
-        by_arity[k] = _arity_part(gens, universe_size, k, count, member_cap)
-        count += len(by_arity[k])
-    return CloneFragment.from_sets(universe_size, max_arity, by_arity)
+        count = sum(map(len, parts))  # members of the lower arities
+        parts.append(_arity_part(gens, universe_size, k, count, member_cap))
+    return CloneFragment(universe_size, max_arity, parts)
 
 
 def _operation_clone(alg: FiniteAlgebra, max_arity: int, member_cap: int, extra=()):
@@ -367,7 +374,7 @@ def comp_fragment(
             )
     if congs is None:
         congs = alg.all_congruences()
-    by_arity = {}
+    parts = []
     for arity in range(1, max_arity + 1):
         n = s**arity
         checks = _congruence_checks(congs, s, arity)
@@ -379,9 +386,9 @@ def comp_fragment(
         found = []
         for head in itertools.product(range(s), repeat=n - tail):
             block[:, : n - tail] = head
-            found += _functions(s, arity, block[_preserving(block, checks)])
-        by_arity[arity] = found
-    return CloneFragment.from_sets(s, max_arity, by_arity)
+            found.append(block[_preserving(block, checks)])
+        parts.append(np.concatenate(found))
+    return CloneFragment(s, max_arity, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -394,32 +401,20 @@ def tensor_function(c: FiniteFunction, d: FiniteFunction) -> FiniteFunction:
     if c.arity != d.arity:
         raise InvalidInputError("tensor requires equal arities")
     sa, sb = c.universe_size, d.universe_size
-    args = _grid((sa * sb,) * c.arity)
-    va = np.array(c.table)[_flat_index([x // sb for x in args], sa)]
-    vb = np.array(d.table)[_flat_index([x % sb for x in args], sb)]
-    return FiniteFunction(sa * sb, c.arity, tuple(np.ravel(va * sb + vb).tolist()))
-
-
-def tensor_set(cs, ds):
-    """{c (x) d} over all equal-arity pairs from the two collections."""
-    out = set()
-    for c in cs:
-        for d in ds:
-            if c.arity == d.arity:
-                out.add(tensor_function(c, d))
-    return out
+    table = _pair_tables(c.table, d.table, sa, sb, c.arity)
+    return FiniteFunction(sa * sb, c.arity, tuple(np.ravel(table).tolist()))
 
 
 def tensor_fragments(cf: CloneFragment, df: CloneFragment) -> CloneFragment:
+    """{c (x) d} over all equal-arity pairs of members of the two fragments."""
     if cf.max_arity != df.max_arity:
         raise InvalidInputError("fragments have different arity bounds")
-    by_arity = {
-        k: tensor_set(cf.arity_part(k), df.arity_part(k))
-        for k in range(1, cf.max_arity + 1)
-    }
-    return CloneFragment.from_sets(
-        cf.universe_size * df.universe_size, cf.max_arity, by_arity
-    )
+    sa, sb = cf.universe_size, df.universe_size
+    parts = [
+        _pair_tables(cs[:, None], ds, sa, sb, k).reshape(len(cs) * len(ds), (sa * sb) ** k)
+        for k, (cs, ds) in enumerate(zip(cf.parts, df.parts), 1)
+    ]
+    return CloneFragment(sa * sb, cf.max_arity, parts)
 
 
 def tensor_generators(x_gens, y_gens, size_a: int, size_b: int):
@@ -538,16 +533,16 @@ def preserves_relation(f: FiniteFunction, r: Relation4) -> bool:
     return True
 
 
+def _malcev_rows(tables, size: int):
+    """Mask of the rows of tables (ternary function tables over A, |A| =
+    size) with d(x, y, y) = x and d(x, x, y) = y."""
+    x, y = _grid((size, size))
+    xyy, xxy = _flat_index((x, y, y), size), _flat_index((x, x, y), size)
+    return (tables[:, xyy] == x).all(axis=1) & (tables[:, xxy] == y).all(axis=1)
+
+
 def is_malcev_function(d: FiniteFunction) -> bool:
-    if d.arity != 3:
-        return False
-    s = d.universe_size
-    x, y = _grid((s, s))
-    table = np.array(d.table)
-    return bool(
-        (table[_flat_index((x, y, y), s)] == x).all()
-        and (table[_flat_index((x, x, y), s)] == y).all()
-    )
+    return d.arity == 3 and bool(_malcev_rows(np.array([d.table]), d.universe_size)[0])
 
 
 def group_malcev_function(alg) -> FiniteFunction | None:
@@ -582,5 +577,6 @@ def malcev_term(
     d = group_malcev_function(alg)
     if d is not None:
         return d
-    frag = _operation_clone(alg, 3, member_cap)
-    return next((f for f in frag.arity_part(3) if is_malcev_function(f)), None)
+    ternary = _operation_clone(alg, 3, member_cap).parts[2]
+    hits = ternary[_malcev_rows(ternary, alg.size)]
+    return FiniteFunction(alg.size, 3, tuple(hits[0].tolist())) if len(hits) else None

@@ -11,8 +11,10 @@ k x k x k lattice tables, the join-fold split witness search over every
 epsilon, the triple-loop modularity check and transitive closure of a
 cover list, the union-find principal congruence and pair-list partition
 join, the orbit-by-orbit principal join closure with its budget, the
-bitmask normal subgroup closure, and the tuple-by-tuple direct product
-and every other table over A^n that the library builds on its argument grid.
+bitmask normal subgroup closure, the tuple sort of clone fragment members,
+the pair loop of the tensor of two fragments, and the tuple-by-tuple direct
+product and every other table over A^n that the library builds on its
+argument grid.
 """
 
 import itertools
@@ -643,6 +645,38 @@ def loop_tensor_function(c: FiniteFunction, d: FiniteFunction):
         c.universe_size * sb,
         c.arity,
         lambda args: c(*(a // sb for a in args)) * sb + d(*(a % sb for a in args)),
+    )
+
+
+def sorted_parts(by_arity, max_arity: int):
+    """Clone fragment parts by the tuple sort: for each arity 1..max_arity,
+    the functions of by_arity[arity] in the order of their tables."""
+    return tuple(
+        tuple(sorted(by_arity.get(k, ()), key=lambda f: f.table))
+        for k in range(1, max_arity + 1)
+    )
+
+
+def loop_tensor_fragments(cf, df):
+    """The members of the tensor of two fragments, pair by pair: c (x) d for
+    every equal-arity pair of members, sorted by the tuple sort."""
+    size = cf.universe_size * df.universe_size
+    by_arity = {
+        k: {
+            FiniteFunction(size, k, loop_tensor_function(c, d))
+            for c in cf.arity_part(k)
+            for d in df.arity_part(k)
+        }
+        for k in range(1, cf.max_arity + 1)
+    }
+    return sorted_parts(by_arity, cf.max_arity)
+
+
+def loop_malcev_term(ternary):
+    """The first function by the tuple sort among the ternary functions that
+    satisfies the Mal'cev identities, checked pair by pair, or None."""
+    return next(
+        (d for d in sorted_parts({3: ternary}, 3)[2] if loop_is_malcev_function(d)), None
     )
 
 

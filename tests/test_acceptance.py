@@ -6,6 +6,7 @@ conftest.py), so they survive output capture; -s shows them inline too.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import time
@@ -344,6 +345,30 @@ CORPUS_COMMANDS = [
 ]
 
 
+#: sha256 of the exit code, a newline and the stdout of each corpus command
+CORPUS_DIGESTS = {
+    "decide Z4": "3ca219de9f22a71f09603bd5676920a9289a39009caa2a5053562d5430a6ebe9",
+    "decide Q8": "4cafac43f51b3c6d776d671c258b59cb7fd28aa1bfbbeb52638f0bca327630ac",
+    "decide Z2xZ2": "572772d5e70c41db2159874bf8b452cc3870b9dcf5e4e5a5cf8e0f6866f4eebd",
+    "decide S3": "cace81a22b6514f7612af75c7503efbb82ce473f312be38a0070385a68989594",
+    "decide Z4 Z3": "7c320a77f899bf11364a04efaf8771b383aefe80107fc9c10dd1a62c4f69a111",
+    "con Z4": "5daeaaae98e386b827e6b838430cb078347e5d85cfa50bc3910f938449a3de2a",
+    "con Q8": "a974be03b0c6fd941d2449a695c24a0f82bccf9bac8bd468ec2a01675404b4b1",
+    "lattice Z4 --check splits-strongly": (
+        "555c0120b9e4476453483d383430c7b66cc70d74e762d089b6afab3252810509"
+    ),
+    "lattice Z2xZ2 --check splits": (
+        "21018c000ce7b484a6f3a64fcfec7038a7c8709b69cfee99b5e2bda13e5d017a"
+    ),
+    "pol Z4 --max-arity 1": "1d3912bc5ecfb3b2f8fffa4b51ca24260c37de05172b96b0e2c3c51b1210ee8f",
+    "comp Z4 --max-arity 1": "e8d84e89dcdbbab649d4b16375959873cf6e523dfca9eb46707cbb0511e50858",
+    "skew Z2 Z2": "f796c0229db906f864c27f3738cd56f1e825aff870bd997ed173ba5614d1da6e",
+    "skew Z2 Z3": "96ef7730209e956fbb1125113adf6f0e36847d7dfd0e57c13509d62f02f1b2ed",
+    "tensor Z2 Z3": "0ef75b2e37a2155833df24bfc925a8c4d6bc35e954d2d4772da62e4b5ad88ea7",
+    "witness Z4": "9855a2427177bc5ca92ab3e85759df31a3f40aa311566d5002445e5db1eac9d9",
+}
+
+
 def run_cli(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -363,3 +388,11 @@ def test_criterion_10_determinism():
         f"{len(CORPUS_COMMANDS)} corpus commands byte-identical across repeated runs",
         time.monotonic() - start,
     )
+
+
+@pytest.mark.parametrize("argv", CORPUS_COMMANDS, ids=" ".join)
+def test_corpus_output_is_pinned(argv, monkeypatch):
+    monkeypatch.delenv("CONGREX_BUDGET", raising=False)
+    code, out = run_cli(argv)
+    digest = hashlib.sha256(str(code).encode() + b"\n" + out).hexdigest()
+    assert digest == CORPUS_DIGESTS[" ".join(argv)]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -213,6 +214,47 @@ def test_empty_budget_env_counts_as_unset(capsys, monkeypatch, argv):
     monkeypatch.setenv("CONGREX_BUDGET", "")
     assert run(capsys, *argv) == unset
     assert unset[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pol", "Z4"],
+        ["comp", "Z4", "--max-arity", "1"],
+        ["clone", "GENS"],
+        ["tensor", "Z2", "Z3"],
+        ["con", "Z4"],
+    ],
+    ids=["pol", "comp", "clone", "tensor", "con"],
+)
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_zero_budget_is_refused(tmp_path, capsys, monkeypatch, argv, source):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"universe_size": 2, "functions": []}))
+    argv = [str(gens) if a == "GENS" else a for a in argv]
+    monkeypatch.delenv("CONGREX_BUDGET", raising=False)
+    if source == "flag":
+        argv.append("--budget=0")
+    else:
+        monkeypatch.setenv("CONGREX_BUDGET", "0")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: ")
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert run(capsys, "con", "Z4")[0] == 0
+    assert run(capsys, "decide", "Z4")[0] == 0
+    assert built.count("congrex") == 1
 
 
 def test_witness_cli(capsys):

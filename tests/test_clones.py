@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congrex import clones
 from congrex.algebra import FiniteAlgebra, Operation, Partition, direct_product
 from congrex.clones import (
+    DEFAULT_MEMBER_CAP,
     CloneFragment,
     FiniteFunction,
     Relation4,
@@ -41,13 +42,16 @@ from conftest import (
     loop_congruence_preserving,
     loop_group_malcev_function,
     loop_is_malcev_function,
+    loop_malcev_term,
     loop_preserves_relation,
     loop_table,
+    loop_tensor_fragments,
     loop_tensor_function,
     malcev_functions,
     pair_list_join,
     small_algebras,
     small_groups,
+    sorted_parts,
     superposition_closure,
     zip_meet,
 )
@@ -364,21 +368,13 @@ def test_comp_fragment_matches_candidate_loop_on_random_algebras(alg, max_arity)
     assert comp_fragment(alg, max_arity).members == loop_comp_fragment(alg, max_arity)
 
 
-def test_comp_fragment_keeps_order_and_members_across_candidate_blocks(monkeypatch):
+def test_comp_fragment_keeps_order_and_members_across_candidate_blocks():
     # the 3^9 binary candidates span several blocks; Con is {0, 01|2, 1}
     alg = FiniteAlgebra(3, [Operation("u", 1, [1, 0, 2])])
     assert 3**9 > clones._COMP_BLOCK
-    enumerated = {}
-    from_sets = CloneFragment.from_sets
-
-    def record(size, max_arity, by_arity):
-        enumerated.update(by_arity)
-        return from_sets(size, max_arity, by_arity)
-
-    monkeypatch.setattr(CloneFragment, "from_sets", staticmethod(record))
     frag = comp_fragment(alg, 2)
-    tables = [f.table for f in enumerated[2]]
-    assert tables == sorted(set(tables))  # strictly lexicographic, as enumerated
+    tables = list(map(tuple, frag.parts[1].tolist()))
+    assert tables == sorted(set(tables))  # strictly lexicographic
     assert frag.members == loop_comp_fragment(alg, 2)
     # each block signature class of k pairs goes into {0, 1} (2^k ways) or to 2
     assert len(tables) == (2**4 + 1) * (2**2 + 1) * (2**2 + 1) * (2**1 + 1)
@@ -424,17 +420,54 @@ def test_functions_refuse_what_finite_function_refuses(size, arity, rows):
         for row in rows:
             FiniteFunction(size, arity, tuple(row))
     with pytest.raises(InvalidInputError) as got:
-        clones._functions(size, arity, np.array(rows))
+        clones._member_rows(size, arity, np.array(rows))
     assert str(got.value) == str(want.value)
 
 
 def test_functions_refuse_an_out_of_range_array():
     with pytest.raises(InvalidInputError, match="^entry out of range$"):
-        clones._functions(2, 2, np.array([[0, 1, 1, 0], [0, 2, 1, 1]]))
+        clones._member_rows(2, 2, np.array([[0, 1, 1, 0], [0, 2, 1, 1]]))
 
 
 def test_functions_of_an_empty_array():
-    assert clones._functions(3, 2, np.empty((0, 9), dtype=np.intp)) == []
+    rows = clones._member_rows(3, 2, np.empty((0, 9), dtype=np.intp))
+    assert rows.shape == (0, 9)
+
+
+@pytest.mark.parametrize(
+    "max_arity,parts,message",
+    [
+        (2, [[[0, 1]]], "^1 arity parts for max_arity 2$"),
+        (True, [[[0, 1]]], "^max_arity is not an integer: True$"),
+        (1, [[[0, 2]]], "^entry out of range$"),
+        (1, [[[0.0, 1.0]]], "^member tables must be a 2-D int array"),
+        (1, [[0, 1]], "^member tables must be a 2-D int array"),
+        (1, [[[0, 1, 1]]], r"^table length 3 != 2\^1$"),
+    ],
+)
+def test_fragment_refuses_malformed_parts(max_arity, parts, message):
+    with pytest.raises(InvalidInputError, match=message):
+        CloneFragment(2, max_arity, [np.array(p) for p in parts])
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_fragment_parts_are_sorted_and_distinct_as_the_tuple_sort(size, max_arity, data):
+    by_arity = {}
+    for k in range(1, max_arity + 1):
+        table = st.lists(st.integers(0, size - 1), min_size=size**k, max_size=size**k)
+        by_arity[k] = [FiniteFunction(size, k, tuple(t)) for t in data.draw(st.lists(table))]
+    parts = [
+        np.array([f.table for f in by_arity[k]], dtype=np.intp).reshape(-1, size**k)
+        for k in range(1, max_arity + 1)
+    ]
+    frag = CloneFragment(size, max_arity, parts)
+    assert frag.members == sorted_parts(
+        {k: set(fs) for k, fs in by_arity.items()}, max_arity
+    )
+    assert frag.member_count() == sum(len(set(fs)) for fs in by_arity.values())
+    assert all(f in frag for fs in by_arity.values() for f in fs)
+    assert frag == CloneFragment(size, max_arity, [p[::-1] for p in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +512,17 @@ def test_tensor_generator_closure_equals_tensor_of_closures():
     lhs = clone_closure(x_gens, 2, universe_size=2, working_arity=3)
     rhs = clone_closure(y_gens, 2, universe_size=3, working_arity=3)
     assert closed.members == tensor_fragments(lhs, rhs).members
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(), generator_sets())
+def test_tensor_fragments_match_the_pair_loop(left, right):
+    max_arity = min(left[2], right[2])
+    cf, df = (
+        clone_closure(gens, max_arity, universe_size=size, working_arity=2)
+        for size, gens, _ in (left, right)
+    )
+    assert tensor_fragments(cf, df).members == loop_tensor_fragments(cf, df)
 
 
 def test_tensor_clone_contains_projections_and_composes():
@@ -596,6 +640,29 @@ def test_malcev_function_identities():
     assert not is_malcev_function(FiniteFunction.projection(4, 3, 0))
 
 
+@st.composite
+def malcev_term_algebras(draw):
+    """Algebras whose ternary term part is small: any algebra on 2 elements
+    (at most 2^8 ternary functions), or x - y on Z2, Z3 or Z4 (affine
+    functions only) on randomly renamed elements."""
+    if draw(st.booleans()):
+        return draw(small_algebras(min_size=2, max_size=2))
+    n = draw(st.sampled_from((2, 3, 4)))
+    name = draw(st.permutations(range(n)))
+    table = [0] * (n * n)
+    for x, y in itertools.product(range(n), repeat=2):
+        table[name[x] * n + name[y]] = name[(x - y) % n]
+    return FiniteAlgebra(n, [Operation("sub", 2, table)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(malcev_term_algebras())
+def test_malcev_term_matches_the_first_malcev_member_of_the_tuple_sort(alg):
+    assume(group_malcev_function(alg) is None)
+    ternary = clones._operation_clone(alg, 3, DEFAULT_MEMBER_CAP).arity_part(3)
+    assert malcev_term(alg) == loop_malcev_term(set(ternary))
+
+
 def test_malcev_term_group_shortcut_and_none():
     assert malcev_term(cyclic_group(5)) is not None
     from congrex.algebra import FiniteAlgebra, Operation
@@ -693,6 +760,14 @@ def test_function_table_entries_must_be_python_ints(entry):
 def test_function_size_and_arity_must_be_python_ints(size, arity):
     with pytest.raises(InvalidInputError, match="is not an integer"):
         FiniteFunction(size, arity, (0, 1))
+
+
+@pytest.mark.parametrize("args", [(0, 2), (-1, 0), (2, 0), (1, -1)])
+def test_function_call_refuses_arguments_out_of_range(args):
+    f = FiniteFunction(2, 2, (0, 1, 1, 0))
+    with pytest.raises(InvalidInputError, match=r"^argument out of range in \("):
+        f(*args)
+    assert [f(x, y) for x in range(2) for y in range(2)] == [0, 1, 1, 0]
 
 
 def test_function_table_length_and_range_messages():
