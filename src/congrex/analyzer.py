@@ -456,14 +456,8 @@ def check_centrality(base: FiniteAlgebra, extra, rho: Relation4) -> bool:
     preserves the centrality relation."""
     from .clones import preserves_relation
 
-    for op in base.operations:
-        f = FiniteFunction.from_operation(base.size, op)
-        if not preserves_relation(f, rho):
-            return False
-    for f in extra:
-        if not preserves_relation(f, rho):
-            return False
-    return True
+    ops = [FiniteFunction.from_operation(base.size, op) for op in base.operations]
+    return all(preserves_relation(f, rho) for f in [*ops, *extra])
 
 
 def build_commutator_witness(

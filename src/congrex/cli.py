@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -92,11 +93,27 @@ def _int_row(obj, pad: str):
     return None
 
 
+def _int_rows(rows, pad: str):
+    """The json.dumps(row, indent=2) texts of rows of equally many ints (bools
+    excluded) nested at indent pad, joined by ",\n" + pad, in one %-format;
+    else None."""
+    if (
+        set(map(type, rows)) <= {list, tuple}
+        and len(set(map(len, rows))) == 1
+        and set(map(type, values := tuple(itertools.chain.from_iterable(rows)))) == {int}
+    ):
+        cell = ",\n" + pad + "  "
+        row = "[" + cell[1:] + cell.join(["%d"] * len(rows[0])) + "\n" + pad + "]"
+        return (",\n" + pad).join([row] * len(rows)) % values
+    return None
+
+
 def _json_pieces(obj, pad: str, out: list) -> None:
     """Append to out the text of json.dumps(obj, sort_keys=True, indent=2)
     nested at indent pad.  With an indent, json.dumps runs CPython's
     pure-Python encoder item by item; here an int row, and a list of int
-    rows, is one join, and only scalars go through json.dumps."""
+    rows, is one join (one %-format when the rows are equally long), and
+    only scalars go through json.dumps."""
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
@@ -111,6 +128,8 @@ def _json_pieces(obj, pad: str, out: list) -> None:
         out.append(json.dumps(obj))
     elif (row := _int_row(obj, pad)) is not None:
         out.append(row)
+    elif (rows := _int_rows(obj, inner)) is not None:
+        out += "[\n" + inner, rows, "\n" + pad + "]"  # no copy of rows before the last join
     elif None not in (rows := [_int_row(r, inner) for r in obj]):
         out.append("[\n" + inner + sep.join(rows) + "\n" + pad + "]")
     else:
@@ -221,7 +240,7 @@ def cmd_clone(args) -> int:
 
 def cmd_comp(args) -> int:
     alg = load_algebra(args.input)
-    frag = comp_fragment(alg, args.max_arity, budget=args.budget)
+    frag = comp_fragment(alg, args.max_arity, budget=args.budget, force=args.force)
     emit(frag.to_json_dict(), args.format, [f"{frag.member_count()} members"])
     return EXIT_OK
 

@@ -11,11 +11,11 @@ of Freese, Kiss and Valeriote).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Partition, _flat_index, _grid, check_table
+from .algebra import FiniteAlgebra, Partition, _chunks, _flat_index, _grid, check_table
 from .algebra import _join_rows, _least_members, _meet_rows, _pair_tables, require_int
 from .errors import BudgetExceededError, InvalidInputError
 
@@ -355,12 +355,15 @@ def comp_fragment(
     max_arity: int,
     budget: int = DEFAULT_COMP_BUDGET,
     congs=None,
+    force: bool = False,
 ) -> CloneFragment:
     """All functions of arity <= max_arity preserving every congruence of alg.
 
     Brute-force enumeration in lexicographic table order, in blocks of
     candidates that share all but their last few entries; the candidate
     count |A|^(|A|^n) of every arity is checked against the budget first.
+    When congs is None, Con(alg) is computed under the same budget, and
+    force lifts only that second limit.
     """
     if max_arity < 1:
         raise InvalidInputError("max_arity must be >= 1")
@@ -373,7 +376,7 @@ def comp_fragment(
                 f"budget is {budget} - lower the arity"
             )
     if congs is None:
-        congs = alg.all_congruences()
+        congs = alg.all_congruences(force=force, budget=budget)
     parts = []
     for arity in range(1, max_arity + 1):
         n = s**arity
@@ -490,10 +493,20 @@ def is_skew_free(prod: FiniteAlgebra, congs=None) -> bool:
 
 @dataclass(frozen=True)
 class Relation4:
-    """A 4-ary relation over the universe, stored sorted and deduplicated."""
+    """A 4-ary relation over the universe, stored sorted and deduplicated;
+    columns holds the tuples as a (4, |r|) array, and codes their row-major
+    codes in ascending order and then |A|^4, which no tuple has."""
 
     universe_size: int
     tuples: tuple
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        columns = np.array(self.tuples, dtype=np.intp).reshape(-1, 4).T
+        codes = np.append(_flat_index(columns, self.universe_size), self.universe_size**4)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "codes", codes)
 
     @staticmethod
     def from_tuples(universe_size: int, tuples) -> "Relation4":
@@ -503,8 +516,14 @@ class Relation4:
                 raise InvalidInputError(f"bad relation tuple {t}")
         return Relation4(universe_size, tuple(tups))
 
+    def _hold(self, codes):
+        """Whether every one of the given row-major codes is a tuple's."""
+        return np.array_equal(self.codes[np.searchsorted(self.codes, codes)], codes)
+
     def __contains__(self, t) -> bool:
-        return tuple(t) in set(self.tuples)
+        t = tuple(t)
+        s = self.universe_size
+        return len(t) == 4 and all(0 <= v < s for v in t) and self._hold(_flat_index(t, s))
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -513,22 +532,19 @@ class Relation4:
 def preserves_relation(f: FiniteFunction, r: Relation4) -> bool:
     """True iff r is closed under coordinatewise application of f.
 
-    f is applied with every tuple of r in its last argument at once and one
-    choice of tuples for the others, so memory stays O(|r|).
+    f is applied to the |r|^k choices of k tuples of r (k = f.arity; a
+    nullary f makes the one empty choice), at most _BLOCK choices at a time,
+    so memory stays O(_BLOCK) beyond r.
     """
     if f.universe_size != r.universe_size:
         raise InvalidInputError("universe size mismatch")
-    if f.arity == 0:
-        v = f.table[0]
-        return (v, v, v, v) in r
-    s = f.universe_size
-    rows = np.array(r.tuples, dtype=np.intp).reshape(-1, 4)
-    codes = _flat_index(rows.T, s)  # ascending, as the tuples are sorted
+    s, k, total = f.universe_size, f.arity, len(r) ** f.arity
     table = np.array(f.table, dtype=np.intp)
-    for head in itertools.product(rows, repeat=f.arity - 1):
-        image = _flat_index(table[_flat_index(head + (rows,), s)].T, s)
-        found = codes.take(np.searchsorted(codes, image), mode="clip")
-        if not np.array_equal(found, image):
+    for block in _chunks(total, 1):
+        index = np.arange(block.start, min(block.stop, total))
+        picks = [index // len(r) ** (k - 1 - i) % len(r) for i in range(k)]
+        image = [table[_flat_index([col[p] for p in picks], s)] for col in r.columns]
+        if not r._hold(_flat_index(image, s)):
             return False
     return True
 

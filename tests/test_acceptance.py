@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import time
 
 import pytest
@@ -374,6 +375,45 @@ def run_cli(argv):
     with contextlib.redirect_stdout(buf):
         code = cli_main(list(argv))
     return code, buf.getvalue().encode()
+
+
+#: (Z4; x - y), a Mal'cev algebra that is not a group, as an algebra file
+Z4_MINUS = {
+    "name": "(Z4;x-y)",
+    "size": 4,
+    "operations": [
+        {"name": "-", "arity": 2, "table": [0, 3, 2, 1, 1, 0, 3, 2, 2, 1, 0, 3, 3, 2, 1, 0]}
+    ],
+}
+
+#: the fragment and witness outputs behind the relation check and the row
+#: writer; "Z4_MINUS" stands for the file of Z4_MINUS
+PINNED_COMMANDS = [
+    ["comp", "Z3", "--max-arity", "2"],
+    ["witness", "Q8", "--up-to-n", "2"],
+    ["witness", "Z4"],
+    ["witness", "Z4_MINUS"],
+    ["pol", "Z6", "--max-arity", "2"],
+]
+
+#: sha256 of the exit code, a newline and the stdout of each pinned command
+PINNED_DIGESTS = {
+    "comp Z3 --max-arity 2": "8e1f94abd6a5a6ee118cee3accb4b553d4766693444374b7315123a3e5b7488a",
+    "witness Q8 --up-to-n 2": "635ddca32ed0c0d3d2470f99256a63afaf87c5f336e5917bab9c709d449bb166",
+    "witness Z4": "9855a2427177bc5ca92ab3e85759df31a3f40aa311566d5002445e5db1eac9d9",
+    "witness Z4_MINUS": "b299843690782db2e271e00f6efa02e9899a554dc4245888caee49b4c8432556",
+    "pol Z6 --max-arity 2": "d4209e69720046a704f5dafe96c8762570944a171ac75007b235b86c8706e80c",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_COMMANDS, ids=" ".join)
+def test_fragment_and_witness_output_is_pinned(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("CONGREX_BUDGET", raising=False)
+    path = tmp_path / "z4minus.json"
+    path.write_text(json.dumps(Z4_MINUS))
+    code, out = run_cli([str(path) if a == "Z4_MINUS" else a for a in argv])
+    digest = hashlib.sha256(str(code).encode() + b"\n" + out).hexdigest()
+    assert digest == PINNED_DIGESTS[" ".join(argv)]
 
 
 def test_criterion_10_determinism():

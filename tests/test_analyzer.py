@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congrex import analyzer
+from congrex import analyzer, clones
 from congrex.algebra import FiniteAlgebra, Operation, Partition, direct_product
 from congrex.analyzer import (
     VERDICT_FINITE,
@@ -369,6 +369,28 @@ def test_check_centrality_z4():
     assert check_centrality(z4, fam.functions(3), rho)
     swap01 = FiniteFunction(4, 1, (1, 0, 2, 3))
     assert not check_centrality(z4, [swap01], rho)
+
+
+def test_check_centrality_stops_at_the_first_failing_function(monkeypatch):
+    z4 = cyclic_group(4)
+    fam = build_witness_family(z4)
+    rho = build_rho(z4, fam.epsilon, group_malcev_function(z4))
+    swap01 = FiniteFunction(4, 1, (1, 0, 2, 3))
+    extra = [*fam.functions(3), swap01]
+    results = []
+    preserves = clones.preserves_relation
+
+    def spy(f, r):
+        results.append(preserves(f, r))
+        return results[-1]
+
+    monkeypatch.setattr(clones, "preserves_relation", spy)
+    assert not check_centrality(z4, extra, rho)
+    # the one operation and every family member pass; only the last fails
+    assert results == [True] * (len(z4.operations) + len(extra) - 1) + [False]
+    results.clear()
+    assert not check_centrality(z4, [swap01, *fam.functions(3)], rho)
+    assert results == [True] * len(z4.operations) + [False]
 
 
 @pytest.mark.parametrize("k", [1, 2])

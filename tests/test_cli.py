@@ -242,6 +242,60 @@ def test_zero_budget_is_refused(tmp_path, capsys, monkeypatch, argv, source):
     assert err.startswith("budget exceeded: ")
 
 
+#: the two-element Boolean ring with 1: comp at arity 1 has 2^2 = 4
+#: candidates, and its congruence enumeration estimate is 8
+BOOLEAN_RING = {
+    "name": "B2",
+    "size": 2,
+    "operations": [
+        {"name": "+", "arity": 2, "table": [0, 1, 1, 0]},
+        {"name": "*", "arity": 2, "table": [0, 0, 0, 1]},
+        {"name": "1", "arity": 0, "table": [1]},
+    ],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_comp_budget_reaches_the_congruence_stage(tmp_path, capsys, monkeypatch, source):
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps(BOOLEAN_RING))
+    argv = ["comp", str(path), "--max-arity", "1"]
+    monkeypatch.delenv("CONGREX_BUDGET", raising=False)
+    unset = run(capsys, *argv)
+    assert unset[0] == 0
+    if source == "flag":
+        argv.append("--budget=5")
+    else:
+        monkeypatch.setenv("CONGREX_BUDGET", "5")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: congruence enumeration estimate 8 exceeds budget 5\n"
+    assert run(capsys, *argv, "--force") == unset
+
+
+def test_comp_refuses_by_candidates_before_congruences(tmp_path, capsys, monkeypatch):
+    # a budget of 3 is below both the 4 candidates and the estimate 8
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps(BOOLEAN_RING))
+    monkeypatch.delenv("CONGREX_BUDGET", raising=False)
+    code, out, err = run(capsys, "comp", str(path), "--max-arity", "1", "--budget", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: comp enumeration needs 4 candidates at arity 1;")
+
+
+def test_comp_budget_flag_takes_precedence_over_the_env_var(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps(BOOLEAN_RING))
+    monkeypatch.delenv("CONGREX_BUDGET", raising=False)
+    unset = run(capsys, "comp", "Z4", "--max-arity", "1")
+    monkeypatch.setenv("CONGREX_BUDGET", "5")
+    assert run(capsys, "comp", "Z4", "--max-arity", "1", "--budget", "300") == unset
+    monkeypatch.setenv("CONGREX_BUDGET", "300")
+    code, _, err = run(capsys, "comp", str(path), "--max-arity", "1", "--budget", "5")
+    assert code == 3
+    assert err == "budget exceeded: congruence enumeration estimate 8 exceeds budget 5\n"
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -550,9 +604,28 @@ def test_emit_writes_the_text_of_json_dumps(payload):
     assert emitted(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+WIDE = [[(7 * i + j) % 5 for j in range(27)] for i in range(40)]
+
+
 @pytest.mark.parametrize(
     "payload",
-    [[], {}, [[]], [[], [1]], [True, 1], [[1, 2], [False]], [1.0, 2], {"": [[0]]}, (("a",),)],
+    [
+        [], {}, [[]], [[], [1]], [True, 1], [[1, 2], [False]], [1.0, 2], {"": [[0]]}, (("a",),),
+        pytest.param(
+            {"members": {"1": WIDE[:3], "2": WIDE}, "max_arity": 2, "universe_size": 5},
+            id="fragment-layout",
+        ),
+        pytest.param({"a": {"b": [WIDE, WIDE[:1]]}}, id="nested-wide-matrices"),
+        [[1], [2], [3]],
+        [[2**63, -(2**63) - 1], [2**70, 0], [-(2**70), 2**63 - 1]],
+        [[0, 1], [True, 0]],
+        [[0, 1], [1, 0.5]],
+        [[1, 2], [3], [4, 5]],
+        [[1, 2], []],
+        [(1, 2), [3, 4]],
+        ((1, 2), (3, 4)),
+        {"x": ([0, 1], (2, 3), [4, 5])},
+    ],
     ids=repr,
 )
 def test_emit_keeps_the_layout_of_mixed_and_empty_containers(payload):

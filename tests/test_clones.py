@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from congrex import clones
+from congrex import algebra, clones
 from congrex.algebra import FiniteAlgebra, Operation, Partition, direct_product
 from congrex.clones import (
     DEFAULT_MEMBER_CAP,
@@ -631,6 +631,66 @@ def test_preserves_relation_matches_row_loop_on_random_relations(data):
     f = FiniteFunction(size, arity, tuple(table))
     rel = Relation4.from_tuples(size, tuples)
     assert preserves_relation(f, rel) == loop_preserves_relation(f, rel)
+
+
+def off_at(f, args, value):
+    """f with the value at the argument tuple args replaced."""
+    table = list(f.table)
+    table[clones._flat_index(args, f.universe_size)] = value
+    return FiniteFunction(f.universe_size, f.arity, tuple(table))
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 1000 choices, and the block count of each preserves_relation
+    call in the returned list."""
+    monkeypatch.setattr(algebra, "_BLOCK", 1000)
+    counts = []
+    chunks = clones._chunks
+
+    def counting_chunks(count, width):
+        blocks = chunks(count, width)
+        counts.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(clones, "_chunks", counting_chunks)
+    return counts
+
+
+def test_preserves_relation_across_blocks(small_blocks):
+    # 31 tuples over {0, 1, 2} without (0, 0, 0, 0), then (3, 3, 3, 3): a
+    # ternary projection changed at (3, 3, 3) breaks the relation only at the
+    # last of the 32^3 choices, and changed at (0, 0, 0) at the first
+    low = [t for t in itertools.product(range(3), repeat=4) if any(t)][:31]
+    rel = Relation4.from_tuples(4, low + [(3, 3, 3, 3)])
+    first = FiniteFunction.projection(4, 3, 0)
+    last_only = off_at(first, (3, 3, 3), 0)
+    first_only = off_at(first, (0, 0, 0), 3)
+    for f, expected in [(first, True), (last_only, False), (first_only, False)]:
+        assert preserves_relation(f, rel) is expected
+        assert loop_preserves_relation(f, rel) is expected
+    assert small_blocks == [33, 33, 33]  # 32^3 choices, 1000 at a time
+    assert preserves_relation(last_only, Relation4.from_tuples(4, low))
+    # rho of Z4 for the delta classes {0, 2}, {1, 3}: 32 tuples
+    d = group_malcev_function(cyclic_group(4))
+    args = [a for a in itertools.product(range(4), repeat=3) if (a[0] - a[1]) % 2 == 0]
+    rho = Relation4.from_tuples(4, [(*a, d(*a)) for a in args])
+    plus3 = FiniteFunction(4, 3, tuple(sum(a) % 4 for a in itertools.product(range(4), repeat=3)))
+    funcs = [
+        FiniteFunction(4, 0, (1,)),
+        FiniteFunction(4, 0, (0,)),
+        unary(4, [1, 0, 2, 3]),
+        unary(4, [0, 3, 2, 1]),
+        binary(4, lambda x, y: (x + y) % 4),
+        binary(4, lambda x, y: (x * y) % 4),
+        plus3,
+        off_at(plus3, (3, 3, 3), 2),
+        off_at(plus3, (0, 0, 0), 1),
+    ]
+    for rel in (rho, Relation4.from_tuples(4, [])):
+        for f in funcs:
+            assert preserves_relation(f, rel) == loop_preserves_relation(f, rel)
+    assert max(small_blocks) > 1
 
 
 def test_malcev_function_identities():
