@@ -80,10 +80,10 @@ class AnalysisReport:
         return 2 if self.verdict == VERDICT_NA else 0
 
 
-def _subgroup_split_report(g: GroupStructure):
+def _subgroup_split_report(g: GroupStructure, force: bool, budget: int | None):
     """(splits_strongly?, witness dict or None, diagnostics) via the normal
     subgroup lattice, which is Con of the group."""
-    subs = normal_subgroups(g)
+    subs = normal_subgroups(g, force=force, budget=budget)
     pair = split_normal_subgroup_lattice(g, subs, strong=True)
     witness = None
     if pair is not None:
@@ -103,14 +103,17 @@ def _subgroup_split_report(g: GroupStructure):
     return pair is not None, witness, diags
 
 
-def decide_group(group) -> AnalysisReport:
+def decide_group(
+    group, force: bool = False, budget: int | None = None
+) -> AnalysisReport:
     """Verdict for a finite group given by tables or a shortcut string.
 
     Nilpotent groups are decided by strong splitting of the normal subgroup
     lattice, with per-Sylow sub-verdicts; non-nilpotent groups, and algebras
     with an operation other than the multiplication, inverse and identity of
     their group, are outside the scope of the characterization and come back
-    not-applicable.
+    not-applicable.  ``force`` and ``budget`` go to every normal subgroup
+    enumeration, which comes after the nilpotency test.
     """
     alg = as_group_algebra(group)
     g = GroupStructure.of(alg)
@@ -142,13 +145,13 @@ def decide_group(group) -> AnalysisReport:
                 "lower_central_series_orders": [len(term) for term in series],
             },
         )
-    strong, witness, diags = _subgroup_split_report(g)
+    strong, witness, diags = _subgroup_split_report(g, force, budget)
     primes = sorted(prime_factors(g.size))
     if len(primes) == 1:  # a p-group is its own Sylow factor
         analyses = [(primes[0], g.size, strong, witness, diags)]
     else:
         analyses = [
-            (p, sub.size, *_subgroup_split_report(GroupStructure(sub)))
+            (p, sub.size, *_subgroup_split_report(GroupStructure(sub), force, budget))
             for p, sub in sylow_decomposition(g)
         ]
     if any(fs for _, _, fs, _, _ in analyses) != strong:

@@ -189,7 +189,9 @@ def cmd_lattice(args) -> int:
 
 def cmd_decide(args) -> int:
     if len(args.inputs) == 1:
-        report = decide_group(load_algebra(args.inputs[0]))
+        report = decide_group(
+            load_algebra(args.inputs[0]), force=args.force, budget=args.budget
+        )
     else:
         factors = [load_algebra(t) for t in args.inputs]
         report = decide_product(

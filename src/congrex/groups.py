@@ -216,7 +216,17 @@ class GroupStructure:
             x = int(np.argmin(has_inverse))
             raise NotAGroupError(f"element {x} has no inverse")
         self.inv = tuple(int(y) for y in two_sided.argmax(axis=1))
-        # (x*y)*z against x*(y*z) for all y, z at once, one x at a time
+        # Light's test: the a with (x*a)*y = x*(a*y) for all x, y are closed
+        # under *, so it suffices to check generators, taken greedily.  A
+        # group needs at most log2 n of them; needing more shows a failure.
+        gens, member = [], frozenset({self.identity})
+        while len(member) < n and len(gens) < n.bit_length() - 1:
+            gens.append(min(set(range(n)) - member))
+            member = self.subgroup_closure([*member, gens[-1]])
+        self.generators = tuple(gens)
+        if len(member) == n and (m[m[:, gens]] == m[:, m[gens]]).all():
+            return
+        # the first failing (x*y)*z against x*(y*z), one x at a time
         for x in range(n):
             bad = np.argwhere(m[m[x]] != m[x][m])
             if len(bad):
@@ -248,11 +258,6 @@ class GroupStructure:
             k += 1
         return k
 
-    def commutator(self, x: int, y: int) -> int:
-        return self.mul(
-            self.mul(self.inv[x], self.inv[y]), self.mul(x, y)
-        )
-
 
 def is_group_algebra(alg: FiniteAlgebra) -> bool:
     try:
@@ -268,12 +273,15 @@ def is_group_algebra(alg: FiniteAlgebra) -> bool:
 
 def lower_central_series(g: GroupStructure):
     """[G, G], [G, [G, G]], ... until the series stabilizes."""
+    m, inv = g.mul_table, np.array(g.inv)
     full = frozenset(range(g.size))
     series = [full]
     current = full
     while True:
-        comms = {g.commutator(x, y) for x in range(g.size) for y in current}
-        nxt = g.subgroup_closure(comms)
+        # every commutator [x, y] = x^-1 y^-1 x y with x in G, y in current
+        cur = np.array(sorted(current))
+        comms = m[m[inv[:, None], inv[cur]], m[:, cur]]
+        nxt = g.subgroup_closure(set(comms.ravel().tolist()))
         series.append(nxt)
         if nxt == current:
             break
@@ -371,17 +379,17 @@ def _is_p_power(n: int, p: int) -> bool:
 # normal subgroup lattice
 
 
-def normal_subgroups(group):
+def normal_subgroups(group, force: bool = False, budget: int | None = None):
     """All normal subgroups, as frozensets sorted by (order, elements).
 
     They are the classes of the identity in the congruences of the reduct
     (G; *), which are those of the group, since in a finite group the
     inverse is a power.  The reduct keeps other operations of the algebra
-    out, and no budget applies.
+    out; ``force`` and ``budget`` bound its congruence enumeration.
     """
     g = _as_structure(group)
     reduct = FiniteAlgebra(g.size, [Operation("*", 2, g.mul_table.ravel().tolist())])
-    rows = reduct.congruence_rows(force=True)
+    rows = reduct.congruence_rows(force, budget)
     classes = rows == rows[:, [g.identity]]
     subs = [frozenset(np.flatnonzero(c).tolist()) for c in classes]
     return sorted(subs, key=lambda s: (len(s), sorted(s)))

@@ -11,7 +11,8 @@ k x k x k lattice tables, the join-fold split witness search over every
 epsilon, the triple-loop modularity check and transitive closure of a
 cover list, the union-find principal congruence and pair-list partition
 join, the orbit-by-orbit principal join closure with its budget, the
-bitmask normal subgroup closure, the tuple sort of clone fragment members,
+bitmask normal subgroup closure, the commutator-by-commutator lower
+central series, the tuple sort of clone fragment members,
 the pair loop of the tensor of two fragments, and the tuple-by-tuple direct
 product and every other table over A^n that the library builds on its
 argument grid.
@@ -278,6 +279,27 @@ def bitmask_normal_subgroups(g: GroupStructure):
     return sorted(
         (frozenset(elements(m)) for m in subs), key=lambda s: (len(s), sorted(s))
     )
+
+
+def loop_commutator(g: GroupStructure, x: int, y: int) -> int:
+    """[x, y] = x^-1 y^-1 x y, one product at a time."""
+    return g.mul(g.mul(g.inv[x], g.inv[y]), g.mul(x, y))
+
+
+def loop_lower_central_series(g: GroupStructure):
+    """[G, G], [G, [G, G]], ... until the series stabilizes, one commutator
+    at a time."""
+    full = frozenset(range(g.size))
+    series = [full]
+    current = full
+    while True:
+        comms = {loop_commutator(g, x, y) for x in range(g.size) for y in current}
+        nxt = g.subgroup_closure(comms)
+        series.append(nxt)
+        if nxt == current:
+            break
+        current = nxt
+    return series
 
 
 def loop_direct_product(a: FiniteAlgebra, b: FiniteAlgebra):
@@ -569,6 +591,35 @@ def relabeled_cayley(table, perm):
         for y in range(n):
             out[perm[x]][perm[y]] = perm[table[x][y]]
     return out
+
+
+def intercalates(table, identity):
+    """The 2 x 2 Latin subsquares (r1, r2, c1, c2) of a Cayley table, with
+    r1 < r2 and c1 < c2, that avoid the identity's row, column and value.
+    Swapping the two values of one keeps the unit and the inverses."""
+    n = len(table)
+    rest = [x for x in range(n) if x != identity]
+    return [
+        (r1, r2, c1, c2)
+        for r1, r2 in itertools.combinations(rest, 2)
+        for c1, c2 in itertools.combinations(rest, 2)
+        if table[r1][c1] == table[r2][c2] != identity
+        and table[r1][c2] == table[r2][c1] != identity
+    ]
+
+
+def d4_cayley():
+    """D4 as the symmetries of a square, (p*q)(x) = p(q(x))."""
+    r, f = (1, 2, 3, 0), (0, 3, 2, 1)
+    perms = {(0, 1, 2, 3)}
+    while True:
+        more = perms | {tuple(p[q[x]] for x in range(4)) for p in perms for q in (r, f)}
+        if more == perms:
+            break
+        perms = more
+    perms = sorted(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[x]] for x in range(4))] for q in perms] for p in perms]
 
 
 def q8_times_z3_cayley():

@@ -10,6 +10,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -38,7 +39,13 @@ from congrex.clones import (
     tensor_fragments,
     tensor_generators,
 )
-from congrex.groups import abelian_group, cyclic_group, parse_group_spec
+from congrex.groups import (
+    GroupStructure,
+    abelian_group,
+    cyclic_group,
+    group_from_cayley,
+    parse_group_spec,
+)
 from congrex.lattice import (
     chain,
     congruence_lattice,
@@ -48,7 +55,15 @@ from congrex.lattice import (
     transposes_up,
 )
 
-from conftest import brute_has_split, m3, n5, small_lattice_corpus
+from conftest import (
+    brute_has_split,
+    d4_cayley,
+    m3,
+    n5,
+    q8_times_z3_cayley,
+    relabeled_cayley,
+    small_lattice_corpus,
+)
 
 
 RESULTS = []
@@ -414,6 +429,55 @@ def test_fragment_and_witness_output_is_pinned(argv, tmp_path, monkeypatch):
     code, out = run_cli([str(path) if a == "Z4_MINUS" else a for a in argv])
     digest = hashlib.sha256(str(code).encode() + b"\n" + out).hexdigest()
     assert digest == PINNED_DIGESTS[" ".join(argv)]
+
+
+#: group tables behind the pinned decide outputs, each decided from a file
+#: of its table relabelled by random.Random(name)
+DECIDE_GROUPS = {
+    "Z2xZ2xZ2xZ2xZ2": lambda: parse_group_spec("Z2xZ2xZ2xZ2xZ2"),
+    "Z8xZ8": lambda: parse_group_spec("Z8xZ8"),
+    "Z16xZ4": lambda: parse_group_spec("Z16xZ4"),
+    "Z61": lambda: parse_group_spec("Z61"),
+    "S4": lambda: parse_group_spec("S4"),
+    "Q8xZ3": lambda: group_from_cayley(q8_times_z3_cayley(), name="Q8xZ3"),
+    "D4": lambda: group_from_cayley(d4_cayley(), name="D4"),
+}
+
+#: sha256 of the exit code, a newline and the stdout of each decide command;
+#: "FILE:<name>" stands for the relabelled file of DECIDE_GROUPS[name]
+DECIDE_DIGESTS = {
+    "decide FILE:Z2xZ2xZ2xZ2xZ2": "8fa066ce137f4846a2933fc1d7233f145e55097985af931a2af4295ab85104d1",
+    "decide FILE:Z8xZ8": "f0c62f8f85bae878e32bac01693119d6d4cabf579b04c392f04417cbbab430b8",
+    "decide FILE:Z16xZ4": "cb3ff53893db446e5b1dd0925c89b2bde27d15c4f37df99f0ea539c1ac57b1ac",
+    "decide FILE:Z61": "e1e37e5fa1864977b0571abdce5b7b1252d8b0856d040b19c3e74c47d0f3ca15",
+    "decide FILE:S4": "7aff4138619258b5c569bdcd0c0e1287d6ec88a6a33a7962d563eb5ca76530e9",
+    "decide FILE:Q8xZ3": "c536f4a4b8d15bb586b7454bce00a881dd1e3ef13b37e611d130169af45eec56",
+    "decide FILE:D4": "4082f11cf3c87ddd40bccbe2cbdfb40ac7230c24369b2f4309e7fe23c94b6a8b",
+    "decide Z2xZ2xZ2xZ2xZ2xZ2": (
+        "eb23cbaf4d7e60e544b4c29870a4ba46e044c79a787ff327b4f48993aeaa9a9b"
+    ),
+}
+
+
+def relabeled_group_file(name, path):
+    table = GroupStructure.of(DECIDE_GROUPS[name]()).mul_table.tolist()
+    perm = list(range(len(table)))
+    random.Random(name).shuffle(perm)
+    alg = group_from_cayley(relabeled_cayley(table, perm), name=name)
+    path.write_text(json.dumps(alg.to_json_dict()))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", DECIDE_DIGESTS)
+def test_decide_output_is_pinned(command, tmp_path, monkeypatch):
+    monkeypatch.delenv("CONGREX_BUDGET", raising=False)
+    argv = [
+        relabeled_group_file(a[5:], tmp_path / "g.json") if a.startswith("FILE:") else a
+        for a in command.split()
+    ]
+    code, out = run_cli(argv)
+    digest = hashlib.sha256(str(code).encode() + b"\n" + out).hexdigest()
+    assert digest == DECIDE_DIGESTS[command]
 
 
 def test_criterion_10_determinism():

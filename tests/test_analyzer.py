@@ -122,9 +122,9 @@ def _count_group_work(monkeypatch) -> Counter:
         calls["GroupStructure"] += 1
         init(self, alg)
 
-    def counted_normal(g):
+    def counted_normal(g, **bounds):
         calls["normal_subgroups"] += 1
-        return enumerate_normal(g)
+        return enumerate_normal(g, **bounds)
 
     monkeypatch.setattr(GroupStructure, "__init__", counted_init)
     monkeypatch.setattr(analyzer, "normal_subgroups", counted_normal)

@@ -539,6 +539,45 @@ def test_decide_product_honours_budget_and_force(capsys):
     assert forced[0] == 0
 
 
+def test_decide_group_honours_the_budget_flag(capsys, monkeypatch):
+    monkeypatch.delenv("CONGREX_BUDGET", raising=False)
+    code, out, err = run(capsys, "decide", "Z4", "--budget", "0")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: congruence enumeration estimate 48 exceeds budget 0\n"
+    code, out, err = run(capsys, "decide", "Z2xZ2xZ2xZ2xZ2xZ2", "--budget", "10")
+    assert (code, out) == (3, "")
+    assert "estimate 258048 exceeds budget 10" in err
+
+
+def test_decide_group_honours_the_budget_variable(capsys, monkeypatch):
+    monkeypatch.setenv("CONGREX_BUDGET", "0")
+    code, out, err = run(capsys, "decide", "Z4")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: congruence enumeration estimate 48 exceeds budget 0\n"
+
+
+def test_decide_group_forced_past_the_budget_prints_the_default_output(capsys, monkeypatch):
+    for spec in ("Z4", "Z8xZ9"):  # Z8xZ9 also decides its two Sylow factors
+        monkeypatch.delenv("CONGREX_BUDGET", raising=False)
+        default = run(capsys, "decide", spec)
+        assert default[0] == 0
+        assert run(capsys, "decide", spec, "--budget", "0", "--force") == default
+        monkeypatch.setenv("CONGREX_BUDGET", "0")
+        assert run(capsys, "decide", spec, "--force") == default
+    monkeypatch.delenv("CONGREX_BUDGET")
+    # Z2^7: the estimate 128^2 * 127 is beyond the default budget
+    code, out, err = run(capsys, "decide", "Z2xZ2xZ2xZ2xZ2xZ2xZ2")
+    assert (code, out) == (3, "")
+    assert "estimate 2080768 exceeds budget 1000000" in err
+
+
+def test_decide_group_tests_nilpotency_before_the_budget(capsys, monkeypatch):
+    monkeypatch.setenv("CONGREX_BUDGET", "0")
+    code, out, _ = run(capsys, "decide", "S5", "--budget", "0")
+    assert code == 2
+    assert json.loads(out)["diagnostics"]["reason"] == "not-nilpotent"
+
+
 def test_comp_refuses_before_any_preservation_check(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("preservation check before the refusal")

@@ -32,7 +32,10 @@ from congrex.lattice import congruence_lattice, splits, splits_strongly
 from conftest import (
     bitmask_normal_subgroups,
     brute_group_axioms,
+    d4_cayley,
+    intercalates,
     loop_coset_partition,
+    loop_lower_central_series,
     loop_subalgebra_on,
     q8_times_z3_cayley,
     relabeled_cayley,
@@ -100,6 +103,37 @@ def test_group_structure_matches_brute_force_axioms():
             assert (g.identity, g.inv) == expected
             outcomes.add("group")
     assert outcomes == {"no", "element", "associativity", "group"}
+
+
+#: group tables of order 6 to 16 with intercalates (odd orders have none)
+INTERCALATE_GROUPS = [
+    "S3", "Z8", "Q8", "Z2xZ4", "Z2xZ2xZ2", "Z10", "Z12", "Z2xZ6", "Z14",
+    "Z16", "Z4xZ4", "Z2xZ8", "Z2xZ2xZ4", "Z2xZ2xZ2xZ2", "Z6",
+]
+
+
+def test_swapped_intercalates_match_brute_force_axioms():
+    # swapping an intercalate away from the identity keeps the unit and the
+    # inverses, so only the associativity check (Light's test, then the
+    # scan for the first failing triple) can tell the table from a group
+    rng = random.Random(12)
+    bases = [d4_cayley(), *(_cayley(parse_group_spec(s)) for s in INTERCALATE_GROUPS)]
+    for base in bases:  # each with identity 0
+        n = len(base)
+        swaps = intercalates(base, 0)
+        assert swaps
+        for _ in range(8):
+            r1, r2, c1, c2 = rng.choice(swaps)
+            swapped = [row[:] for row in base]
+            swapped[r1][c1], swapped[r1][c2] = base[r1][c2], base[r1][c1]
+            swapped[r2][c1], swapped[r2][c2] = base[r2][c2], base[r2][c1]
+            table = relabeled_cayley(swapped, rng.sample(range(n), n))
+            alg = FiniteAlgebra(n, [Operation("*", 2, [v for row in table for v in row])])
+            expected = brute_group_axioms(table)
+            assert expected.startswith("associativity fails at")
+            with pytest.raises(NotAGroupError) as exc:
+                GroupStructure(alg)
+            assert str(exc.value) == expected
 
 
 def test_quaternion_group_relations():
@@ -174,6 +208,33 @@ def test_lower_central_series_s3():
     assert len(series[1]) == 3
     assert series[-1] == series[-2]
     assert len(series[-1]) == 3
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "D4", "Q8", "Q8xZ3"])
+def test_lower_central_series_matches_the_commutator_loop(name):
+    table = NAMED_GROUPS[name]()
+    perm = list(range(len(table)))
+    random.Random(name).shuffle(perm)
+    g = GroupStructure(group_from_cayley(relabeled_cayley(table, perm)))
+    assert lower_central_series(g) == loop_lower_central_series(g)
+
+
+@given(small_groups())
+def test_lower_central_series_matches_the_commutator_loop_on_small_groups(alg):
+    g = GroupStructure.of(alg)
+    assert lower_central_series(g) == loop_lower_central_series(g)
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "D4", "Q8", "Q8xZ3", "Z2xZ2xZ2xZ2xZ2", "Z8xZ4"])
+def test_greedy_generators_close_to_the_group(name):
+    table = NAMED_GROUPS[name]()
+    perm = list(range(len(table)))
+    random.Random(name).shuffle(perm)
+    g = GroupStructure(group_from_cayley(relabeled_cayley(table, perm)))
+    assert g.subgroup_closure(g.generators) == frozenset(range(g.size))
+    # each generator at least doubles the subgroup generated so far
+    assert 2 ** len(g.generators) <= g.size
+    assert list(g.generators) == sorted(g.generators)
 
 
 def test_is_nilpotent_examples():
@@ -257,20 +318,6 @@ def test_normal_subgroups_match_congruences(spec):
     assert len(subs) == len(congs)
 
 
-def _dihedral_cayley():
-    """D4 as the symmetries of a square, (p*q)(x) = p(q(x))."""
-    r, f = (1, 2, 3, 0), (0, 3, 2, 1)
-    perms = {(0, 1, 2, 3)}
-    while True:
-        more = perms | {tuple(p[q[x]] for x in range(4)) for p in perms for q in (r, f)}
-        if more == perms:
-            break
-        perms = more
-    perms = sorted(perms)
-    index = {p: i for i, p in enumerate(perms)}
-    return [[index[tuple(p[q[x]] for x in range(4))] for q in perms] for p in perms]
-
-
 def _abelian_p_groups(bound):
     def exponents(total, cap):
         if total == 0:
@@ -293,7 +340,7 @@ def _cayley(alg):
 
 NAMED_GROUPS = {
     "Q8": lambda: _cayley(quaternion_group()),
-    "D4": _dihedral_cayley,
+    "D4": d4_cayley,
     "Q8xZ3": q8_times_z3_cayley,
     "S3": lambda: _cayley(symmetric_group(3)),
     "S4": lambda: _cayley(symmetric_group(4)),
