@@ -57,7 +57,6 @@ from .errors import (
     WitnessCheckError,
 )
 from .groups import (
-    GroupPresentation,
     abelian_group,
     cyclic_group,
     group_from_cayley,

@@ -114,6 +114,14 @@ class Partition:
     def is_full(self) -> bool:
         return self.num_blocks <= 1
 
+    @property
+    def least(self):
+        """The least-member row: an int32 array holding, at each x, the
+        least member of the block of x."""
+        if self._least is None:
+            self._least = _least_members(np.array([self.block_id]))[0]
+        return self._least
+
     # -- lattice operations ------------------------------------------------
 
     @staticmethod
@@ -127,10 +135,7 @@ class Partition:
         """The least-member rows of self and other, as two 1 x n arrays."""
         if other.size != self.size:
             raise InvalidInputError("partition size mismatch")
-        for p in (self, other):
-            if p._least is None:
-                p._least = _least_members(np.array([p.block_id]))[0]
-        return self._least[None], other._least[None]
+        return self.least[None], other.least[None]
 
     def refines(self, other: "Partition") -> bool:
         """True iff self <= other in the refinement order."""
@@ -147,20 +152,12 @@ class Partition:
         """True iff self o other == other o self (as relation composition).
 
         For congruences this witnesses permutability, which is equivalent to
-        self o other == self v other.
+        self o other == self v other.  (a, b) is in other o self iff some z
+        has a other z and z self b: one product of the two n x n relations.
         """
-        join = self.join(other)
-        for a in range(self.size):
-            for b in range(self.size):
-                if not join.same(a, b):
-                    continue
-                # (a, b) in self o other  <=>  exists z: a other z and z self b
-                via = any(
-                    other.same(a, z) and self.same(z, b) for z in range(self.size)
-                )
-                if not via:
-                    return False
-        return True
+        (mine,), (theirs,) = self._with(other)
+        rel = [row[:, None] == row for row in (theirs, mine, self.join(other).least)]
+        return bool(((rel[0] @ rel[1]) == rel[2]).all())
 
     # -- dunder ------------------------------------------------------------
 
@@ -305,13 +302,12 @@ def _principal_rows(translations, a, b, n: int):
 
 
 def _fresh(seen: dict, rows):
-    """Add the bytes of each int32 row to seen (equal bytes, equal
-    partitions); the indices of the rows that were new, each distinct one once."""
-    buf = np.ascontiguousarray(rows, dtype=np.int32).tobytes()
-    width = 4 * rows.shape[1]
+    """Add the bytes of each row of a 2-D array to seen, in order (equal
+    bytes, equal rows); the indices of the rows that were new, each
+    distinct one once."""
+    rows = np.ascontiguousarray(rows)
     out = []
-    for i in range(len(rows)):
-        key = buf[i * width : (i + 1) * width]
+    for i, key in enumerate(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()):
         if key not in seen:
             seen[key] = None
             out.append(i)
@@ -421,11 +417,10 @@ class FiniteAlgebra:
         each x and the least member y of its block."""
         if theta.size != self.size:
             raise InvalidInputError("partition size mismatch")
-        ids = np.array(theta.block_id)
-        least = _least_members(ids[None])[0]
+        least = theta.least
         trans = self.unary_translations()
         return all(
-            (ids[trans[s]] == ids[trans[s][:, least]]).all()
+            (least[trans[s]] == least[trans[s][:, least]]).all()
             for s in _chunks(len(trans), self.size)
         )
 

@@ -15,6 +15,7 @@ from math import gcd
 
 import numpy as np
 
+from . import clones
 from .algebra import (
     FiniteAlgebra,
     Partition,
@@ -51,11 +52,14 @@ from .groups import (
     split_normal_subgroup_lattice,
     sylow_decomposition,
 )
-from .lattice import SplitWitness, congruence_lattice, from_congruences, splits, splits_strongly
+from .lattice import congruence_lattice, from_congruences, splits, splits_strongly
 
 VERDICT_INFINITE = "infinitely-many"
 VERDICT_FINITE = "finitely-many"
 VERDICT_NA = "not-applicable"
+
+#: the most table entries build_commutator_witness tabulates, |A|^(k+2)
+WITNESS_TABLE_BUDGET = 10**6
 
 
 @dataclass
@@ -356,8 +360,8 @@ class WitnessFamily:
             raise InvalidInputError("family members have arity >= 1")
         if n not in self._cache:
             s = self.base.size
-            ids = np.array(self.delta.block_id)
-            hit = (ids[np.stack(_grid((s,) * n))] == ids[self.a]).any(axis=0)
+            least = self.delta.least
+            hit = (least[np.stack(_grid((s,) * n))] == least[self.a]).any(axis=0)
             table = np.where(hit, self.a, self.b).tolist()
             self._cache[n] = FiniteFunction(s, n, tuple(table))
         return self._cache[n]
@@ -366,9 +370,7 @@ class WitnessFamily:
         return [self.function(n) for n in range(1, up_to_n + 1)]
 
 
-def build_witness_family(
-    base: FiniteAlgebra, w: SplitWitness | None = None, congs=None
-) -> WitnessFamily:
+def build_witness_family(base: FiniteAlgebra, congs=None) -> WitnessFamily:
     """Turn a strong splitting witness of Con(base) into a WitnessFamily.
 
     epsilon is refined to an atom below it (always possible for a valid
@@ -377,10 +379,9 @@ def build_witness_family(
     if congs is None:
         congs = base.all_congruences()
     lat, congs = _lattice_with(congs)
+    w = splits_strongly(lat)
     if w is None:
-        w = splits_strongly(lat)
-        if w is None:
-            raise InvalidInputError("congruence lattice does not split strongly")
+        raise InvalidInputError("congruence lattice does not split strongly")
     delta = congs[w.delta]
     epsilon = congs[w.epsilon]
     refined = next((congs[e] for e in lat.atoms() if congs[e].refines(epsilon)), None)
@@ -447,25 +448,22 @@ def build_rho(
     if d.universe_size != base.size:
         raise InvalidInputError("universe size mismatch")
     s = base.size
-    ids = np.array(epsilon.block_id)
+    least = epsilon.least
     x1, x2, x3 = _grid((s,) * 3)
     # d's table lists d(x1, x2, x3) in the grid's order
-    tuples = np.stack([x1, x2, x3, np.array(d.table)], axis=1)[ids[x1] == ids[x2]]
+    tuples = np.stack([x1, x2, x3, np.array(d.table)], axis=1)[least[x1] == least[x2]]
     return Relation4.from_tuples(s, tuples.tolist())
 
 
 def check_centrality(base: FiniteAlgebra, extra, rho: Relation4) -> bool:
     """True iff every fundamental operation of base, and every extra function,
     preserves the centrality relation."""
-    from .clones import preserves_relation
-
     ops = [FiniteFunction.from_operation(base.size, op) for op in base.operations]
-    return all(preserves_relation(f, rho) for f in [*ops, *extra])
+    # looked up on clones at each call, so a wrapper installed there sees it
+    return all(clones.preserves_relation(f, rho) for f in [*ops, *extra])
 
 
-def build_commutator_witness(
-    fam: WitnessFamily, d: FiniteFunction, k: int, table_budget: int = 10**6
-) -> FiniteFunction:
+def build_commutator_witness(fam: WitnessFamily, d: FiniteFunction, k: int) -> FiniteFunction:
     """The absorbing term of arity k+2 built from the family member of arity
     k+1 and the Mal'cev function:
 
@@ -474,7 +472,8 @@ def build_commutator_witness(
 
     Verifies the absorption identities (w collapses to z whenever any one of
     its first k+1 arguments equals the last argument z) and nontriviality
-    (w(c,...,c,a) = b for every c outside the delta class of a).
+    (w(c,...,c,a) = b for every c outside the delta class of a).  A table
+    of more than WITNESS_TABLE_BUDGET entries is refused.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
@@ -482,9 +481,9 @@ def build_commutator_witness(
         raise InvalidInputError("d is not a Mal'cev function on the base universe")
     s = fam.base.size
     arity = k + 2
-    if s**arity > table_budget:
+    if s**arity > WITNESS_TABLE_BUDGET:
         raise InvalidInputError(
-            f"table of size {s}^{arity} exceeds budget {table_budget}"
+            f"table of size {s}^{arity} exceeds budget {WITNESS_TABLE_BUDGET}"
         )
     f = np.array(fam.function(k + 1).table)
     dt = np.array(d.table)

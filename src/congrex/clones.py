@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import FiniteAlgebra, Partition, _chunks, _flat_index, _grid, check_table
-from .algebra import _join_rows, _least_members, _meet_rows, _pair_tables, require_int
-from .errors import BudgetExceededError, InvalidInputError
+from .algebra import _join_rows, _meet_rows, _pair_tables, require_int
+from .errors import BudgetExceededError, InvalidInputError, NotAGroupError
+from .groups import GroupStructure
 
 DEFAULT_MEMBER_CAP = 10**6
 DEFAULT_COMP_BUDGET = 10**7
@@ -310,14 +311,14 @@ def _signature_reps(alpha: Partition, arity: int):
     coordinate's block, so it is _flat_index over the least-member array.
     Both are empty when the signature map is injective."""
     s = alpha.size
-    least = np.array([alpha.block_of(x)[0] for x in range(s)], dtype=np.intp)
+    least = alpha.least.astype(np.intp)
     rep = np.ravel(_flat_index(np.ix_(*[least] * arity), s))
     moved = np.flatnonzero(rep != np.arange(rep.size))
     return moved, rep[moved]
 
 
 def _congruence_checks(congs, size: int, arity: int):
-    """(block_id array, moved, reps) for each congruence in congs that some
+    """(least-member row, moved, reps) for each congruence in congs that some
     function of the given arity breaks; the others are skipped."""
     checks = []
     for alpha in congs:
@@ -325,7 +326,7 @@ def _congruence_checks(congs, size: int, arity: int):
             raise InvalidInputError("congruence size mismatch")
         moved, reps = _signature_reps(alpha, arity)
         if len(moved) and not alpha.is_full():
-            checks.append((np.array(alpha.block_id, dtype=np.intp), moved, reps))
+            checks.append((alpha.least, moved, reps))
     return checks
 
 
@@ -334,8 +335,8 @@ def _preserving(tables, checks):
     that map each argument tuple into the block of the value at the first
     tuple with its block signature, for every congruence of checks."""
     ok = np.ones(len(tables), dtype=bool)
-    for block_id, moved, reps in checks:
-        ok &= (block_id[tables[:, moved]] == block_id[tables[:, reps]]).all(axis=1)
+    for least, moved, reps in checks:
+        ok &= (least[tables[:, moved]] == least[tables[:, reps]]).all(axis=1)
     return ok
 
 
@@ -354,7 +355,6 @@ def comp_fragment(
     alg: FiniteAlgebra,
     max_arity: int,
     budget: int = DEFAULT_COMP_BUDGET,
-    congs=None,
     force: bool = False,
 ) -> CloneFragment:
     """All functions of arity <= max_arity preserving every congruence of alg.
@@ -362,8 +362,8 @@ def comp_fragment(
     Brute-force enumeration in lexicographic table order, in blocks of
     candidates that share all but their last few entries; the candidate
     count |A|^(|A|^n) of every arity is checked against the budget first.
-    When congs is None, Con(alg) is computed under the same budget, and
-    force lifts only that second limit.
+    Con(alg) is then computed under the same budget, and force lifts only
+    that second limit.
     """
     if max_arity < 1:
         raise InvalidInputError("max_arity must be >= 1")
@@ -375,8 +375,7 @@ def comp_fragment(
                 f"comp enumeration needs {count} candidates at arity {arity}; "
                 f"budget is {budget} - lower the arity"
             )
-    if congs is None:
-        congs = alg.all_congruences(force=force, budget=budget)
+    congs = alg.all_congruences(force=force, budget=budget)
     parts = []
     for arity in range(1, max_arity + 1):
         n = s**arity
@@ -459,8 +458,8 @@ def _product_congruences(congs, kernel_first: Partition, kernel_second: Partitio
         raise InvalidInputError("kernels do not intersect trivially")
     if not kernel_first.join(kernel_second).is_full():
         raise InvalidInputError("kernels do not join to the full relation")
-    rows = _least_members(np.array([t.block_id for t in congs]).reshape(-1, size))
-    kernels = _least_members(np.array([kernel_first.block_id, kernel_second.block_id]))
+    rows = np.array([t.least for t in congs], dtype=np.int32).reshape(-1, size)
+    kernels = (kernel_first.least, kernel_second.least)
     rebuilt = _meet_rows(*(_join_rows(rows, np.broadcast_to(k, rows.shape)) for k in kernels))
     return (rebuilt == rows).all(axis=1)
 
@@ -566,8 +565,6 @@ def group_malcev_function(alg) -> FiniteFunction | None:
 
     alg is a FiniteAlgebra or an already built GroupStructure.
     """
-    from .groups import GroupStructure, NotAGroupError
-
     if isinstance(alg, GroupStructure):
         g = alg
     else:

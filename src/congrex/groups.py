@@ -1,24 +1,18 @@
 """Finite groups as table algebras: construction, axioms, nilpotency, Sylow.
 
-Abelian groups built here carry the signature (+ / 2, - / 1, 0 / 0); the
-nonabelian named groups use (* / 2, inv / 1, e / 0).  Everything downstream
-discovers the group structure from the tables, so the naming split is purely
-cosmetic.
+Every group built here carries the one signature (+ / 2, - / 1, 0 / 0), so
+any two of them, abelian or not, have a direct product.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import FiniteAlgebra, Operation, Partition, _flat_index, _grid, direct_product
 from .errors import InvalidInputError, NotAGroupError
-
-ABELIAN_OPS = ("+", "-", "0")
-GENERAL_OPS = ("*", "inv", "e")
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +31,7 @@ def cyclic_group(n: int) -> FiniteAlgebra:
     )
 
 
-def group_from_cayley(table, name: str = "", op_names=GENERAL_OPS) -> FiniteAlgebra:
+def group_from_cayley(table, name: str = "") -> FiniteAlgebra:
     """Build a group algebra from an n x n Cayley table; checks the axioms.
 
     The algebra keeps the GroupStructure that checked it, so the axioms
@@ -46,13 +40,10 @@ def group_from_cayley(table, name: str = "", op_names=GENERAL_OPS) -> FiniteAlge
     flat = [v for row in table for v in row]
     if len(flat) != n * n or any(not (0 <= v < n) for v in flat):
         raise NotAGroupError("Cayley table is not square over 0..n-1")
-    op_mul, op_inv, op_id = op_names
-    mul = Operation(op_mul, 2, flat)
+    mul = Operation("+", 2, flat)
     g = GroupStructure(FiniteAlgebra(n, [mul]))
     alg = FiniteAlgebra(
-        n,
-        [mul, Operation(op_inv, 1, g.inv), Operation(op_id, 0, [g.identity])],
-        name=name,
+        n, [mul, Operation("-", 1, g.inv), Operation("0", 0, [g.identity])], name=name
     )
     g.alg = alg
     alg.group_structure = g
@@ -150,42 +141,6 @@ def abelian_group(p: int, exponents) -> FiniteAlgebra:
     return prod
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    """How a group was given: a named/cyclic-product shortcut or a raw table."""
-
-    kind: str  # "named", "cyclic-product", "cayley-table"
-    spec: str = ""
-    prime: int = 0
-    exponents: tuple = ()
-    table: tuple = ()
-
-    @staticmethod
-    def named(spec: str) -> "GroupPresentation":
-        return GroupPresentation(kind="named", spec=spec)
-
-    @staticmethod
-    def cyclic_product(prime: int, exponents) -> "GroupPresentation":
-        return GroupPresentation(
-            kind="cyclic-product", prime=prime, exponents=tuple(exponents)
-        )
-
-    @staticmethod
-    def cayley(table, spec: str = "") -> "GroupPresentation":
-        return GroupPresentation(
-            kind="cayley-table", spec=spec, table=tuple(tuple(r) for r in table)
-        )
-
-    def algebra(self) -> FiniteAlgebra:
-        if self.kind == "named":
-            return parse_group_spec(self.spec)
-        if self.kind == "cyclic-product":
-            return abelian_group(self.prime, self.exponents)
-        if self.kind == "cayley-table":
-            return group_from_cayley(self.table, name=self.spec)
-        raise InvalidInputError(f"unknown presentation kind {self.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # structure discovery
 
@@ -199,10 +154,8 @@ class GroupStructure:
         binary = [op for op in alg.operations if op.arity == 2]
         if not binary:
             raise NotAGroupError("algebra has no binary operation")
-        op = binary[0]
-        self.op_name = op.name
         n = alg.size
-        m = self.mul_table = np.array(op.table, dtype=np.int64).reshape(n, n)
+        m = self.mul_table = np.array(binary[0].table, dtype=np.int64).reshape(n, n)
         units = np.flatnonzero(
             (m == np.arange(n)).all(axis=1) & (m.T == np.arange(n)).all(axis=1)
         )
@@ -296,11 +249,9 @@ def is_nilpotent_group(group) -> bool:
 
 
 def as_group_algebra(group) -> FiniteAlgebra:
-    """The algebra of a group given as an algebra, a presentation or a spec."""
+    """The algebra of a group given as an algebra or a spec."""
     if isinstance(group, FiniteAlgebra):
         return group
-    if isinstance(group, GroupPresentation):
-        return group.algebra()
     if isinstance(group, str):
         return parse_group_spec(group)
     raise InvalidInputError(f"not a group input: {group!r}")

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Partition, _chunks, _fresh, _grid, _join_rows, _least_members
-from .algebra import _meet_rows, require_int
+from .algebra import Partition, _chunks, _fresh, _grid, _join_rows, _meet_rows, require_int
 from .errors import InvalidInputError
 
 
@@ -148,7 +147,7 @@ def from_congruences(congs) -> FiniteLattice:
     congs = sorted(set(congs), key=lambda p: p.block_id)
     if not congs:
         raise InvalidInputError("empty congruence set")
-    rows = _least_members(np.array([p.block_id for p in congs]))
+    rows = np.array([p.least for p in congs])
     k, n = rows.shape
     leq = np.empty((k, k), dtype=bool)
     for s in _chunks(k, n):

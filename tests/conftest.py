@@ -10,9 +10,10 @@ congruence join closure, the all-pairs meet/join closedness check, the
 k x k x k lattice tables, the join-fold split witness search over every
 epsilon, the triple-loop modularity check and transitive closure of a
 cover list, the union-find principal congruence and pair-list partition
-join, the orbit-by-orbit principal join closure with its budget, the
-bitmask normal subgroup closure, the commutator-by-commutator lower
-central series, the tuple sort of clone fragment members,
+join, the pair-by-pair permutability check of two partitions, the
+orbit-by-orbit principal join closure with its budget, the bitmask normal
+subgroup closure, the commutator-by-commutator lower central series, the
+tuple sort of clone fragment members,
 the pair loop of the tensor of two fragments, and the tuple-by-tuple direct
 product and every other table over A^n that the library builds on its
 argument grid.
@@ -147,6 +148,18 @@ def pair_list_join(p: Partition, q: Partition) -> Partition:
         for x, lab in enumerate(part.block_id):
             pairs.append((first.setdefault(lab, x), x))
     return union_find_partition(p.size, pairs)
+
+
+def loop_composes_with(p: Partition, q: Partition) -> bool:
+    """p o q == q o p, pair by pair: every (a, b) in p v q has some z with
+    a q z and z p b."""
+    join = pair_list_join(p, q)
+    return all(
+        any(q.same(a, z) and p.same(z, b) for z in range(p.size))
+        for a in range(p.size)
+        for b in range(p.size)
+        if join.same(a, b)
+    )
 
 
 def zip_meet(p: Partition, q: Partition) -> Partition:

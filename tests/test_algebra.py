@@ -23,6 +23,7 @@ from congrex.groups import cyclic_group, parse_group_spec, quaternion_group
 
 from conftest import (
     brute_congruences,
+    loop_composes_with,
     loop_direct_product,
     loop_quotient,
     loop_refines,
@@ -83,6 +84,36 @@ def test_partition_composes_with():
     p = Partition.from_blocks(4, [[0, 1], [2, 3]])
     q = Partition.from_blocks(4, [[0, 2], [1, 3]])
     assert p.composes_with(q)
+
+
+@pytest.mark.parametrize(
+    "left, right, expected",
+    [
+        ([[0, 1], [2]], [[0], [1, 2]], False),
+        ([[0], [1, 2]], [[0, 1], [2]], False),
+        ([[0, 1], [2], [3]], [[0], [1, 2], [3]], False),
+        ([[0, 1], [2, 3]], [[0], [1, 2], [3]], False),
+        ([[0, 1], [2]], [[0, 1, 2]], True),
+        ([[0], [1], [2]], [[0, 2], [1]], True),
+    ],
+)
+def test_partition_composes_with_cases(left, right, expected):
+    size = sum(map(len, left))
+    p, q = Partition.from_blocks(size, left), Partition.from_blocks(size, right)
+    assert p.composes_with(q) is expected
+    assert q.composes_with(p) is expected
+    assert loop_composes_with(p, q) is expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(*[st.lists(st.integers(0, n - 1), min_size=n, max_size=n)] * 2)
+    )
+)
+def test_partition_composes_with_matches_the_loop(labels):
+    p, q = Partition(labels[0]), Partition(labels[1])
+    assert p.composes_with(q) == loop_composes_with(p, q)
 
 
 # ---------------------------------------------------------------------------

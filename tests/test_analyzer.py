@@ -249,10 +249,7 @@ def test_decide_product_non_group_factor_needs_flag():
     loop3 = FiniteAlgebra(3, [Operation("*", 2, table)], name="strange3")
     z2 = parse_group_spec("Z2")
     # signatures differ, so pair it with a compatible partner built on "*"
-    from congrex.groups import group_from_cayley
-
-    z2_star = group_from_cayley([[0, 1], [1, 0]], name="Z2*", op_names=("*",) * 1 + ("inv", "e"))
-    z2_star = FiniteAlgebra(2, [z2_star.operation("*")], name="Z2*")
+    z2_star = FiniteAlgebra(2, [Operation("*", 2, [0, 1, 1, 0])], name="Z2*")
     with pytest.raises(InvalidInputError):
         decide_product([loop3, z2_star])
     report = decide_product([loop3, z2_star], assume_nilpotent=True)
@@ -413,8 +410,8 @@ def test_commutator_witness_validation():
         build_commutator_witness(fam, d, 0)
     with pytest.raises(InvalidInputError):
         build_commutator_witness(fam, FiniteFunction.projection(4, 3, 0), 1)
-    with pytest.raises(InvalidInputError):
-        build_commutator_witness(fam, d, 2, table_budget=10)
+    with pytest.raises(InvalidInputError, match=r"4\^10 exceeds budget 1000000"):
+        build_commutator_witness(fam, d, 8)  # 4^10 > WITNESS_TABLE_BUDGET
 
 
 def test_group_witness_pipeline_z4():

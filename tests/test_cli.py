@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,13 +17,25 @@ from hypothesis import strategies as st
 from congrex import cli, clones
 from congrex.algebra import FiniteAlgebra, Operation, Partition
 from congrex.cli import main
-from congrex.groups import GroupStructure, cyclic_group, group_from_cayley
+from congrex.groups import (
+    GroupStructure,
+    cyclic_group,
+    group_from_cayley,
+    quaternion_group,
+    symmetric_group,
+)
 from congrex.lattice import chain
 
-from conftest import q8_times_z3_cayley
+from conftest import (
+    bitmask_normal_subgroups,
+    loop_direct_product,
+    pairwise_congruence_closure,
+    q8_times_z3_cayley,
+)
 from test_acceptance import CORPUS_COMMANDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -167,6 +181,82 @@ def test_decide_product_non_coprime_is_error(capsys):
     code, _, err = run(capsys, "decide", "Z2", "Z2")
     assert code == 1
     assert "coprime" in err
+
+
+def test_decide_mixed_shortcut_product(capsys):
+    # Q8 x Z3: a non-abelian factor in one spec, and as two factors
+    code, out, _ = run(capsys, "decide", "Q8xZ3")
+    assert code == 0
+    group = json.loads(out)
+    code, out, _ = run(capsys, "decide", "Q8", "Z3")
+    assert code == 0
+    product = json.loads(out)
+    assert group["verdict"] == product["verdict"] == "infinitely-many"
+    normal = bitmask_normal_subgroups(GroupStructure(group_from_cayley(q8_times_z3_cayley())))
+    assert group["diagnostics"]["normal_subgroup_count"] == len(normal) == 12
+    # a group's congruences are its normal subgroups
+    assert product["diagnostics"]["congruence_count"] == len(normal)
+
+
+def loop_product_congruences(left, right):
+    """Con(left x right) by the all-pairs join closure, on the tables of the
+    product built one argument tuple at a time."""
+    product = FiniteAlgebra(left.size * right.size, loop_direct_product(left, right))
+    return pairwise_congruence_closure(product)
+
+
+def blocks(congs):
+    return [[list(b) for b in theta.blocks()] for theta in congs]
+
+
+def test_con_of_a_mixed_shortcut_product(capsys):
+    code, out, _ = run(capsys, "con", "Z2xS3")
+    assert code == 0
+    expected = loop_product_congruences(cyclic_group(2), symmetric_group(3))
+    payload = json.loads(out)
+    assert payload["count"] == len(expected) == 7
+    assert payload["congruences"] == blocks(expected)
+
+
+def test_skew_of_a_mixed_shortcut_product(capsys):
+    code, out, _ = run(capsys, "skew", "Z2", "Q8")
+    assert code == 0
+    z2, q8 = cyclic_group(2), quaternion_group()
+    congs = loop_product_congruences(z2, q8)
+    # alpha x beta on the pairs (x, y), encoded x * 8 + y
+    product = {
+        Partition((alpha.block_id[x // 8], beta.block_id[x % 8]) for x in range(16))
+        for alpha in pairwise_congruence_closure(z2)
+        for beta in pairwise_congruence_closure(q8)
+    }
+    skew = [theta for theta in congs if theta not in product]
+    payload = json.loads(out)
+    assert payload["congruence_count"] == len(congs)
+    assert payload["skew_count"] == len(skew) == 7
+    assert payload["skew_congruences"] == blocks(skew)
+
+
+def readme_cli_lines():
+    """(argv, exit code) of each line of README's CLI block: the code its
+    comment gives as "exit N", else 0."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "congrex", line
+        code = re.search(r"exit (\d+)", comment)
+        lines.append((argv, int(code.group(1)) if code else 0))
+    return lines
+
+
+README_CLI = readme_cli_lines()
+
+
+@pytest.mark.parametrize("argv, code", README_CLI, ids=[" ".join(a) for a, _ in README_CLI])
+def test_readme_cli_lines_exit_as_documented(capsys, argv, code):
+    assert run(capsys, *argv)[0] == code
 
 
 def test_parse_error_exit_code(capsys):

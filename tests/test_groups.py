@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from congrex.algebra import FiniteAlgebra, Operation, Partition
 from congrex.errors import InvalidInputError, NotAGroupError
 from congrex.groups import (
-    GroupPresentation,
     GroupStructure,
     abelian_group,
     check_prime,
@@ -55,8 +54,8 @@ def test_cyclic_group_tables():
 def test_group_from_cayley_accepts_klein_four():
     table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     g = group_from_cayley(table, name="V4")
-    assert g.apply("inv", (2,)) == 2
-    assert g.apply("e", ()) == 0
+    assert g.apply("-", (2,)) == 2
+    assert g.apply("0", ()) == 0
 
 
 def test_group_from_cayley_rejects_non_groups():
@@ -180,15 +179,6 @@ def test_abelian_group_builder():
         abelian_group(2, [])
 
 
-def test_group_presentation_kinds():
-    assert GroupPresentation.named("Z4").algebra().size == 4
-    assert GroupPresentation.cyclic_product(3, [2]).algebra().size == 9
-    table = [[0, 1], [1, 0]]
-    assert GroupPresentation.cayley(table).algebra().size == 2
-    with pytest.raises(InvalidInputError):
-        GroupPresentation(kind="mystery").algebra()
-
-
 def test_is_group_algebra():
     assert is_group_algebra(cyclic_group(5))
     from congrex.algebra import FiniteAlgebra, Operation
@@ -255,10 +245,8 @@ def test_every_group_input_is_checked_once(monkeypatch):
         init(self, alg)
 
     monkeypatch.setattr(GroupStructure, "__init__", counted_init)
-    for group in ("Q8", GroupPresentation.cayley(q8_table, "Q8")):
-        built.clear()
-        assert is_nilpotent_group(group)
-        assert built == [8]
+    assert is_nilpotent_group("Q8")
+    assert built == [8]
     built.clear()
     alg = group_from_cayley(q8_table)
     assert is_group_algebra(alg) and is_nilpotent_group(alg)
