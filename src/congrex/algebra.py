@@ -77,6 +77,8 @@ class Partition:
         labels = [None] * size
         for i, block in enumerate(blocks):
             for x in block:
+                if type(x) is not int or not 0 <= x < size:
+                    raise InvalidInputError(f"block element {x!r} is not in range({size})")
                 if labels[x] is not None:
                     raise InvalidInputError(f"element {x} occurs in two blocks")
                 labels[x] = i
@@ -425,17 +427,31 @@ class FiniteAlgebra:
         )
 
     def _orbit_representatives(self, trans):
-        """The least pair (a, b), a < b, of each orbit of pairs under the
-        translations that permute A, by label propagation over pairs."""
+        """Pairs (a, b), a < b, in increasing order, that meet every orbit of
+        pairs under the translations that permute A: not necessarily one per
+        orbit, nor only the least pair of each.
+
+        Some permutation maps a to the least member r of its element orbit,
+        so every pair orbit holds a candidate {r, c}.  Each candidate is
+        merged with its images that are candidates (p(r) = r or p(c) = r)
+        and the least of each class is kept, the least pair of each orbit
+        among them.  Classes can be finer than the orbits (conjugate pairs
+        of a non-abelian group), which only repeats Cg rows.  The cost is
+        O(#element orbits * n * |perms|) entries."""
         n = self.size
         perms = trans[(np.sort(trans, axis=1) == np.arange(n)).all(axis=1)]
-        pairs = np.flatnonzero(np.arange(n)[:, None] < np.arange(n))
+        orbit = np.arange(n)
+        for s in _chunks(len(perms), n):
+            _hook(orbit, np.tile(np.arange(n), len(perms[s])), perms[s].ravel())
+        is_rep = orbit == np.arange(n)
+        pairs = np.flatnonzero(np.triu(is_rep[:, None] | is_rep, 1))
         a, b = pairs // n, pairs % n
         forest = np.arange(n * n)
         for s in _chunks(len(perms), len(pairs)):
             x, y = perms[s][:, a], perms[s][:, b]
+            keep = is_rep[x] | is_rep[y]
             image = np.minimum(x, y) * n + np.maximum(x, y)
-            _hook(forest, np.broadcast_to(pairs, image.shape).ravel(), image.ravel())
+            _hook(forest, np.broadcast_to(pairs, image.shape)[keep], image[keep])
         least = forest[pairs] == pairs
         return a[least], b[least]
 
@@ -446,9 +462,11 @@ class FiniteAlgebra:
         Every congruence is a join of principal congruences, so the lattice
         is the closure of {0} and the distinct principal congruences under
         theta |-> theta v Cg(a, b).  A translation t that permutes A has its
-        inverse among its powers, so Cg(t(a), t(b)) = Cg(a, b): one Cg is
-        computed per orbit of pairs under the permutation translations.  The
-        work counter counts joins (the pairs theta, Cg(a, b) with a, b in
+        inverse among its powers, so Cg(t(a), t(b)) = Cg(a, b): Cg is
+        computed only for pairs that meet every orbit of pairs under the
+        permutation translations, not necessarily one per orbit nor the least
+        pair of each (_orbit_representatives), and repeated rows are dropped.
+        The work counter counts joins (the pairs theta, Cg(a, b) with a, b in
         different blocks of theta) and guards against blowing up on large
         inputs; pass ``force=True`` or raise the budget to override.
         Several thetas are joined with all their Cg(a, b) at once; the joins

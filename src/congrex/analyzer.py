@@ -35,6 +35,7 @@ from .clones import (
     skew_congruences,
 )
 from .errors import (
+    BudgetExceededError,
     CongrexError,
     InvalidInputError,
     NotAGroupError,
@@ -60,6 +61,10 @@ VERDICT_NA = "not-applicable"
 
 #: the most table entries build_commutator_witness tabulates, |A|^(k+2)
 WITNESS_TABLE_BUDGET = 10**6
+
+#: the most choices of tuples of rho that check_centrality applies its
+#: functions to, the sum of |rho|^arity over them; force lifts it
+CENTRALITY_BUDGET = 10**8
 
 
 @dataclass
@@ -455,12 +460,20 @@ def build_rho(
     return Relation4.from_tuples(s, tuples.tolist())
 
 
-def check_centrality(base: FiniteAlgebra, extra, rho: Relation4) -> bool:
+def check_centrality(base: FiniteAlgebra, extra, rho: Relation4, force: bool = False) -> bool:
     """True iff every fundamental operation of base, and every extra function,
-    preserves the centrality relation."""
-    ops = [FiniteFunction.from_operation(base.size, op) for op in base.operations]
+    preserves the centrality relation.  Each function f is applied to all
+    |rho|^arity(f) choices of tuples of rho; a sum over CENTRALITY_BUDGET
+    is refused up front unless force is set."""
+    funcs = [FiniteFunction.from_operation(base.size, op) for op in base.operations]
+    funcs += extra
+    estimate = sum(len(rho) ** f.arity for f in funcs)
+    if not force and estimate > CENTRALITY_BUDGET:
+        raise BudgetExceededError(
+            f"centrality check estimate {estimate} choices exceeds limit {CENTRALITY_BUDGET}"
+        )
     # looked up on clones at each call, so a wrapper installed there sees it
-    return all(clones.preserves_relation(f, rho) for f in [*ops, *extra])
+    return all(clones.preserves_relation(f, rho) for f in funcs)
 
 
 def build_commutator_witness(fam: WitnessFamily, d: FiniteFunction, k: int) -> FiniteFunction:
@@ -526,7 +539,8 @@ def group_witness_pipeline(
     no Mal'cev term, once its family is built and before it is verified.
     The family comes first because it is cheap and refuses most algebras,
     while the Mal'cev search can fill the member cap of the whole ternary
-    clone.  ``force`` and ``budget`` go to the congruence enumeration.
+    clone.  ``force`` and ``budget`` go to the congruence enumeration;
+    ``force`` also lifts the centrality check's limit.
     """
     alg = as_group_algebra(group)
     try:
@@ -542,7 +556,7 @@ def group_witness_pipeline(
         raise NotApplicableError(f"{alg.name or 'the algebra'} has no Mal'cev term")
     record = verify_witness(fam, up_to_n)
     rho = build_rho(alg, fam.epsilon, d)
-    if not check_centrality(alg, fam.functions(up_to_n), rho):
+    if not check_centrality(alg, fam.functions(up_to_n), rho, force):
         raise WitnessCheckError(
             "the centrality relation is not preserved by the base operations "
             "and the family members"

@@ -11,12 +11,11 @@ k x k x k lattice tables, the join-fold split witness search over every
 epsilon, the triple-loop modularity check and transitive closure of a
 cover list, the union-find principal congruence and pair-list partition
 join, the pair-by-pair permutability check of two partitions, the
-orbit-by-orbit principal join closure with its budget, the bitmask normal
-subgroup closure, the commutator-by-commutator lower central series, the
-tuple sort of clone fragment members,
-the pair loop of the tensor of two fragments, and the tuple-by-tuple direct
-product and every other table over A^n that the library builds on its
-argument grid.
+breadth-first pair orbits and the orbit-by-orbit principal join closure with
+its budget, the bitmask normal subgroup closure, the commutator-by-commutator
+lower central series, the tuple sort of clone fragment members, the pair loop
+of the tensor of two fragments, and the tuple-by-tuple direct product and
+every other table over A^n that the library builds on its argument grid.
 """
 
 import itertools
@@ -24,7 +23,7 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from congrex.algebra import FiniteAlgebra, Operation, Partition, _flat_index
+from congrex.algebra import FiniteAlgebra, Operation, Partition, _flat_index, direct_product
 from congrex.clones import (
     FiniteFunction,
     add_dummy_arg,
@@ -84,6 +83,44 @@ def small_algebras(draw, min_size=1, max_size=4):
     ops += [Operation(f"b{i}", 2, table(2)) for i in range(draw(st.integers(0, 1)))]
     ops += [Operation(f"c{i}", 0, table(0)) for i in range(draw(st.integers(0, 1)))]
     return FiniteAlgebra(n, ops)
+
+
+def _permutation_ops(draw, n, count, binary):
+    """count unary permutations of range(n), each an n-cycle on renamed
+    elements (transitive) or a permutation of a random part of the universe
+    (intransitive), then a random binary table if binary."""
+    ops = []
+    for i in range(count):
+        perm = draw(st.permutations(range(n)))
+        if draw(st.booleans()):
+            table = [0] * n
+            for x in range(n):
+                table[perm[x]] = perm[(x + 1) % n]
+        else:
+            part = sorted(perm[: draw(st.integers(1, n))])
+            table = list(range(n))
+            for x, y in zip(part, draw(st.permutations(part))):
+                table[x] = y
+        ops.append(Operation(f"p{i}", 1, table))
+    if binary:
+        cells = st.integers(0, n - 1)
+        ops.append(Operation("b", 2, draw(st.lists(cells, min_size=n * n, max_size=n * n))))
+    return ops
+
+
+@st.composite
+def permutation_algebras(draw, max_size=6):
+    """Algebras of 2 to max_size elements with two or three unary
+    permutations, transitive and intransitive, and sometimes a random binary
+    table; or, half of the time, the direct product of two such algebras of
+    2 and 2 or 3 elements, whose permutations act on the pairs."""
+    count, binary = draw(st.integers(2, 3)), draw(st.booleans())
+    if draw(st.booleans()):
+        n = draw(st.integers(2, max_size))
+        return FiniteAlgebra(n, _permutation_ops(draw, n, count, binary))
+    sizes = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    a, b = (FiniteAlgebra(n, _permutation_ops(draw, n, count, binary)) for n in sizes)
+    return direct_product(a, b)
 
 
 def partition_respects(alg: FiniteAlgebra, part: Partition) -> bool:
@@ -211,35 +248,47 @@ def pairwise_congruence_closure(alg: FiniteAlgebra):
     return sorted(congs, key=lambda p: p.block_id)
 
 
-def orbit_join_closure(alg: FiniteAlgebra, budget=None):
-    """(Con(A), joins counted) by one Cg per orbit of pairs under the
-    permutation translations and the closure theta |-> theta v Cg(a, b),
-    one join at a time, with the estimate and join budget of
-    FiniteAlgebra.all_congruences (budget None: no limit)."""
-    translations = loop_translations(alg)
+def loop_pair_orbits(alg: FiniteAlgebra):
+    """The orbits of the pairs (a, b), a < b, under the permutation
+    translations, by breadth-first search from each pair not yet reached;
+    a list of sets, in order of their least pairs."""
     n = alg.size
-    estimate = n * n * max(1, len(translations))
-    if budget is not None and estimate > budget:
-        raise BudgetExceededError(
-            f"congruence enumeration estimate {estimate} exceeds budget {budget}"
-        )
-    perms = [t for t in translations if len(set(t)) == n]
-    principals = {}
+    perms = [t for t in loop_translations(alg) if len(set(t)) == n]
+    orbits = []
     done = set()
     for a in range(n):
         for b in range(a + 1, n):
             if (a, b) in done:
                 continue
-            principals.setdefault(union_find_principal_congruence(alg, a, b), (a, b))
-            orbit = [(a, b)]
-            done.add((a, b))
-            while orbit:
-                x, y = orbit.pop()
+            orbit = {(a, b)}
+            todo = [(a, b)]
+            while todo:
+                x, y = todo.pop()
                 for t in perms:
                     pair = (min(t[x], t[y]), max(t[x], t[y]))
-                    if pair not in done:
-                        done.add(pair)
-                        orbit.append(pair)
+                    if pair not in orbit:
+                        orbit.add(pair)
+                        todo.append(pair)
+            done |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+def orbit_join_closure(alg: FiniteAlgebra, budget=None):
+    """(Con(A), joins counted) by one Cg per orbit of pairs under the
+    permutation translations (loop_pair_orbits) and the closure
+    theta |-> theta v Cg(a, b), one join at a time, with the estimate and
+    join budget of FiniteAlgebra.all_congruences (budget None: no limit)."""
+    n = alg.size
+    estimate = n * n * max(1, len(loop_translations(alg)))
+    if budget is not None and estimate > budget:
+        raise BudgetExceededError(
+            f"congruence enumeration estimate {estimate} exceeds budget {budget}"
+        )
+    principals = {}
+    for orbit in loop_pair_orbits(alg):
+        a, b = min(orbit)
+        principals.setdefault(union_find_principal_congruence(alg, a, b), (a, b))
     congs = {Partition.identity(n), *principals}
     worklist = list(principals)
     work = 0

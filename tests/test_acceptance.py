@@ -480,6 +480,44 @@ def test_decide_output_is_pinned(command, tmp_path, monkeypatch):
     assert digest == DECIDE_DIGESTS[command]
 
 
+#: (Z8; x - y) with its elements renamed by random.Random(its name), as an
+#: algebra file: a Mal'cev algebra whose translations all permute it
+Z8_MINUS_NAME = "(Z8;x-y)"
+
+
+def relabeled_z8_minus_file(path):
+    perm = list(range(8))
+    random.Random(Z8_MINUS_NAME).shuffle(perm)
+    table = relabeled_cayley([[(x - y) % 8 for y in range(8)] for x in range(8)], perm)
+    ops = [{"name": "-", "arity": 2, "table": [v for row in table for v in row]}]
+    path.write_text(json.dumps({"name": Z8_MINUS_NAME, "size": 8, "operations": ops}))
+    return str(path)
+
+
+#: sha256 of the exit code, a newline and the stdout of commands whose
+#: algebras have many permutation translations, the orbit step's input;
+#: "FILE" stands for the file of relabeled_z8_minus_file
+ORBIT_DIGESTS = {
+    "con Q8xZ3": "adad79086e59e28218f644ab6eadfd1c7f17e1a9c80b7acdb0e38a3dd902a7e0",
+    "con Z4xZ4xZ4": "daea2a91eb940902e83ff99507e45c388c1be17d208731563e9591c82e687d23",
+    "con Z2xZ2xZ2xZ2xZ2": "7a3a124dcc07cdabfee6389fab7b17d2a2f64bd37abf26ae7c89c5737cd3ca1b",
+    "skew Z4 Z2": "32638ee43f8cf218ce6a459cb0c56b5f8cb3faa746cbaa937519a5dd12f74ccc",
+    "con FILE": "767953fb2c30f3570bc0ba50104cc17796a594b7644d47c71cec3e985c4a0e99",
+}
+
+
+@pytest.mark.parametrize("command", ORBIT_DIGESTS)
+def test_permutation_rich_output_is_pinned(command, tmp_path, monkeypatch):
+    monkeypatch.delenv("CONGREX_BUDGET", raising=False)
+    argv = [
+        relabeled_z8_minus_file(tmp_path / "z8minus.json") if a == "FILE" else a
+        for a in command.split()
+    ]
+    code, out = run_cli(argv)
+    digest = hashlib.sha256(str(code).encode() + b"\n" + out).hexdigest()
+    assert digest == ORBIT_DIGESTS[command]
+
+
 def test_criterion_10_determinism():
     start = time.monotonic()
     ok = True

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -19,12 +20,19 @@ from congrex.algebra import (
     quotient_index,
 )
 from congrex.errors import BudgetExceededError, InvalidInputError
-from congrex.groups import cyclic_group, parse_group_spec, quaternion_group
+from congrex.groups import (
+    GroupStructure,
+    cyclic_group,
+    group_from_cayley,
+    parse_group_spec,
+    quaternion_group,
+)
 
 from conftest import (
     brute_congruences,
     loop_composes_with,
     loop_direct_product,
+    loop_pair_orbits,
     loop_quotient,
     loop_refines,
     loop_translations,
@@ -32,6 +40,8 @@ from conftest import (
     pair_list_join,
     pairwise_congruence_closure,
     partition_respects,
+    permutation_algebras,
+    relabeled_cayley,
     small_algebras,
     union_find_principal_congruence,
     zip_meet,
@@ -59,6 +69,15 @@ def test_partition_from_blocks_errors():
         Partition.from_blocks(3, [[0, 1], [1, 2]])
     with pytest.raises(InvalidInputError):
         Partition.from_blocks(3, [[0, 1]])
+
+
+@pytest.mark.parametrize(
+    "blocks", [[[0, -1], [1]], [[0, 1], [2, 3]], [[0, 1.0], [2]], [[0, True], [2]]]
+)
+def test_partition_from_blocks_refuses_elements_outside_the_universe(blocks):
+    # -1 would index from the end, 3 past it; 1.0 and True are not elements
+    with pytest.raises(InvalidInputError, match="not in range"):
+        Partition.from_blocks(3, blocks)
 
 
 def test_partition_meet_join_against_definition():
@@ -230,14 +249,61 @@ def _refusal(closure, budget):
     return None
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_algebras(max_size=5))
-def test_budget_refusal_comes_at_the_join_count_of_the_oracle_closure(alg):
+def _assert_refusal_at_the_oracle_join_count(alg):
     _, joins = orbit_join_closure(alg)
     for budget in (joins - 1, joins):
         assert _refusal(alg.all_congruences, budget) == _refusal(
             lambda budget: orbit_join_closure(alg, budget), budget
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_algebras(max_size=5))
+def test_budget_refusal_comes_at_the_join_count_of_the_oracle_closure(alg):
+    _assert_refusal_at_the_oracle_join_count(alg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(permutation_algebras())
+def test_budget_refusal_at_the_oracle_join_count_with_many_permutations(alg):
+    _assert_refusal_at_the_oracle_join_count(alg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(permutation_algebras())
+def test_all_congruences_matches_oracles_with_many_permutations(alg):
+    congs = alg.all_congruences()
+    assert congs == brute_congruences(alg)
+    assert congs == orbit_join_closure(alg)[0]
+
+
+def _orbit_pairs(alg):
+    a, b = alg._orbit_representatives(alg.unary_translations())
+    return list(zip(a.tolist(), b.tolist()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_algebras(max_size=6), permutation_algebras()))
+def test_orbit_representatives_meet_every_orbit(alg):
+    pairs = _orbit_pairs(alg)
+    assert pairs == sorted(set(pairs))
+    assert all(a < b for a, b in pairs)
+    # each orbit holds one of them, its least pair, so Con(A) is found in
+    # the order of the least pairs
+    for orbit in loop_pair_orbits(alg):
+        assert min(orbit) in pairs
+
+
+@pytest.mark.parametrize("spec", ["Z61", "Z8xZ8", "Z2xZ2xZ2xZ2xZ2", "Z4xZ2xZ2xZ2"])
+def test_orbit_representatives_are_one_per_orbit_on_abelian_groups(spec):
+    table = GroupStructure.of(parse_group_spec(spec)).mul_table.tolist()
+    perm = list(range(len(table)))
+    random.Random(spec).shuffle(perm)
+    group = group_from_cayley(relabeled_cayley(table, perm), name=spec)
+    # the reduct (G; +) whose congruences decide computes
+    reduct = FiniteAlgebra(group.size, [group.operation("+")])
+    for alg in (group, reduct):
+        assert len(_orbit_pairs(alg)) == len(loop_pair_orbits(alg))
 
 
 @st.composite

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congrex import cli, clones
+from congrex import analyzer, cli, clones
 from congrex.algebra import FiniteAlgebra, Operation, Partition
 from congrex.cli import main
 from congrex.groups import (
@@ -442,6 +443,32 @@ def test_witness_refuses_an_algebra_without_malcev_term(tmp_path, capsys):
     path.write_text(json.dumps(alg.to_json_dict()))
     code, out, err = run(capsys, "witness", str(path), "--up-to-n", "2")
     assert (code, out, err) == (2, "", "not applicable: (Z4;x+1) has no Mal'cev term\n")
+
+
+def test_witness_refuses_a_centrality_check_over_its_limit(capsys):
+    # Q8xZ3: |rho| = 1152, so the ternary member alone has 1152^3 choices
+    start = time.monotonic()
+    code, out, err = run(capsys, "witness", "Q8xZ3")
+    assert time.monotonic() - start < 10
+    assert (code, out) == (3, "")
+    assert err == (
+        "budget exceeded: centrality check estimate 1531480321 choices "
+        "exceeds limit 100000000\n"
+    )
+    code, out, _ = run(capsys, "witness", "Q8xZ3", "--up-to-n", "2")
+    assert code == 0 and json.loads(out)["centrality"] is True
+
+
+def test_force_lifts_the_centrality_limit(capsys, monkeypatch):
+    expected = run(capsys, "witness", "Z4")
+    # Z4: |rho| = 32; the operations +, -, 0 and the members of arity 1-3
+    estimate = 32**2 + 32 + 1 + 32 + 32**2 + 32**3
+    monkeypatch.setattr(analyzer, "CENTRALITY_BUDGET", estimate - 1)
+    code, _, err = run(capsys, "witness", "Z4")
+    assert code == 3 and f"estimate {estimate} " in err
+    assert run(capsys, "witness", "Z4", "--force") == expected
+    monkeypatch.setattr(analyzer, "CENTRALITY_BUDGET", estimate)
+    assert run(capsys, "witness", "Z4") == expected
 
 
 def test_pol_and_comp_cli(capsys):
