@@ -14,6 +14,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .algebra import DEFAULT_BUDGET, FiniteAlgebra, budget_from_env, direct_product, require_int
 from .analyzer import (
@@ -93,27 +95,71 @@ def _int_row(obj, pad: str):
     return None
 
 
-def _int_rows(rows, pad: str):
-    """The json.dumps(row, indent=2) texts of rows of equally many ints (bools
-    excluded) nested at indent pad, joined by ",\n" + pad, in one %-format;
-    else None."""
-    if (
-        set(map(type, rows)) <= {list, tuple}
-        and len(set(map(len, rows))) == 1
-        and set(map(type, values := tuple(itertools.chain.from_iterable(rows)))) == {int}
+def _int_matrices(mats):
+    """(shapes, values) when mats is a list of int matrices, each a non-empty
+    list of rows that hold equally many ints (bools excluded), at least one:
+    the (rows, columns) of each matrix, and all their values in row order as
+    one int64 array.  Else None, also when a value does not fit in int64."""
+    if not all(
+        type(m) in (list, tuple)
+        and m
+        and set(map(type, m)) <= {list, tuple}
+        and len(set(map(len, m))) == 1
+        and m[0]
+        for m in mats
     ):
-        cell = ",\n" + pad + "  "
-        row = "[" + cell[1:] + cell.join(["%d"] * len(rows[0])) + "\n" + pad + "]"
-        return (",\n" + pad).join([row] * len(rows)) % values
-    return None
+        return None
+    values = list(itertools.chain.from_iterable(itertools.chain.from_iterable(mats)))
+    if set(map(type, values)) != {int}:
+        return None
+    try:
+        values = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+    return [(len(m), len(m[0])) for m in mats], values
+
+
+def _int_text(shapes, values, pad: str) -> str:
+    """The texts of json.dumps(m, indent=2) nested at indent pad, joined by
+    ",\n" + pad, for the int matrices m of the given (rows, columns) shapes
+    whose entries are values (a 1-D int array), in row order.
+
+    Each row is written from one template with a slot as wide as the widest
+    value per entry, all slots NUL bytes.  The values' digits go into the
+    slots in one assignment, and when their widths differ the unused slot
+    bytes are dropped in one compaction."""
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo < values.size:
+        digits = range(lo, hi + 1)
+        # a signed difference may not fit a narrower dtype
+        keys = (values if values.dtype.kind == "u" else values.astype(np.int64, copy=False)) - lo
+    else:  # few values spread wide
+        digits, keys = np.unique(values, return_inverse=True)
+        digits = digits.tolist()
+    digits = np.array([str(v).encode() for v in digits])  # NUL-padded to the widest
+    outer, inner = pad.encode(), pad.encode() + b"  "
+    cell = b"\n" + inner + b"  " + b"\0" * digits.itemsize
+    row = {c: b"[" + b",".join([cell] * c) + b"\n" + inner + b"]" for _, c in shapes}
+    text = []
+    for r, c in shapes:
+        text += b",\n" + outer, b"[\n" + inner, (row[c] + b",\n" + inner) * (r - 1), row[c]
+        text.append(b"\n" + outer + b"]")
+    text = np.frombuffer(bytearray().join(text[1:]), dtype=np.uint8)
+    text[np.flatnonzero(text == 0)] = np.take(digits, keys).view(np.uint8)
+    if not digits.view(np.uint8).all():  # some value is narrower than its slot
+        text = text[text != 0]
+    return str(text, "ascii")
 
 
 def _json_pieces(obj, pad: str, out: list) -> None:
     """Append to out the text of json.dumps(obj, sort_keys=True, indent=2)
-    nested at indent pad.  With an indent, json.dumps runs CPython's
-    pure-Python encoder item by item; here an int row, and a list of int
-    rows, is one join (one %-format when the rows are equally long), and
-    only scalars go through json.dumps."""
+    nested at indent pad, where obj may also hold 2-D int arrays, written as
+    their lists of rows.  With an indent, json.dumps runs CPython's
+    pure-Python encoder item by item; here an int row is one join, and a
+    2-D int array, a list of equally long int rows and a list of such lists
+    are each written by _int_text in one numpy pass.  Only scalars go
+    through json.dumps.  Any other array raises TypeError, as json.dumps
+    does."""
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
@@ -124,12 +170,21 @@ def _json_pieces(obj, pad: str, out: list) -> None:
         out.append("\n" + pad + "}")
     elif isinstance(obj, dict):  # empty, or with keys that json converts
         out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad))
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim != 2 or obj.dtype.kind not in "iu":
+            raise TypeError(f"cannot write a {obj.dtype} array of shape {obj.shape} as JSON")
+        if obj.size:
+            out.append(_int_text([obj.shape], obj.ravel(), pad))
+        else:  # no rows, or rows without entries
+            out.append(json.dumps(obj.tolist(), indent=2).replace("\n", "\n" + pad))
     elif not isinstance(obj, (list, tuple)) or not obj:
         out.append(json.dumps(obj))
     elif (row := _int_row(obj, pad)) is not None:
         out.append(row)
-    elif (rows := _int_rows(obj, inner)) is not None:
-        out += "[\n" + inner, rows, "\n" + pad + "]"  # no copy of rows before the last join
+    elif (mats := _int_matrices(obj)) is not None:
+        out += "[\n" + inner, _int_text(*mats, inner), "\n" + pad + "]"
+    elif (mats := _int_matrices([obj])) is not None:
+        out.append(_int_text(*mats, pad))
     elif None not in (rows := [_int_row(r, inner) for r in obj]):
         out.append("[\n" + inner + sep.join(rows) + "\n" + pad + "]")
     else:
@@ -143,8 +198,10 @@ def _json_pieces(obj, pad: str, out: list) -> None:
 
 def emit(payload, fmt: str, text_lines=None) -> None:
     """Print text_lines for --format text, else the payload as
-    json.dumps(payload, sort_keys=True, indent=2) does, with one write once
-    the whole text is built."""
+    json.dumps(payload, default=np.ndarray.tolist, sort_keys=True, indent=2)
+    does for a payload of JSON values and 2-D int arrays, with one write
+    once the whole text is built; nothing is printed when a part of the
+    payload cannot be encoded."""
     if fmt == "text" and text_lines is not None:
         for line in text_lines:
             print(line)

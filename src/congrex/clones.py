@@ -129,7 +129,8 @@ def _member_rows(size: int, arity: int, rows):
     """rows, a 2-D int array of function tables over A^arity (|A| = size),
     refused as FiniteFunction refuses a table, else sorted into
     lexicographic order without repeats, in the least dtype that holds
-    range(size)."""
+    range(size).  Rows already in strictly increasing order, as
+    comp_fragment finds them, are not sorted again."""
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.dtype.kind not in "iu":
         raise InvalidInputError(f"member tables must be a 2-D int array: {rows.dtype} {rows.shape}")
@@ -137,10 +138,22 @@ def _member_rows(size: int, arity: int, rows):
         raise InvalidInputError(f"table length {rows.shape[1]} != {size}^{arity}")
     if rows.size and (rows.min() < 0 or rows.max() >= size):
         raise InvalidInputError("entry out of range")
-    rows = rows.astype(np.min_scalar_type(size - 1))[np.lexsort(rows.T[::-1])]
+    rows = rows.astype(np.min_scalar_type(size - 1))
+    if rows.shape[1] and _increasing(rows):
+        return rows
+    rows = rows[np.lexsort(rows.T[::-1])]
     distinct = np.ones(len(rows), dtype=bool)
     distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return rows[distinct]
+
+
+def _increasing(rows) -> bool:
+    """Whether the rows of a 2-D array with columns are in strictly increasing
+    lexicographic order, judged at the first column where each pair of
+    adjacent rows differs."""
+    later, earlier = rows[1:], rows[:-1]
+    col = (later != earlier).argmax(axis=1, keepdims=True)
+    return bool((np.take_along_axis(later, col, 1) > np.take_along_axis(earlier, col, 1)).all())
 
 
 class CloneFragment:
@@ -189,10 +202,13 @@ class CloneFragment:
         return {f for part in self.members for f in part}
 
     def to_json_dict(self) -> dict:
+        """The fragment with each arity part as its array, which cli.emit
+        writes as lists of rows; elsewhere write it with json.dumps(...,
+        default=np.ndarray.tolist)."""
         return {
             "universe_size": self.universe_size,
             "max_arity": self.max_arity,
-            "members": {str(k): part.tolist() for k, part in enumerate(self.parts, 1)},
+            "members": {str(k): part for k, part in enumerate(self.parts, 1)},
         }
 
 

@@ -402,13 +402,15 @@ Z4_MINUS = {
 }
 
 #: the fragment and witness outputs behind the relation check and the row
-#: writer; "Z4_MINUS" stands for the file of Z4_MINUS
+#: writer (pol Z12 has values of one and two digits); "Z4_MINUS" stands for
+#: the file of Z4_MINUS
 PINNED_COMMANDS = [
     ["comp", "Z3", "--max-arity", "2"],
     ["witness", "Q8", "--up-to-n", "2"],
     ["witness", "Z4"],
     ["witness", "Z4_MINUS"],
     ["pol", "Z6", "--max-arity", "2"],
+    ["pol", "Z12", "--max-arity", "1"],
 ]
 
 #: sha256 of the exit code, a newline and the stdout of each pinned command
@@ -418,6 +420,7 @@ PINNED_DIGESTS = {
     "witness Z4": "9855a2427177bc5ca92ab3e85759df31a3f40aa311566d5002445e5db1eac9d9",
     "witness Z4_MINUS": "b299843690782db2e271e00f6efa02e9899a554dc4245888caee49b4c8432556",
     "pol Z6 --max-arity 2": "d4209e69720046a704f5dafe96c8762570944a171ac75007b235b86c8706e80c",
+    "pol Z12 --max-arity 1": "657b2308614fec0a53a3fa6410f22709282cb5cd988af48f5f2dd240a8b93d01",
 }
 
 

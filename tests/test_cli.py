@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from congrex import analyzer, cli, clones
 from congrex.algebra import FiniteAlgebra, Operation, Partition
@@ -781,6 +782,12 @@ WIDE = [[(7 * i + j) % 5 for j in range(27)] for i in range(40)]
         [(1, 2), [3, 4]],
         ((1, 2), (3, 4)),
         {"x": ([0, 1], (2, 3), [4, 5])},
+        {"m": [[[1, 2]], [[3, 4], [5, 6]], ([7, 8, 9],)]},
+        [[[1, 2]], [[3, 4], [5, True]]],
+        [[[1, 2]], [[3, 4], [5]]],
+        [[[1, 2]], [[3, 4], [5, 2**63]]],
+        [[[1, 2]], []],
+        [[[1, 2]], [[]]],
     ],
     ids=repr,
 )
@@ -788,11 +795,64 @@ def test_emit_keeps_the_layout_of_mixed_and_empty_containers(payload):
     assert emitted(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def larger_arrays(dtype, values):
+    shapes = st.tuples(st.integers(1, 40), st.integers(1, 12))
+    return hnp.arrays(dtype, shapes, elements=st.sampled_from(values))
+
+
+#: 2-D int arrays of the dtypes a fragment part may have and wider ones,
+#: with widths that cross a power of ten and negative values
+int_arrays = st.one_of(
+    hnp.arrays(
+        st.sampled_from([np.uint8, np.int16, np.int32, np.int64]),
+        st.tuples(st.integers(0, 3), st.integers(1, 3)),
+    ),
+    larger_arrays(np.uint8, [0, 1, 9, 10, 11, 99, 100, 255]),
+    larger_arrays(np.int16, [-1001, -1000, -999, -10, -9, -1, 0, 1, 9, 10, 99, 100]),
+    larger_arrays(np.int32, range(-12, 12)),
+    larger_arrays(np.int64, [-(2**63), 2**63 - 1, -(10**18), 10**18 - 1, 0, 7]),
+)
+array_payloads = st.recursive(
+    int_arrays | json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(array_payloads)
+def test_emit_writes_int_arrays_as_json_dumps_writes_their_lists(payload):
+    expected = json.dumps(payload, default=np.ndarray.tolist, sort_keys=True, indent=2)
+    assert emitted(payload) == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        np.zeros((0, 3), dtype=np.uint8),
+        np.zeros((2, 0), dtype=np.int64),
+        {"a": np.zeros((3, 0), dtype=np.int16), "b": [np.zeros((0, 0), dtype=np.uint8)]},
+        np.array([[2**64 - 1, 0], [2**63, 5]], dtype=np.uint64),
+        np.arange(-300, 300, dtype=np.int16).reshape(20, 30),
+        np.arange(-128, 127, dtype=np.int8).reshape(15, 17)[::-1],
+        [np.array([[1, 22]]), [[333, 4], [5, 6]], [[[7]], [[8, 9]]]],
+    ],
+    ids=repr,
+)
+def test_emit_writes_empty_wide_and_nested_int_arrays(payload):
+    expected = json.dumps(payload, default=np.ndarray.tolist, sort_keys=True, indent=2)
+    assert emitted(payload) == expected + "\n"
+
+
 EMIT_COMMANDS = [
     *CORPUS_COMMANDS,
     ["comp", "Z3", "--max-arity", "2"],
     ["con", "Z2xZ2xZ2xZ2xZ2"],
     ["witness", "Q8"],
+    ["pol", "Z12", "--max-arity", "1"],
 ]
 
 
@@ -808,17 +868,31 @@ def test_cli_prints_the_json_dumps_text_of_its_payload(capsys, monkeypatch, argv
     monkeypatch.setattr(cli, "emit", spy)
     code, out, _ = run(capsys, *argv)
     assert len(payloads) == 1
-    expected = json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
+    if argv[0] in ("comp", "pol"):
+        # fragment parts reach the writer as arrays, not as lists of rows
+        parts = payloads[0]["members"].values()
+        assert parts and all(type(part) is np.ndarray for part in parts)
+    expected = json.dumps(payloads[0], default=np.ndarray.tolist, sort_keys=True, indent=2)
+    expected += "\n"
     # by lines, so that a failure names the first differing line quickly
     # instead of diffing megabytes of text
     assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
 def test_unencodable_payload_raises_and_prints_nothing(capsys):
-    # the rows sort before the numpy scalar, so they are built first
-    payload = {"a": [[0, 1], [1, 0]], "z": np.int64(1)}
-    with pytest.raises(TypeError):
-        json.dumps(payload, sort_keys=True, indent=2)
-    with pytest.raises(TypeError):
-        cli.emit(payload, "json")
-    assert capsys.readouterr().out == ""
+    # the writer takes no numpy scalar and no array but a 2-D int one; the
+    # rows and the array sort before the bad value, so they are built first
+    for bad in [
+        np.int64(1),
+        np.array([[True, False]]),
+        np.array([[0.5, 1.0]]),
+        np.array([[1, "a"]], dtype=object),
+        np.arange(3),
+        np.zeros((2, 2, 2), dtype=np.int64),
+    ]:
+        payload = {"a": [[0, 1], [1, 0]], "b": np.eye(2, dtype=np.uint8), "z": bad}
+        with pytest.raises(TypeError):
+            json.dumps(bad)
+        with pytest.raises(TypeError):
+            cli.emit(payload, "json")
+        assert capsys.readouterr().out == ""

@@ -470,6 +470,35 @@ def test_fragment_parts_are_sorted_and_distinct_as_the_tuple_sort(size, max_arit
     assert frag == CloneFragment(size, max_arity, [p[::-1] for p in parts])
 
 
+@settings(max_examples=100)
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_member_rows_of_rows_near_order_match_the_tuple_sort(size, arity, data):
+    # rows in order, with or without repeats, or with one adjacent pair swapped
+    table = st.tuples(*[st.integers(0, size - 1)] * size**arity)
+    rows = sorted(data.draw(st.lists(table)))
+    if data.draw(st.booleans()):
+        rows = sorted(set(rows))
+    if len(rows) > 1 and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(rows) - 2))
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    got = clones._member_rows(size, arity, np.array(rows, dtype=np.intp).reshape(-1, size**arity))
+    assert list(map(tuple, got.tolist())) == sorted(set(rows))
+    assert got.dtype == np.min_scalar_type(size - 1)
+
+
+def test_comp_rows_in_order_are_not_sorted_again(monkeypatch):
+    def fail(keys):
+        raise AssertionError("rows in order sorted again")
+
+    frag = comp_fragment(cyclic_group(3), 2)
+    monkeypatch.setattr(clones.np, "lexsort", fail)
+    assert comp_fragment(cyclic_group(3), 2) == frag
+    rows = frag.parts[1]
+    assert clones._member_rows(3, 2, rows) is not rows  # the fragment owns its parts
+    with pytest.raises(AssertionError, match="sorted again"):
+        clones._member_rows(3, 2, rows[::-1])
+
+
 # ---------------------------------------------------------------------------
 # tensor construction
 
