@@ -16,7 +16,6 @@ from .algebra import (
     Partition,
     direct_product,
     is_congruence_uniform,
-    product_of,
     quotient_index,
 )
 from .analyzer import (
@@ -40,7 +39,6 @@ from .clones import (
     comp_fragment,
     is_congruence_preserving,
     is_product_congruence,
-    is_skew_free,
     malcev_term,
     pol_fragment,
     preserves_relation,

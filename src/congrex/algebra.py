@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -178,34 +177,38 @@ class Partition:
 
 
 class Operation:
-    """A named finitary operation given by its flat row-major table."""
+    """A named finitary operation given by its flat row-major table; in a
+    FiniteAlgebra, the read-only array of table_array."""
 
     __slots__ = ("name", "arity", "table")
 
     def __init__(self, name: str, arity: int, table):
         self.name = name
         self.arity = arity
-        self.table = tuple(table)
+        self.table = table
 
     def __eq__(self, other):
         return (
             isinstance(other, Operation)
             and self.name == other.name
             and self.arity == other.arity
-            and self.table == other.table
+            and np.array_equal(self.table, other.table)
         )
 
     def __hash__(self):
-        return hash((self.name, self.arity, self.table))
+        return hash((self.name, self.arity))
 
     def __repr__(self):
-        return f"Operation({self.name!r}, {self.arity}, {list(self.table)})"
+        return f"Operation({self.name!r}, {self.arity}, {np.asarray(self.table).tolist()})"
 
 
 def _flat_index(args, size: int) -> int:
     """Row-major index (a1*size + a2)*size + ... of an argument tuple; with
-    equally shaped intp arrays as arguments, elementwise for all at once."""
-    idx = 0
+    equally shaped int arrays as arguments, elementwise for all at once.
+    The sum starts as an intp, so numpy arguments, arrays or scalars, are
+    combined in intp: table values in a narrow dtype would wrap silently
+    once size**len(args) passes its range."""
+    idx = np.intp(0)
     for a in args:
         idx = idx * size + a
     return idx
@@ -324,15 +327,57 @@ def require_int(value, what: str) -> int:
     return value
 
 
-def check_table(table, size: int, arity: int, where: str = "") -> None:
-    """Refuse a table that is not size**arity ints in range(size); where
-    prefixes each message."""
-    if len(table) != size**arity:
-        raise InvalidInputError(f"{where}table length {len(table)} != {size}^{arity}")
-    if not set(map(type, table)) <= {int}:
-        require_int(next(v for v in table if type(v) is not int), f"{where}table entry")
-    if table and (min(table) < 0 or max(table) >= size):
+def table_array(table, size: int, arity: int, where: str = "", ndim: int = 1):
+    """The one check of a table over A^arity, |A| = size: a sequence of
+    Python ints (a bool, a float or a numpy scalar is refused, never
+    converted) or an int ndarray of ndim dimensions, one table per row, of
+    size**arity entries in range(size) each; where prefixes each message.
+    Returns it as a read-only array in the least dtype that holds
+    range(size), without a copy if it already is one."""
+    require_int(size, "universe_size")
+    require_int(arity, "arity")
+    is_array = isinstance(table, np.ndarray)
+    if is_array and (table.ndim != ndim or table.dtype.kind not in "iu"):
+        what = "table" if ndim == 1 else "member tables"
+        raise InvalidInputError(
+            f"{where}{what} must be a {ndim}-D int array: {table.dtype} {table.shape}"
+        )
+    length = table.shape[-1] if is_array else len(table)
+    if length != size**arity:
+        raise InvalidInputError(f"{where}table length {length} != {size}^{arity}")
+    if not is_array:
+        if not set(map(type, table)) <= {int}:
+            require_int(next(v for v in table if type(v) is not int), f"{where}table entry")
+        table = np.array(table)  # an object array if an int passes int64
+    if table.size and (table.min() < 0 or table.max() >= size):
         raise InvalidInputError(f"{where}entry out of range")
+    dtype = np.min_scalar_type(size - 1)
+    if table.dtype != dtype or table.flags.writeable:
+        table = table.astype(dtype)
+        table.flags.writeable = False
+    return table
+
+
+def _distinct_rows(rows):
+    """The distinct rows of a 2-D array in lexicographic order: rows itself
+    when its rows are already strictly increasing, else a new read-only
+    array."""
+    if not (rows.shape[1] and _increasing(rows)):
+        rows = rows[np.lexsort(rows.T[::-1])]
+        distinct = np.ones(len(rows), dtype=bool)
+        distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        rows = rows[distinct]
+        rows.flags.writeable = False
+    return rows
+
+
+def _increasing(rows) -> bool:
+    """Whether the rows of a 2-D array with columns are in strictly increasing
+    lexicographic order, judged at the first column where each pair of
+    adjacent rows differs."""
+    later, earlier = rows[1:], rows[:-1]
+    col = (later != earlier).argmax(axis=1, keepdims=True)
+    return bool((np.take_along_axis(later, col, 1) > np.take_along_axis(earlier, col, 1)).all())
 
 
 class FiniteAlgebra:
@@ -349,8 +394,8 @@ class FiniteAlgebra:
                 op = Operation(*op)
             if require_int(op.arity, f"operation {op.name!r}: arity") < 0:
                 raise InvalidInputError(f"operation {op.name!r} has negative arity")
-            check_table(op.table, size, op.arity, f"operation {op.name!r}: ")
-            ops.append(op)
+            table = table_array(op.table, size, op.arity, f"operation {op.name!r}: ")
+            ops.append(Operation(op.name, op.arity, table))
         names = [op.name for op in ops]
         if len(set(names)) != len(names):
             raise InvalidInputError("duplicate operation names")
@@ -371,17 +416,6 @@ class FiniteAlgebra:
         except KeyError:
             raise InvalidInputError(f"unknown operation {name!r}") from None
 
-    def apply(self, op_name: str, args) -> int:
-        op = self.operation(op_name)
-        args = tuple(args)
-        if len(args) != op.arity:
-            raise InvalidInputError(
-                f"operation {op_name!r} has arity {op.arity}, got {len(args)} arguments"
-            )
-        if any(not (0 <= a < self.size) for a in args):
-            raise InvalidInputError(f"argument out of range in {args}")
-        return op.table[_flat_index(args, self.size)]
-
     def signature(self):
         return tuple(sorted((op.name, op.arity) for op in self.operations))
 
@@ -398,13 +432,13 @@ class FiniteAlgebra:
         """
         if self._translations is None:
             n = self.size
-            rows = set()
+            rows = [np.empty((0, n), dtype=np.min_scalar_type(n - 1))]
             for op in self.operations:
-                table = np.array(op.table).reshape((n,) * op.arity)
-                for i in range(op.arity):
-                    rows.update(map(tuple, np.moveaxis(table, i, -1).reshape(-1, n).tolist()))
-            rows.discard(tuple(range(n)))
-            self._translations = np.array(sorted(rows), dtype=np.int32).reshape(-1, n)
+                table = op.table.reshape((n,) * op.arity)
+                rows += [np.moveaxis(table, i, -1).reshape(-1, n) for i in range(op.arity)]
+            rows = _distinct_rows(np.concatenate(rows))
+            moved = (rows != np.arange(n)).any(axis=1)
+            self._translations = rows[moved].astype(np.int32)
         return self._translations
 
     def principal_congruence(self, a: int, b: int) -> Partition:
@@ -519,8 +553,8 @@ class FiniteAlgebra:
         ops = []
         for op in self.operations:
             args = [reps[x] for x in _grid((len(reps),) * op.arity)]
-            table = ids[np.array(op.table)[_flat_index(args, self.size)]]
-            ops.append(Operation(op.name, op.arity, np.ravel(table).tolist()))
+            table = ids[op.table[_flat_index(args, self.size)]]
+            ops.append(Operation(op.name, op.arity, np.ravel(table)))
         name = f"{self.name}/~" if self.name else ""
         return FiniteAlgebra(len(reps), ops, name=name)
 
@@ -531,7 +565,7 @@ class FiniteAlgebra:
             "name": self.name,
             "size": self.size,
             "operations": [
-                {"name": op.name, "arity": op.arity, "table": list(op.table)}
+                {"name": op.name, "arity": op.arity, "table": op.table.tolist()}
                 for op in self.operations
             ],
         }
@@ -563,11 +597,16 @@ class FiniteAlgebra:
 def _pair_tables(left, right, size_a: int, size_b: int, arity: int):
     """Componentwise product tables over (A x B)^arity, the pair (x, y)
     encoded as x * |B| + y: the last axis of left holds tables over A^arity,
-    that of right tables over B^arity, and the other axes broadcast."""
-    args = _grid((size_a * size_b,) * arity)
-    va = np.asarray(left, dtype=np.intp)[..., _flat_index([x // size_b for x in args], size_a)]
-    vb = np.asarray(right, dtype=np.intp)[..., _flat_index([x % size_b for x in args], size_b)]
-    return va * size_b + vb
+    that of right tables over B^arity, and the other axes broadcast.
+
+    The row-major index of ((x1, y1), ..., (xk, yk)) is that of
+    (x1, y1, ..., xk, yk) in the shape (|A|, |B|) * k, so the tables are one
+    broadcast sum over that shape, in a dtype that holds |A| * |B|."""
+    dtype = np.min_scalar_type(size_a * size_b)
+    va = left.astype(dtype).reshape(left.shape[:-1] + (size_a, 1) * arity)
+    vb = right.astype(dtype).reshape(right.shape[:-1] + (1, size_b) * arity)
+    out = va * size_b + vb
+    return out.reshape(out.shape[: out.ndim - 2 * arity] + (-1,))
 
 
 def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
@@ -586,7 +625,7 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     for op_a in a.operations:
         op_b = b.operation(op_a.name)
         table = _pair_tables(op_a.table, op_b.table, a.size, b.size, op_a.arity)
-        ops.append(Operation(op_a.name, op_a.arity, np.ravel(table).tolist()))
+        ops.append(Operation(op_a.name, op_a.arity, table))
     name = ""
     if a.name and b.name:
         name = f"{a.name}x{b.name}"
@@ -595,14 +634,6 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     second = Partition(x % b.size for x in range(size))
     prod.product_kernels = (first, second)
     return prod
-
-
-def product_of(factors) -> FiniteAlgebra:
-    """Left fold of direct_product over two or more factors."""
-    factors = list(factors)
-    if not factors:
-        raise InvalidInputError("empty product")
-    return reduce(direct_product, factors)
 
 
 def quotient_index(alg: FiniteAlgebra, alpha: Partition, beta: Partition):

@@ -127,9 +127,10 @@ def decide_group(
     alg = as_group_algebra(group)
     g = GroupStructure.of(alg)
     # the multiplication, inverse map and identity of g, by arity
-    group_tables = {2: g.mul_table.ravel().tolist(), 1: list(g.inv), 0: [g.identity]}
+    group_tables = {2: g.mul_table.ravel(), 1: g.inv, 0: [g.identity]}
     extra = [
-        op.name for op in alg.operations if list(op.table) != group_tables.get(op.arity)
+        op.name for op in alg.operations
+        if not np.array_equal(op.table, group_tables.get(op.arity))
     ]
     if extra:
         return AnalysisReport(
@@ -367,8 +368,7 @@ class WitnessFamily:
             s = self.base.size
             least = self.delta.least
             hit = (least[np.stack(_grid((s,) * n))] == least[self.a]).any(axis=0)
-            table = np.where(hit, self.a, self.b).tolist()
-            self._cache[n] = FiniteFunction(s, n, tuple(table))
+            self._cache[n] = FiniteFunction(s, n, np.where(hit, self.a, self.b))
         return self._cache[n]
 
     def functions(self, up_to_n: int):
@@ -421,15 +421,14 @@ def verify_witness(fam: WitnessFamily, up_to_n: int) -> dict:
         f = fam.function(n)
         if not is_congruence_preserving(f, fam.congruences):
             raise WitnessCheckError(f"member of arity {n} is not congruence preserving")
-        values = set(f.table)
+        values = set(np.flatnonzero(np.bincount(f.table, minlength=s)).tolist())
         if not values <= {fam.a, fam.b}:
             raise WitnessCheckError(f"member of arity {n} has range {values}")
         if not fam.epsilon.same(fam.a, fam.b):
             raise WitnessCheckError("(a, b) left its epsilon class")
         # the congruence check with the identity as the value map
         moved, reps = _signature_reps(fam.delta, n)
-        table = np.array(f.table)
-        bad = moved[table[moved] != table[reps]]
+        bad = moved[f.table[moved] != f.table[reps]]
         if len(bad):
             args = tuple(int(x) for x in np.unravel_index(bad[0], (s,) * n))
             raise WitnessCheckError(
@@ -456,7 +455,7 @@ def build_rho(
     least = epsilon.least
     x1, x2, x3 = _grid((s,) * 3)
     # d's table lists d(x1, x2, x3) in the grid's order
-    tuples = np.stack([x1, x2, x3, np.array(d.table)], axis=1)[least[x1] == least[x2]]
+    tuples = np.stack([x1, x2, x3, d.table], axis=1)[least[x1] == least[x2]]
     return Relation4.from_tuples(s, tuples.tolist())
 
 
@@ -488,29 +487,22 @@ def build_commutator_witness(fam: WitnessFamily, d: FiniteFunction, k: int) -> F
     (w(c,...,c,a) = b for every c outside the delta class of a).  A table
     of more than WITNESS_TABLE_BUDGET entries is refused.
     """
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
+    _check_witness_arity(fam.base.size, k)
     if not is_malcev_function(d) or d.universe_size != fam.base.size:
         raise InvalidInputError("d is not a Mal'cev function on the base universe")
     s = fam.base.size
     arity = k + 2
-    if s**arity > WITNESS_TABLE_BUDGET:
-        raise InvalidInputError(
-            f"table of size {s}^{arity} exceeds budget {WITNESS_TABLE_BUDGET}"
-        )
-    f = np.array(fam.function(k + 1).table)
-    dt = np.array(d.table)
+    f, dt = fam.function(k + 1).table, d.table
     a, b = fam.a, fam.b
     *xs, z = _grid((s,) * arity)
     inner = [dt[_flat_index((x, z, a), s)] for x in xs]
-    table = dt[_flat_index((f[_flat_index(inner, s)], a, z), s)]
-    w = FiniteFunction(s, arity, tuple(table.tolist()))
+    w = FiniteFunction(s, arity, dt[_flat_index((f[_flat_index(inner, s)], a, z), s)])
 
     # w(..., z, ..., z), z at position j and the others in lexicographic order
     *partial, z = _grid((s,) * (k + 1))
     for j in range(k + 1):
         args = partial[:j] + [z] + partial[j:] + [z]
-        bad = np.flatnonzero(table[_flat_index(args, s)] != z)
+        bad = np.flatnonzero(w.table[_flat_index(args, s)] != z)
         if len(bad):
             at = tuple(int(x[bad[0]]) for x in args)
             raise WitnessCheckError(
@@ -528,6 +520,17 @@ def build_commutator_witness(fam: WitnessFamily, d: FiniteFunction, k: int) -> F
     return w
 
 
+def _check_witness_arity(size: int, k: int) -> None:
+    """Refuse k < 1, and a commutator witness table of size**(k+2) entries
+    over WITNESS_TABLE_BUDGET."""
+    if k < 1:
+        raise InvalidInputError("k must be >= 1")
+    if size ** (k + 2) > WITNESS_TABLE_BUDGET:
+        raise BudgetExceededError(
+            f"table of size {size}^{k + 2} exceeds budget {WITNESS_TABLE_BUDGET}"
+        )
+
+
 def group_witness_pipeline(
     group, up_to_n: int = 3, k: int = 1, force: bool = False, budget: int | None = None
 ) -> dict:
@@ -539,8 +542,10 @@ def group_witness_pipeline(
     no Mal'cev term, once its family is built and before it is verified.
     The family comes first because it is cheap and refuses most algebras,
     while the Mal'cev search can fill the member cap of the whole ternary
-    clone.  ``force`` and ``budget`` go to the congruence enumeration;
-    ``force`` also lifts the centrality check's limit.
+    clone.  A k below 1, or a commutator witness table over
+    WITNESS_TABLE_BUDGET, is refused before any congruence work too.
+    ``force`` and ``budget`` go to the congruence enumeration; ``force``
+    also lifts the centrality check's limit.
     """
     alg = as_group_algebra(group)
     try:
@@ -549,6 +554,7 @@ def group_witness_pipeline(
         g = None
     if g is not None and not is_nilpotent_group(g):
         raise NotApplicableError(f"{alg.name or 'the group'} is not nilpotent")
+    _check_witness_arity(alg.size, k)
     congs = alg.all_congruences(force=force, budget=budget)
     fam = build_witness_family(alg, congs=congs)
     d = group_malcev_function(g) if g is not None else malcev_term(alg)
@@ -569,11 +575,11 @@ def group_witness_pipeline(
         "delta": [list(bl) for bl in fam.delta.blocks()],
         "epsilon": [list(bl) for bl in fam.epsilon.blocks()],
         "family": {
-            str(n): list(fam.function(n).table) for n in range(1, up_to_n + 1)
+            str(n): fam.function(n).table.tolist() for n in range(1, up_to_n + 1)
         },
         "family_checks": {str(n): v for n, v in record.items()},
         "rho_size": len(rho),
         "centrality": True,
         "commutator_witness_arity": w.arity,
-        "commutator_witness_table": list(w.table),
+        "commutator_witness_table": w.table.tolist(),
     }

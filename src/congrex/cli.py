@@ -287,7 +287,7 @@ def cmd_clone(args) -> int:
     try:
         size = require_int(data["universe_size"], "universe_size")
         gens = [
-            FiniteFunction(size, require_int(f["arity"], "arity"), tuple(f["table"]))
+            FiniteFunction(size, require_int(f["arity"], "arity"), f["table"])
             for f in data.get("functions", [])
         ]
     except (KeyError, TypeError) as exc:

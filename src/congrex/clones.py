@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Partition, _chunks, _flat_index, _grid, check_table
-from .algebra import _join_rows, _meet_rows, _pair_tables, require_int
+from .algebra import FiniteAlgebra, Partition, _chunks, _distinct_rows, _flat_index, _grid
+from .algebra import _join_rows, _meet_rows, _pair_tables, require_int, table_array
 from .errors import BudgetExceededError, InvalidInputError, NotAGroupError
 from .groups import GroupStructure
 
@@ -24,32 +24,41 @@ DEFAULT_MEMBER_CAP = 10**6
 DEFAULT_COMP_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteFunction:
-    """An m-ary function on {0..universe_size-1} as a flat row-major table."""
+    """An m-ary function on {0..universe_size-1} as a flat row-major table,
+    kept as the read-only array of table_array; functions are equal, and
+    hash alike, when their universe sizes, arities and table bytes are."""
 
     universe_size: int
     arity: int
-    table: tuple
+    table: np.ndarray
 
     def __post_init__(self):
-        require_int(self.universe_size, "universe_size")
-        require_int(self.arity, "arity")
-        check_table(self.table, self.universe_size, self.arity)
+        table = table_array(self.table, self.universe_size, self.arity)
+        object.__setattr__(self, "table", table)
+
+    def _key(self):
+        return (self.universe_size, self.arity, self.table.tobytes())
+
+    def __eq__(self, other):
+        return isinstance(other, FiniteFunction) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __call__(self, *args) -> int:
         if len(args) != self.arity:
             raise InvalidInputError(f"arity {self.arity}, got {len(args)} arguments")
         if any(not (0 <= a < self.universe_size) for a in args):
             raise InvalidInputError(f"argument out of range in {args}")
-        return self.table[_flat_index(args, self.universe_size)]
+        return int(self.table[_flat_index(args, self.universe_size)])
 
     @staticmethod
     def projection(universe_size: int, arity: int, index: int) -> "FiniteFunction":
         if not (0 <= index < arity):
             raise InvalidInputError("projection index out of range")
-        table = _grid((universe_size,) * arity)[index]
-        return FiniteFunction(universe_size, arity, tuple(table.tolist()))
+        return FiniteFunction(universe_size, arity, _grid((universe_size,) * arity)[index])
 
     @staticmethod
     def constant(universe_size: int, value: int, arity: int = 1) -> "FiniteFunction":
@@ -59,21 +68,14 @@ class FiniteFunction:
 
     @staticmethod
     def from_operation(universe_size: int, op) -> "FiniteFunction":
-        return FiniteFunction(universe_size, op.arity, tuple(op.table))
-
-    def is_projection(self) -> bool:
-        return any(
-            self == FiniteFunction.projection(self.universe_size, self.arity, i)
-            for i in range(self.arity)
-        )
+        return FiniteFunction(universe_size, op.arity, op.table)
 
 
 def _retabulate(f: FiniteFunction, arity: int, argmap) -> FiniteFunction:
     """New function of the given arity whose grid coordinates feed f via argmap."""
     s = f.universe_size
     index = _flat_index(argmap(tuple(_grid((s,) * arity))), s)
-    table = np.array(f.table)[np.broadcast_to(index, (s**arity,))]
-    return FiniteFunction(s, arity, tuple(table.tolist()))
+    return FiniteFunction(s, arity, f.table[np.broadcast_to(index, (s**arity,))])
 
 
 def rotate_args(f: FiniteFunction) -> FiniteFunction:
@@ -120,47 +122,24 @@ def compose_first(f: FiniteFunction, g: FiniteFunction) -> FiniteFunction:
     s = f.universe_size
     m, n = g.arity, f.arity
     args = _grid((s,) * (m + n - 1))
-    head = np.array(g.table)[_flat_index(args[:m], s)]
-    table = np.array(f.table)[_flat_index([head] + args[m:], s)]
-    return FiniteFunction(s, m + n - 1, tuple(np.ravel(table).tolist()))
+    head = g.table[_flat_index(args[:m], s)]
+    table = f.table[_flat_index([head] + args[m:], s)]
+    return FiniteFunction(s, m + n - 1, np.ravel(table))
 
 
 def _member_rows(size: int, arity: int, rows):
     """rows, a 2-D int array of function tables over A^arity (|A| = size),
-    refused as FiniteFunction refuses a table, else sorted into
-    lexicographic order without repeats, in the least dtype that holds
-    range(size).  Rows already in strictly increasing order, as
-    comp_fragment finds them, are not sorted again."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.dtype.kind not in "iu":
-        raise InvalidInputError(f"member tables must be a 2-D int array: {rows.dtype} {rows.shape}")
-    if rows.shape[1] != require_int(size, "universe_size") ** require_int(arity, "arity"):
-        raise InvalidInputError(f"table length {rows.shape[1]} != {size}^{arity}")
-    if rows.size and (rows.min() < 0 or rows.max() >= size):
-        raise InvalidInputError("entry out of range")
-    rows = rows.astype(np.min_scalar_type(size - 1))
-    if rows.shape[1] and _increasing(rows):
-        return rows
-    rows = rows[np.lexsort(rows.T[::-1])]
-    distinct = np.ones(len(rows), dtype=bool)
-    distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[distinct]
-
-
-def _increasing(rows) -> bool:
-    """Whether the rows of a 2-D array with columns are in strictly increasing
-    lexicographic order, judged at the first column where each pair of
-    adjacent rows differs."""
-    later, earlier = rows[1:], rows[:-1]
-    col = (later != earlier).argmax(axis=1, keepdims=True)
-    return bool((np.take_along_axis(later, col, 1) > np.take_along_axis(earlier, col, 1)).all())
+    checked by table_array, then in lexicographic order without repeats.
+    Rows already in strictly increasing order, as comp_fragment finds them,
+    are not sorted again."""
+    return _distinct_rows(table_array(np.asarray(rows), size, arity, ndim=2))
 
 
 class CloneFragment:
     """All members of a clone with arity between 1 and max_arity.
 
-    parts[k-1] holds the k-ary members as the rows of one 2-D array of
-    function tables, distinct and in lexicographic order."""
+    parts[k-1] holds the k-ary members as the rows of one read-only 2-D
+    array of function tables, distinct and in lexicographic order."""
 
     def __init__(self, universe_size: int, max_arity: int, parts):
         if len(parts) != require_int(max_arity, "max_arity"):
@@ -181,10 +160,8 @@ class CloneFragment:
         """The members of the given arity, as FiniteFunctions in table order."""
         if not (1 <= arity <= self.max_arity):
             raise InvalidInputError(f"arity {arity} outside fragment bound")
-        return tuple(
-            FiniteFunction(self.universe_size, arity, tuple(row))
-            for row in self.parts[arity - 1].tolist()
-        )
+        size = self.universe_size
+        return tuple(FiniteFunction(size, arity, row) for row in self.parts[arity - 1])
 
     @property
     def members(self):
@@ -215,7 +192,7 @@ class CloneFragment:
 def _lift_generator(f: FiniteFunction) -> FiniteFunction:
     # nullary generators enter the closure as unary constants
     if f.arity == 0:
-        return FiniteFunction.constant(f.universe_size, f.table[0])
+        return FiniteFunction.constant(f.universe_size, int(f.table[0]))
     return f
 
 
@@ -228,7 +205,6 @@ def _arity_part(gens, size: int, arity: int, count: int, member_cap: int):
     plus the members found exceed member_cap."""
     n = size**arity
     dtype = np.min_scalar_type(size - 1)
-    tables = [np.asarray(g.table, dtype=dtype) for g in gens]
     members = {}  # the bytes of each member's value array, in order found
     void = np.dtype((np.void, n * dtype.itemsize))
 
@@ -241,7 +217,7 @@ def _arity_part(gens, size: int, arity: int, count: int, member_cap: int):
                         f"clone closure exceeded member cap {member_cap}"
                     )
 
-    start = _grid((size,) * arity) + [t for g, t in zip(gens, tables) if g.arity == arity]
+    start = _grid((size,) * arity) + [g.table for g in gens if g.arity == arity]
     add(np.stack(start).astype(dtype))
     done = 0
     while True:
@@ -250,12 +226,12 @@ def _arity_part(gens, size: int, arity: int, count: int, member_cap: int):
         if done == known:
             return rows
         rows = rows.astype(np.intp)
-        for g, table in zip(gens, tables):
+        for g in gens:
             # the last argument takes a block of members at once; it must be
             # new unless an earlier argument already is
             for head in itertools.product(range(known), repeat=g.arity - 1):
                 first = 0 if head and max(head) >= done else done
-                add(table[_flat_index([rows[i] for i in head] + [rows[first:]], size)])
+                add(g.table[_flat_index([rows[i] for i in head] + [rows[first:]], size)])
         done = known
 
 
@@ -360,7 +336,7 @@ def is_congruence_preserving(f: FiniteFunction, congs) -> bool:
     """True iff componentwise alpha-related tuples map to alpha-related values,
     for every congruence alpha in congs."""
     checks = _congruence_checks(congs, f.universe_size, f.arity)
-    return bool(_preserving(np.array([f.table], dtype=np.intp), checks)[0])
+    return bool(_preserving(f.table[None], checks)[0])
 
 
 #: candidate tables checked at once by comp_fragment, at most
@@ -419,8 +395,7 @@ def tensor_function(c: FiniteFunction, d: FiniteFunction) -> FiniteFunction:
     if c.arity != d.arity:
         raise InvalidInputError("tensor requires equal arities")
     sa, sb = c.universe_size, d.universe_size
-    table = _pair_tables(c.table, d.table, sa, sb, c.arity)
-    return FiniteFunction(sa * sb, c.arity, tuple(np.ravel(table).tolist()))
+    return FiniteFunction(sa * sb, c.arity, _pair_tables(c.table, d.table, sa, sb, c.arity))
 
 
 def tensor_fragments(cf: CloneFragment, df: CloneFragment) -> CloneFragment:
@@ -498,10 +473,6 @@ def skew_congruences(prod: FiniteAlgebra, congs=None):
     return [t for t, ok in zip(congs, product) if not ok]
 
 
-def is_skew_free(prod: FiniteAlgebra, congs=None) -> bool:
-    return not skew_congruences(prod, congs)
-
-
 # ---------------------------------------------------------------------------
 # relations and Mal'cev terms
 
@@ -554,7 +525,7 @@ def preserves_relation(f: FiniteFunction, r: Relation4) -> bool:
     if f.universe_size != r.universe_size:
         raise InvalidInputError("universe size mismatch")
     s, k, total = f.universe_size, f.arity, len(r) ** f.arity
-    table = np.array(f.table, dtype=np.intp)
+    table = f.table
     for block in _chunks(total, 1):
         index = np.arange(block.start, min(block.stop, total))
         picks = [index // len(r) ** (k - 1 - i) % len(r) for i in range(k)]
@@ -573,7 +544,7 @@ def _malcev_rows(tables, size: int):
 
 
 def is_malcev_function(d: FiniteFunction) -> bool:
-    return d.arity == 3 and bool(_malcev_rows(np.array([d.table]), d.universe_size)[0])
+    return d.arity == 3 and bool(_malcev_rows(d.table[None], d.universe_size)[0])
 
 
 def group_malcev_function(alg) -> FiniteFunction | None:
@@ -590,8 +561,7 @@ def group_malcev_function(alg) -> FiniteFunction | None:
             return None
     x, y, z = _grid((g.size,) * 3)
     m = g.mul_table
-    table = m[m[x, np.array(g.inv)[y]], z]
-    return FiniteFunction(g.size, 3, tuple(table.tolist()))
+    return FiniteFunction(g.size, 3, m[m[x, g.inv[y]], z])
 
 
 def malcev_term(
@@ -608,4 +578,4 @@ def malcev_term(
         return d
     ternary = _operation_clone(alg, 3, member_cap).parts[2]
     hits = ternary[_malcev_rows(ternary, alg.size)]
-    return FiniteFunction(alg.size, 3, tuple(hits[0].tolist())) if len(hits) else None
+    return FiniteFunction(alg.size, 3, hits[0]) if len(hits) else None

@@ -12,6 +12,7 @@ import re
 import numpy as np
 
 from .algebra import FiniteAlgebra, Operation, Partition, _flat_index, _grid, direct_product
+from .algebra import table_array
 from .errors import InvalidInputError, NotAGroupError
 
 
@@ -22,8 +23,9 @@ from .errors import InvalidInputError, NotAGroupError
 def cyclic_group(n: int) -> FiniteAlgebra:
     if n < 1:
         raise InvalidInputError("cyclic group order must be positive")
-    add = [(x + y) % n for x in range(n) for y in range(n)]
-    neg = [(-x) % n for x in range(n)]
+    x, y = _grid((n, n))
+    add = (x + y) % n
+    neg = -np.arange(n) % n
     return FiniteAlgebra(
         n,
         [Operation("+", 2, add), Operation("-", 1, neg), Operation("0", 0, [0])],
@@ -37,10 +39,10 @@ def group_from_cayley(table, name: str = "") -> FiniteAlgebra:
     The algebra keeps the GroupStructure that checked it, so the axioms
     are not checked again (see GroupStructure.of)."""
     n = len(table)
-    flat = [v for row in table for v in row]
-    if len(flat) != n * n or any(not (0 <= v < n) for v in flat):
-        raise NotAGroupError("Cayley table is not square over 0..n-1")
-    mul = Operation("+", 2, flat)
+    try:
+        mul = Operation("+", 2, table_array([v for row in table for v in row], n, 2))
+    except InvalidInputError as exc:
+        raise NotAGroupError("Cayley table is not square over 0..n-1") from exc
     g = GroupStructure(FiniteAlgebra(n, [mul]))
     alg = FiniteAlgebra(
         n, [mul, Operation("-", 1, g.inv), Operation("0", 0, [g.identity])], name=name
@@ -155,7 +157,7 @@ class GroupStructure:
         if not binary:
             raise NotAGroupError("algebra has no binary operation")
         n = alg.size
-        m = self.mul_table = np.array(binary[0].table, dtype=np.int64).reshape(n, n)
+        m = self.mul_table = binary[0].table.reshape(n, n)
         units = np.flatnonzero(
             (m == np.arange(n)).all(axis=1) & (m.T == np.arange(n)).all(axis=1)
         )
@@ -168,7 +170,7 @@ class GroupStructure:
         if not has_inverse.all():
             x = int(np.argmin(has_inverse))
             raise NotAGroupError(f"element {x} has no inverse")
-        self.inv = tuple(int(y) for y in two_sided.argmax(axis=1))
+        self.inv = table_array(two_sided.argmax(axis=1), n, 1)
         # Light's test: the a with (x*a)*y = x*(a*y) for all x, y are closed
         # under *, so it suffices to check generators, taken greedily.  A
         # group needs at most log2 n of them; needing more shows a failure.
@@ -226,7 +228,7 @@ def is_group_algebra(alg: FiniteAlgebra) -> bool:
 
 def lower_central_series(g: GroupStructure):
     """[G, G], [G, [G, G]], ... until the series stabilizes."""
-    m, inv = g.mul_table, np.array(g.inv)
+    m, inv = g.mul_table, g.inv
     full = frozenset(range(g.size))
     series = [full]
     current = full
@@ -292,12 +294,12 @@ def subalgebra_on(alg: FiniteAlgebra, elements, name: str = "") -> FiniteAlgebra
     ops = []
     for op in alg.operations:
         args = [elems[x] for x in _grid((k,) * op.arity)]
-        table = np.ravel(index[np.array(op.table)[_flat_index(args, alg.size)]])
+        table = np.ravel(index[op.table[_flat_index(args, alg.size)]])
         bad = np.flatnonzero(table < 0)
         if len(bad):
             at = tuple(int(x[bad[0]]) for x in args)
             raise InvalidInputError(f"subset not closed under {op.name!r} at {at}")
-        ops.append(Operation(op.name, op.arity, table.tolist()))
+        ops.append(Operation(op.name, op.arity, table))
     return FiniteAlgebra(k, ops, name=name)
 
 
@@ -339,7 +341,7 @@ def normal_subgroups(group, force: bool = False, budget: int | None = None):
     out; ``force`` and ``budget`` bound its congruence enumeration.
     """
     g = _as_structure(group)
-    reduct = FiniteAlgebra(g.size, [Operation("*", 2, g.mul_table.ravel().tolist())])
+    reduct = FiniteAlgebra(g.size, [Operation("*", 2, g.mul_table.ravel())])
     rows = reduct.congruence_rows(force, budget)
     classes = rows == rows[:, [g.identity]]
     subs = [frozenset(np.flatnonzero(c).tolist()) for c in classes]

@@ -123,17 +123,6 @@ def chain(n: int) -> FiniteLattice:
     return FiniteLattice([[a <= b for b in range(n)] for a in range(n)])
 
 
-def lattice_from_covers(n: int, covers) -> FiniteLattice:
-    """Build a lattice from a cover list [(lower, upper), ...]."""
-    leq = np.eye(n, dtype=bool)
-    pairs = np.array(covers, dtype=np.intp).reshape(-1, 2)
-    leq[pairs[:, 0], pairs[:, 1]] = True
-    # leq is reflexive, so squaring it until it stops growing closes it
-    while ((closed := leq @ leq) & ~leq).any():
-        leq = closed
-    return FiniteLattice(leq)
-
-
 def from_congruences(congs) -> FiniteLattice:
     """Order a meet/join closed set of partitions by refinement.
 
@@ -212,14 +201,6 @@ def splits_strongly(l: FiniteLattice):
 def splits(l: FiniteLattice):
     """Like splits_strongly, but the subintervals need not overlap."""
     return _split_witness(l, strong=False)
-
-
-def witness_is_valid(l: FiniteLattice, w: SplitWitness, strong: bool) -> bool:
-    if w.epsilon == l.bottom or w.delta == l.top:
-        return False
-    if strong and not l.leq[w.epsilon, w.delta]:
-        return False
-    return bool((l.leq[:, w.delta] | l.leq[w.epsilon]).all())
 
 
 def is_modular(l: FiniteLattice) -> bool:

@@ -16,6 +16,8 @@ its budget, the bitmask normal subgroup closure, the commutator-by-commutator
 lower central series, the tuple sort of clone fragment members, the pair loop
 of the tensor of two fragments, and the tuple-by-tuple direct product and
 every other table over A^n that the library builds on its argument grid.
+Two helpers that only tests use live here as well: the lattice of a cover
+list and the split witness check.
 """
 
 import itertools
@@ -34,7 +36,7 @@ from congrex.clones import (
 )
 from congrex.errors import BudgetExceededError
 from congrex.groups import GroupStructure, quaternion_group
-from congrex.lattice import FiniteLattice, SplitWitness, chain, lattice_from_covers, lattice_product
+from congrex.lattice import FiniteLattice, SplitWitness, chain, lattice_product
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -123,6 +125,11 @@ def permutation_algebras(draw, max_size=6):
     return direct_product(a, b)
 
 
+def table_value(op: Operation, args, size: int) -> int:
+    """The value of op at an argument tuple, read from its table."""
+    return int(op.table[_flat_index(args, size)])
+
+
 def partition_respects(alg: FiniteAlgebra, part: Partition) -> bool:
     """Compatibility by direct substitution on all argument tuples."""
     for op in alg.operations:
@@ -131,8 +138,8 @@ def partition_respects(alg: FiniteAlgebra, part: Partition) -> bool:
         for xs in itertools.product(range(alg.size), repeat=op.arity):
             for ys in itertools.product(range(alg.size), repeat=op.arity):
                 if all(part.block_id[x] == part.block_id[y] for x, y in zip(xs, ys)):
-                    if part.block_id[alg.apply(op.name, xs)] != part.block_id[
-                        alg.apply(op.name, ys)
+                    if part.block_id[table_value(op, xs, alg.size)] != part.block_id[
+                        table_value(op, ys, alg.size)
                     ]:
                         return False
     return True
@@ -152,7 +159,7 @@ def loop_translations(alg: FiniteAlgebra):
         for pos in range(op.arity):
             for rest in itertools.product(range(alg.size), repeat=op.arity - 1):
                 t = tuple(
-                    op.table[_flat_index(rest[:pos] + (x,) + rest[pos:], alg.size)]
+                    table_value(op, rest[:pos] + (x,) + rest[pos:], alg.size)
                     for x in range(alg.size)
                 )
                 if t != tuple(range(alg.size)):
@@ -374,8 +381,8 @@ def loop_direct_product(a: FiniteAlgebra, b: FiniteAlgebra):
         for args in itertools.product(range(size), repeat=op_a.arity):
             xs = tuple(arg // b.size for arg in args)
             ys = tuple(arg % b.size for arg in args)
-            va = op_a.table[_flat_index(xs, a.size)]
-            vb = op_b.table[_flat_index(ys, b.size)]
+            va = table_value(op_a, xs, a.size)
+            vb = table_value(op_b, ys, b.size)
             table.append(va * b.size + vb)
         ops.append(Operation(op_a.name, op_a.arity, table))
     return tuple(ops)
@@ -479,6 +486,27 @@ def loop_is_modular(lat: FiniteLattice) -> bool:
     return True
 
 
+def lattice_from_covers(n: int, covers) -> FiniteLattice:
+    """Build a lattice from a cover list [(lower, upper), ...]."""
+    leq = np.eye(n, dtype=bool)
+    pairs = np.array(covers, dtype=np.intp).reshape(-1, 2)
+    leq[pairs[:, 0], pairs[:, 1]] = True
+    # leq is reflexive, so squaring it until it stops growing closes it
+    while ((closed := leq @ leq) & ~leq).any():
+        leq = closed
+    return FiniteLattice(leq)
+
+
+def witness_is_valid(l: FiniteLattice, w: SplitWitness, strong: bool) -> bool:
+    """Whether (delta, epsilon) = w splits l: 0 < epsilon, delta < 1, every
+    element is below delta or above epsilon, and epsilon <= delta if strong."""
+    if w.epsilon == l.bottom or w.delta == l.top:
+        return False
+    if strong and not l.leq[w.epsilon, w.delta]:
+        return False
+    return bool((l.leq[:, w.delta] | l.leq[w.epsilon]).all())
+
+
 def m3() -> FiniteLattice:
     """Diamond: three incomparable atoms between bottom and top."""
     return lattice_from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
@@ -508,6 +536,11 @@ def small_lattice_corpus():
     }
 
 
+def table_key(f: FiniteFunction):
+    """The table of f as a tuple of ints, the key of the tuple sort."""
+    return tuple(f.table.tolist())
+
+
 def superposition_closure(gens, arity, universe_size):
     """Fixed-arity clone part oracle: close the arity-n projections and the
     n-ary liftings under g(h_1, ..., h_m) with every h_i n-ary."""
@@ -517,7 +550,7 @@ def superposition_closure(gens, arity, universe_size):
     gens = list(gens)
     for g in gens:
         if g.arity == 0:
-            current.add(FiniteFunction.constant(universe_size, g.table[0], arity))
+            current.add(FiniteFunction.constant(universe_size, int(g.table[0]), arity))
         if g.arity == arity:
             current.add(g)
     changed = True
@@ -526,7 +559,7 @@ def superposition_closure(gens, arity, universe_size):
         for g in gens:
             if g.arity == 0:
                 continue
-            for hs in itertools.product(sorted(current, key=lambda f: f.table), repeat=g.arity):
+            for hs in itertools.product(sorted(current, key=table_key), repeat=g.arity):
                 table = []
                 for xs in itertools.product(range(universe_size), repeat=arity):
                     args = [h(*xs) for h in hs]
@@ -544,7 +577,7 @@ def fixpoint_closure(gens, max_arity, universe_size):
     within max_arity.  It can miss members whose derivations pass through
     higher arities, so its parts are subsets of the exact ones."""
     gens = [
-        FiniteFunction.constant(universe_size, f.table[0]) if f.arity == 0 else f
+        FiniteFunction.constant(universe_size, int(f.table[0])) if f.arity == 0 else f
         for f in gens
     ]
     members = set()
@@ -579,7 +612,7 @@ def loop_preserves_relation(f, rel):
     """Relation preservation by applying f to every choice of rows of rel."""
     member = set(rel.tuples)
     if f.arity == 0:
-        v = f.table[0]
+        v = int(f.table[0])
         return (v, v, v, v) in member
     for rows in itertools.product(rel.tuples, repeat=f.arity):
         image = tuple(f(*(row[j] for row in rows)) for j in range(4))
@@ -706,7 +739,7 @@ def loop_quotient(alg: FiniteAlgebra, theta: Partition):
         table = []
         for args in itertools.product(range(theta.num_blocks), repeat=op.arity):
             lifted = tuple(reps[i] for i in args)
-            table.append(theta.block_id[op.table[_flat_index(lifted, alg.size)]])
+            table.append(theta.block_id[table_value(op, lifted, alg.size)])
         ops.append(Operation(op.name, op.arity, table))
     return tuple(ops)
 
@@ -720,7 +753,7 @@ def loop_subalgebra_on(alg: FiniteAlgebra, elements):
     for op in alg.operations:
         table = []
         for args in itertools.product(elems, repeat=op.arity):
-            v = alg.apply(op.name, args)
+            v = table_value(op, args, alg.size)
             if v not in index:
                 return f"subset not closed under {op.name!r} at {args}"
             table.append(index[v])
@@ -765,7 +798,7 @@ def sorted_parts(by_arity, max_arity: int):
     """Clone fragment parts by the tuple sort: for each arity 1..max_arity,
     the functions of by_arity[arity] in the order of their tables."""
     return tuple(
-        tuple(sorted(by_arity.get(k, ()), key=lambda f: f.table))
+        tuple(sorted(by_arity.get(k, ()), key=table_key))
         for k in range(1, max_arity + 1)
     )
 

@@ -16,7 +16,6 @@ from congrex.algebra import (
     budget_from_env,
     direct_product,
     is_congruence_uniform,
-    product_of,
     quotient_index,
 )
 from congrex.errors import BudgetExceededError, InvalidInputError
@@ -43,6 +42,7 @@ from conftest import (
     permutation_algebras,
     relabeled_cayley,
     small_algebras,
+    table_value,
     union_find_principal_congruence,
     zip_meet,
 )
@@ -139,23 +139,6 @@ def test_partition_composes_with_matches_the_loop(labels):
 # FiniteAlgebra basics
 
 
-def test_apply_z4_examples():
-    z4 = cyclic_group(4)
-    assert z4.apply("+", (1, 3)) == 0
-    assert z4.apply("-", (1,)) == 3
-    assert z4.apply("0", ()) == 0
-
-
-def test_apply_errors():
-    z4 = cyclic_group(4)
-    with pytest.raises(InvalidInputError):
-        z4.apply("*", (1, 2))
-    with pytest.raises(InvalidInputError):
-        z4.apply("+", (1,))
-    with pytest.raises(InvalidInputError):
-        z4.apply("+", (1, 7))
-
-
 def test_constructor_validation():
     with pytest.raises(InvalidInputError):
         FiniteAlgebra(0, [])
@@ -165,6 +148,8 @@ def test_constructor_validation():
         FiniteAlgebra(2, [Operation("f", 1, [0, 5])])
     with pytest.raises(InvalidInputError):
         FiniteAlgebra(2, [Operation("f", 1, [0, 1]), Operation("f", 1, [1, 0])])
+    with pytest.raises(InvalidInputError, match=r"^unknown operation '\*'$"):
+        cyclic_group(4).operation("*")
 
 
 def test_json_round_trip():
@@ -396,8 +381,8 @@ def test_quotient_z4_mod_two_is_z2():
     q = z4.quotient(theta)
     z2 = cyclic_group(2)
     assert q.size == 2
-    assert q.operation("+").table == z2.operation("+").table
-    assert q.operation("-").table == z2.operation("-").table
+    assert np.array_equal(q.operation("+").table, z2.operation("+").table)
+    assert np.array_equal(q.operation("-").table, z2.operation("-").table)
 
 
 def test_quotient_extremes_and_errors():
@@ -413,7 +398,7 @@ def test_direct_product_componentwise():
     prod = direct_product(z2, z3)
     assert prod.size == 6
     for x1, y1, x2, y2 in itertools.product(range(2), range(3), range(2), range(3)):
-        lhs = prod.apply("+", (x1 * 3 + y1, x2 * 3 + y2))
+        lhs = table_value(prod.operation("+"), (x1 * 3 + y1, x2 * 3 + y2), 6)
         assert lhs == ((x1 + x2) % 2) * 3 + (y1 + y2) % 3
 
 
@@ -426,9 +411,9 @@ def test_direct_product_is_isomorphic_to_z6_here():
     x = 0
     for k in range(6):
         phi[k] = x
-        x = prod.apply("+", (x, 4))
+        x = table_value(prod.operation("+"), (x, 4), 6)
     for i, j in itertools.product(range(6), repeat=2):
-        assert phi[(i + j) % 6] == prod.apply("+", (phi[i], phi[j]))
+        assert phi[(i + j) % 6] == table_value(prod.operation("+"), (phi[i], phi[j]), 6)
 
 
 def test_direct_product_records_projection_kernels():
@@ -474,6 +459,22 @@ def test_quotient_matches_the_tuple_loop(alg):
         assert alg.quotient(theta).operations == loop_quotient(alg, theta)
 
 
+# From 17 elements on, a binary table has more than 255 entries: uint8 table
+# values combined into an index would wrap.
+
+
+@pytest.mark.parametrize("left,right", [("Q8", "Z3"), ("Z17", "Z16")])
+def test_direct_product_of_17_or_more_elements_matches_the_tuple_loop(left, right):
+    a, b = parse_group_spec(left), parse_group_spec(right)
+    assert direct_product(a, b).operations == loop_direct_product(a, b)
+
+
+def test_quotient_of_17_or_more_elements_matches_the_tuple_loop():
+    alg = parse_group_spec("Q8xZ3")
+    for theta in alg.all_congruences():
+        assert alg.quotient(theta).operations == loop_quotient(alg, theta)
+
+
 @given(st.lists(st.integers(1, 4), max_size=4))
 def test_grid_lists_the_tuples_in_row_major_order(shape):
     grid = _grid(tuple(shape))
@@ -492,6 +493,8 @@ def test_table_messages_name_the_operation():
         ([1.5, 0], "operation 'f': table entry is not an integer: 1.5"),
         ([0, 2], "operation 'f': entry out of range"),
         ([-1, 0], "operation 'f': entry out of range"),
+        ([[0], [1]], "operation 'f': table entry is not an integer: [0]"),
+        ("01", "operation 'f': table entry is not an integer: '0'"),
     ]:
         with pytest.raises(InvalidInputError) as err:
             FiniteAlgebra(2, [Operation("f", 1, table)])
@@ -501,13 +504,6 @@ def test_table_messages_name_the_operation():
 def test_direct_product_signature_mismatch():
     with pytest.raises(InvalidInputError):
         direct_product(cyclic_group(2), semilattice_chain(2))
-
-
-def test_product_of_folds_left():
-    p = product_of([cyclic_group(2), cyclic_group(2), cyclic_group(2)])
-    assert p.size == 8
-    with pytest.raises(InvalidInputError):
-        product_of([])
 
 
 # ---------------------------------------------------------------------------

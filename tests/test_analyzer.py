@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from congrex.clones import (
     tensor_function,
 )
 from congrex.errors import (
+    BudgetExceededError,
     CongrexError,
     InvalidInputError,
     NotApplicableError,
@@ -55,6 +57,7 @@ from conftest import (
     q8_times_z3_cayley,
     relabeled_cayley,
     small_groups,
+    table_key,
 )
 
 
@@ -410,8 +413,20 @@ def test_commutator_witness_validation():
         build_commutator_witness(fam, d, 0)
     with pytest.raises(InvalidInputError):
         build_commutator_witness(fam, FiniteFunction.projection(4, 3, 0), 1)
-    with pytest.raises(InvalidInputError, match=r"4\^10 exceeds budget 1000000"):
+    with pytest.raises(BudgetExceededError, match=r"4\^10 exceeds budget 1000000"):
         build_commutator_witness(fam, d, 8)  # 4^10 > WITNESS_TABLE_BUDGET
+
+
+@pytest.mark.parametrize("spec", ["Z8", "Q8", "Z2xZ4"])
+def test_group_witness_pipeline_of_a_relabeled_group_matches_the_group(spec):
+    # the identity becomes 3, so the constant 0 of the relabeled group maps
+    # (3, 3, 3, 3) to a code past 255: uint8 values would wrap
+    alg = parse_group_spec(spec)
+    table = GroupStructure.of(alg).mul_table.tolist()
+    copy = group_from_cayley(relabeled_cayley(table, [3, 0, 6, 1, 7, 2, 5, 4]), name=spec)
+    expected = group_witness_pipeline(alg, up_to_n=2)
+    payload = group_witness_pipeline(copy, up_to_n=2)
+    assert payload["centrality"] and payload["rho_size"] == expected["rho_size"]
 
 
 def test_group_witness_pipeline_z4():
@@ -481,14 +496,14 @@ def family_shells(draw):
 @settings(max_examples=150)
 @given(family_shells(), st.integers(1, 3))
 def test_witness_function_matches_the_loop(fam, n):
-    assert fam.function(n).table == loop_witness_function(fam, n)
+    assert table_key(fam.function(n)) == loop_witness_function(fam, n)
 
 
 @pytest.mark.parametrize("spec", ["Z4", "Z8", "Z9", "Z2xZ4", "Q8"])
 def test_witness_family_members_match_the_loop(spec):
     fam = build_witness_family(parse_group_spec(spec))
     for n in (1, 2, 3):
-        assert fam.function(n).table == loop_witness_function(fam, n)
+        assert table_key(fam.function(n)) == loop_witness_function(fam, n)
 
 
 @settings(max_examples=150)
@@ -510,7 +525,7 @@ def test_build_rho_of_groups_matches_the_loop(alg):
 
 def commutator_witness_or_message(fam, d, k):
     try:
-        return build_commutator_witness(fam, d, k).table
+        return table_key(build_commutator_witness(fam, d, k))
     except WitnessCheckError as exc:
         return str(exc)
 
@@ -522,12 +537,14 @@ def test_commutator_witness_matches_the_loop(fam, k, data):
     assert commutator_witness_or_message(fam, d, k) == loop_commutator_witness(fam, d, k)
 
 
-@pytest.mark.parametrize("spec,k", [("Z4", 1), ("Z4", 2), ("Z8", 1), ("Z9", 1), ("Q8", 1)])
+@pytest.mark.parametrize(
+    "spec,k", [("Z4", 1), ("Z4", 2), ("Z8", 1), ("Z9", 1), ("Q8", 1), ("Z25", 1)]
+)
 def test_commutator_witness_of_groups_matches_the_loop(spec, k):
     alg = parse_group_spec(spec)
     fam = build_witness_family(alg)
     d = group_malcev_function(alg)
-    assert build_commutator_witness(fam, d, k).table == loop_commutator_witness(fam, d, k)
+    assert table_key(build_commutator_witness(fam, d, k)) == loop_commutator_witness(fam, d, k)
 
 
 @pytest.mark.parametrize(
@@ -546,7 +563,7 @@ def test_commutator_witness_failures_name_the_first_tuple_of_the_loop(args, valu
     fam = build_witness_family(z4)
     d = group_malcev_function(z4)
     assert (fam.a, fam.b) == (0, 2)
-    table = list(fam.function(2).table)
+    table = fam.function(2).table.tolist()
     table[4 * args[0] + args[1]] = value
     fam._cache[2] = FiniteFunction(4, 2, tuple(table))
     with pytest.raises(WitnessCheckError) as err:
@@ -554,7 +571,7 @@ def test_commutator_witness_failures_name_the_first_tuple_of_the_loop(args, valu
     assert str(err.value) == loop_commutator_witness(fam, d, 1) == failure
 
 
-def test_every_grid_built_table_is_a_tuple_of_python_ints():
+def test_every_grid_built_table_is_a_read_only_array():
     z4, q8 = cyclic_group(4), quaternion_group()
     fam = build_witness_family(z4)
     d = group_malcev_function(z4)
@@ -574,9 +591,13 @@ def test_every_grid_built_table_is_a_tuple_of_python_ints():
         build_commutator_witness(fam, d, 1),
         *pol_fragment(z4, 1).arity_part(1),
     ]
-    tables = [op.table for alg in algebras for op in alg.operations]
-    tables += [g.table for g in functions]
-    tables += list(build_rho(z4, fam.epsilon, d).tuples)
-    tables.append(coset_partition(q8, frozenset({0, 1})).block_id)
-    for table in tables:
-        assert type(table) is tuple and {type(v) for v in table} == {int}
+    tables = [(alg.size, op.table) for alg in algebras for op in alg.operations]
+    tables += [(g.universe_size, g.table) for g in functions]
+    tables += [(4, part) for part in pol_fragment(z4, 2).parts]
+    for size, table in tables:
+        assert table.dtype == np.min_scalar_type(size - 1)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    # relations and partitions stay tuples of Python ints
+    for row in [*build_rho(z4, fam.epsilon, d).tuples, coset_partition(q8, frozenset({0, 1})).block_id]:
+        assert type(row) is tuple and {type(v) for v in row} == {int}

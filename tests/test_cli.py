@@ -417,6 +417,17 @@ def test_witness_refuses_up_to_n_below_one(capsys, up_to_n):
     assert (code, out, err) == (1, "", "error: up_to_n must be >= 1\n")
 
 
+def test_witness_refuses_a_table_over_its_budget_before_any_congruence(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("congruences computed before the table budget check")
+
+    monkeypatch.setattr(FiniteAlgebra, "all_congruences", fail)
+    code, out, err = run(capsys, "witness", "Q8", "--k", "5")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: table of size 8^7 exceeds budget 1000000\n"
+    assert run(capsys, "witness", "Z4", "--k", "0") == (1, "", "error: k must be >= 1\n")
+
+
 def test_witness_refuses_non_nilpotent_group(capsys):
     code, out, err = run(capsys, "witness", "S3")
     assert code == 2
@@ -555,6 +566,34 @@ def test_malformed_input_is_error(tmp_path, capsys, command, content):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _algebra_json(arity, table):
+    return {"size": 2, "operations": [{"name": "f", "arity": arity, "table": table}]}
+
+
+def _clone_json(arity, table):
+    return {"universe_size": 2, "functions": [{"arity": arity, "table": table}]}
+
+
+@pytest.mark.parametrize(
+    "command,data,message",
+    [
+        ("con", _algebra_json(1, "01"), "operation 'f': table entry is not an integer: '0'"),
+        ("clone", _clone_json(1, "01"), "table entry is not an integer: '0'"),
+        ("con", _algebra_json(1, [[0], [1]]), "operation 'f': table entry is not an integer: [0]"),
+        ("clone", _clone_json(2, [[0, 1], [1, 0]]), "table length 2 != 2^2"),
+        ("con", _algebra_json(1, [0, 1, 1]), "operation 'f': table length 3 != 2^1"),
+        ("clone", _clone_json(1, [0, 2]), "entry out of range"),
+        ("con", _algebra_json(1, [True, 0]), "operation 'f': table entry is not an integer: True"),
+    ],
+    ids=["con-string", "clone-string", "con-nested", "clone-nested", "con-length",
+         "clone-range", "con-bool"],
+)
+def test_malformed_tables_are_refused_with_their_messages(tmp_path, capsys, command, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, command, str(path)) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

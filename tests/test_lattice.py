@@ -17,18 +17,17 @@ from congrex.lattice import (
     congruence_lattice,
     from_congruences,
     is_modular,
-    lattice_from_covers,
     lattice_product,
     splits,
     splits_strongly,
     transposes_up,
-    witness_is_valid,
 )
 
 from conftest import (
     all_partitions,
     brute_has_split,
     cube_bound_tables,
+    lattice_from_covers,
     loop_covers_order,
     loop_is_modular,
     loop_lattice_product,
@@ -38,6 +37,7 @@ from conftest import (
     pairwise_closed,
     small_algebras,
     small_lattice_corpus,
+    witness_is_valid,
 )
 
 
