@@ -489,39 +489,48 @@ class FiniteAlgebra:
         least = forest[pairs] == pairs
         return a[least], b[least]
 
+    def _distinct_principal_rows(self, force: bool, budget: int | None):
+        """(rows, first_a, first_b): the distinct principal congruences as
+        least-member rows of an int32 array, in the order found, each with
+        the first pair (a, b) that gave it; refused up front when the
+        estimate n^2 * #translations exceeds the budget, unless force.
+
+        A translation t that permutes A has its inverse among its powers, so
+        Cg(t(a), t(b)) = Cg(a, b): Cg is computed only for pairs that meet
+        every orbit of pairs under the permutation translations, not
+        necessarily one per orbit nor the least pair of each
+        (_orbit_representatives)."""
+        n = self.size
+        trans = self.unary_translations()
+        estimate = n * n * max(1, len(trans))
+        if not force and estimate > budget:
+            raise BudgetExceededError(
+                f"congruence enumeration estimate {estimate} exceeds budget {budget}"
+            )
+        a, b = self._orbit_representatives(trans)
+        principals = _principal_rows(trans, a, b, n)
+        new = _fresh({}, principals)
+        return principals[new], a[new], b[new]
+
     def congruence_rows(self, force: bool = False, budget: int | None = None):
         """Con(A) as a (k x n) int32 array of least-member rows, the identity
         first and the rest in the order found.
 
         Every congruence is a join of principal congruences, so the lattice
-        is the closure of {0} and the distinct principal congruences under
-        theta |-> theta v Cg(a, b).  A translation t that permutes A has its
-        inverse among its powers, so Cg(t(a), t(b)) = Cg(a, b): Cg is
-        computed only for pairs that meet every orbit of pairs under the
-        permutation translations, not necessarily one per orbit nor the least
-        pair of each (_orbit_representatives), and repeated rows are dropped.
-        The work counter counts joins (the pairs theta, Cg(a, b) with a, b in
+        is the closure of {0} and the distinct principal congruences
+        (_distinct_principal_rows) under theta |-> theta v Cg(a, b).  The
+        work counter counts joins (the pairs theta, Cg(a, b) with a, b in
         different blocks of theta) and guards against blowing up on large
         inputs; pass ``force=True`` or raise the budget to override.
         Several thetas are joined with all their Cg(a, b) at once; the joins
         counted, and so the refusal, do not depend on that order.
         """
         n = self.size
-        trans = self.unary_translations()
-        if not force:
-            if budget is None:
-                budget = budget_from_env()
-            estimate = n * n * max(1, len(trans))
-            if estimate > budget:
-                raise BudgetExceededError(
-                    f"congruence enumeration estimate {estimate} exceeds budget {budget}"
-                )
-        a, b = self._orbit_representatives(trans)
+        if budget is None and not force:
+            budget = budget_from_env()
+        principals, first_a, first_b = self._distinct_principal_rows(force, budget)
         seen = {np.arange(n, dtype=np.int32).tobytes(): None}
-        principals = _principal_rows(trans, a, b, n)
-        new = _fresh(seen, principals)
-        # each distinct Cg(a, b) with the first pair (a, b) that gave it
-        principals, first_a, first_b = principals[new], a[new], b[new]
+        _fresh(seen, principals)
         worklist = list(principals)
         work = 0
         per_batch = max(1, _BLOCK // (n * max(1, len(principals))))

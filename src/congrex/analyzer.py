@@ -427,8 +427,7 @@ def verify_witness(fam: WitnessFamily, up_to_n: int) -> dict:
         if not fam.epsilon.same(fam.a, fam.b):
             raise WitnessCheckError("(a, b) left its epsilon class")
         # the congruence check with the identity as the value map
-        moved, reps = _signature_reps(fam.delta, n)
-        bad = moved[f.table[moved] != f.table[reps]]
+        bad = np.flatnonzero(f.table != f.table[_signature_reps(fam.delta.least, n)])
         if len(bad):
             args = tuple(int(x) for x in np.unravel_index(bad[0], (s,) * n))
             raise WitnessCheckError(

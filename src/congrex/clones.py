@@ -294,53 +294,28 @@ def pol_fragment(
     return _operation_clone(alg, max_arity, member_cap, consts)
 
 
-def _signature_reps(alpha: Partition, arity: int):
-    """(moved, reps): the flat indices of the argument tuples of the given
-    arity that are not the first tuple with their block signature under
-    alpha, and the flat index of that first tuple for each.
-
-    The first tuple with a signature takes the least member of each
-    coordinate's block, so it is _flat_index over the least-member array.
-    Both are empty when the signature map is injective."""
-    s = alpha.size
-    least = alpha.least.astype(np.intp)
-    rep = np.ravel(_flat_index(np.ix_(*[least] * arity), s))
-    moved = np.flatnonzero(rep != np.arange(rep.size))
-    return moved, rep[moved]
-
-
-def _congruence_checks(congs, size: int, arity: int):
-    """(least-member row, moved, reps) for each congruence in congs that some
-    function of the given arity breaks; the others are skipped."""
-    checks = []
-    for alpha in congs:
-        if alpha.size != size:
-            raise InvalidInputError("congruence size mismatch")
-        moved, reps = _signature_reps(alpha, arity)
-        if len(moved) and not alpha.is_full():
-            checks.append((alpha.least, moved, reps))
-    return checks
-
-
-def _preserving(tables, checks):
-    """Mask of the rows of tables (function tables over A^n, one per row)
-    that map each argument tuple into the block of the value at the first
-    tuple with its block signature, for every congruence of checks."""
-    ok = np.ones(len(tables), dtype=bool)
-    for least, moved, reps in checks:
-        ok &= (least[tables[:, moved]] == least[tables[:, reps]]).all(axis=1)
-    return ok
+def _signature_reps(least, arity: int):
+    """The flat index, for each argument tuple of the given arity, of the
+    first tuple with its block signature under the partition of the
+    least-member row least: the tuple of the least members of its
+    coordinates' blocks, so never above the tuple itself."""
+    least = least.astype(np.intp)
+    return np.ravel(_flat_index(np.ix_(*[least] * arity), len(least)))
 
 
 def is_congruence_preserving(f: FiniteFunction, congs) -> bool:
     """True iff componentwise alpha-related tuples map to alpha-related values,
-    for every congruence alpha in congs."""
-    checks = _congruence_checks(congs, f.universe_size, f.arity)
-    return bool(_preserving(f.table[None], checks)[0])
-
-
-#: candidate tables checked at once by comp_fragment, at most
-_COMP_BLOCK = 1024
+    for every congruence alpha in congs: iff f maps each argument tuple into
+    the block of its value at the first tuple with the same block signature.
+    A function that preserves alpha and beta preserves alpha v beta, so for
+    congs = Con(A) the principal congruences suffice."""
+    for alpha in congs:
+        if alpha.size != f.universe_size:
+            raise InvalidInputError("congruence size mismatch")
+        least = alpha.least
+        if not (least[f.table] == least[f.table[_signature_reps(least, f.arity)]]).all():
+            return False
+    return True
 
 
 def comp_fragment(
@@ -351,37 +326,48 @@ def comp_fragment(
 ) -> CloneFragment:
     """All functions of arity <= max_arity preserving every congruence of alg.
 
-    Brute-force enumeration in lexicographic table order, in blocks of
-    candidates that share all but their last few entries; the candidate
-    count |A|^(|A|^n) of every arity is checked against the budget first.
-    Con(alg) is then computed under the same budget, and force lifts only
-    that second limit.
+    A function that preserves alpha and beta preserves alpha v beta, and
+    every congruence is a join of principal ones, so Comp(alg) is the set of
+    functions that preserve the distinct principal congruences; no join
+    closure runs.  Each arity part is filled in row-major order of A^k: at
+    tuple x, every row of partial tables takes each value that lies, for
+    each principal alpha, in the alpha-block of its value at the first tuple
+    with the block signature of x (_signature_reps), in increasing order, so
+    the rows stay in lexicographic order.
+
+    The budget bounds the rows of each level, counted before the level is
+    built.  The principal congruences are computed under the same budget,
+    and force lifts only that limit.
     """
     if max_arity < 1:
         raise InvalidInputError("max_arity must be >= 1")
     s = alg.size
-    for arity in range(1, max_arity + 1):
-        count = s ** (s**arity)
-        if count > budget:
-            raise BudgetExceededError(
-                f"comp enumeration needs {count} candidates at arity {arity}; "
-                f"budget is {budget} - lower the arity"
-            )
-    congs = alg.all_congruences(force=force, budget=budget)
+    least = alg._distinct_principal_rows(force, budget)[0]
+    least = least[(least != 0).any(axis=1)]  # the full relation allows every value
+    same = least[:, :, None] == least[:, None, :]
+    dtype = np.min_scalar_type(s - 1)
     parts = []
     for arity in range(1, max_arity + 1):
-        n = s**arity
-        checks = _congruence_checks(congs, s, arity)
-        tail = 1  # entries that run within a block
-        while tail < n and s ** (tail + 1) <= _COMP_BLOCK:
-            tail += 1
-        block = np.empty((s**tail, n), dtype=np.intp)
-        block[:, n - tail :] = np.stack(_grid((s,) * tail), axis=1)
-        found = []
-        for head in itertools.product(range(s), repeat=n - tail):
-            block[:, : n - tail] = head
-            found.append(block[_preserving(block, checks)])
-        parts.append(np.concatenate(found))
+        reps = np.array([_signature_reps(row, arity) for row in least]).reshape(-1, s**arity)
+        columns = []  # the value at each tuple so far, one entry per row
+        for x in range(s**arity):
+            moved = np.flatnonzero(reps[:, x] != x)
+            counts = np.empty(len(columns[0]) if columns else 1, dtype=np.intp)
+            values = []
+            for rows in _chunks(len(counts), 1):  # 2^13 rows, |A| values each
+                allowed = np.ones((len(counts[rows]), s), dtype=bool)
+                for j in moved:
+                    allowed &= same[j][columns[reps[j, x]][rows]]
+                flat = np.flatnonzero(allowed)
+                counts[rows] = np.bincount(flat // s, minlength=len(allowed))
+                values.append((flat % s).astype(dtype))
+            if counts.sum() > budget:
+                raise BudgetExceededError(
+                    f"comp enumeration needs {counts.sum()} partial tables of {x + 1} "
+                    f"entries at arity {arity}; budget is {budget} - lower the arity"
+                )
+            columns = [np.repeat(c, counts) for c in columns] + [np.concatenate(values)]
+        parts.append(np.stack(columns, axis=1))
     return CloneFragment(s, max_arity, parts)
 
 

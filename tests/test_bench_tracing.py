@@ -23,9 +23,11 @@ def test_tracing_targets_resolve(capsys):
     try:
         tracer.install()
         assert congrex.cli.main(["decide", "Z4"]) == 0
+        assert congrex.cli.main(["comp", "Z4", "--max-arity", "1"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
     names = {span[0] for span in tracer.spans}
     assert {"cli", "analyzer.decide", "groups.structure_init"} <= names
     assert "groups.normal_subgroups" in names
+    assert "clones.comp_fragment" in names

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from congrex import analyzer, cli, clones
+from congrex import algebra, analyzer, cli
 from congrex.algebra import FiniteAlgebra, Operation, Partition
 from congrex.cli import main
 from congrex.groups import (
@@ -365,14 +365,20 @@ def test_comp_budget_reaches_the_congruence_stage(tmp_path, capsys, monkeypatch,
     assert run(capsys, *argv, "--force") == unset
 
 
-def test_comp_refuses_by_candidates_before_congruences(tmp_path, capsys, monkeypatch):
-    # a budget of 3 is below both the 4 candidates and the estimate 8
+def test_comp_budget_bounds_the_rows_of_each_level(tmp_path, capsys, monkeypatch):
+    # B2 is simple, so its unary tables extend freely: level 1 holds 2
+    # partial tables and level 2 holds 4; force lifts the estimate 8 only
     path = tmp_path / "b2.json"
     path.write_text(json.dumps(BOOLEAN_RING))
     monkeypatch.delenv("CONGREX_BUDGET", raising=False)
-    code, out, err = run(capsys, "comp", str(path), "--max-arity", "1", "--budget", "3")
+    argv = ["comp", str(path), "--max-arity", "1", "--force"]
+    code, out, err = run(capsys, *argv, "--budget", "3")
     assert (code, out) == (3, "")
-    assert err.startswith("budget exceeded: comp enumeration needs 4 candidates at arity 1;")
+    assert err == (
+        "budget exceeded: comp enumeration needs 4 partial tables of 2 entries "
+        "at arity 1; budget is 3 - lower the arity\n"
+    )
+    assert run(capsys, *argv, "--budget", "4")[0] == 0
 
 
 def test_comp_budget_flag_takes_precedence_over_the_env_var(tmp_path, capsys, monkeypatch):
@@ -735,14 +741,29 @@ def test_decide_group_tests_nilpotency_before_the_budget(capsys, monkeypatch):
     assert json.loads(out)["diagnostics"]["reason"] == "not-nilpotent"
 
 
-def test_comp_refuses_before_any_preservation_check(capsys, monkeypatch):
-    def fail(*args):
-        raise AssertionError("preservation check before the refusal")
-
-    monkeypatch.setattr(clones, "_preserving", fail)
+def test_comp_refuses_before_any_preservation_check(capsys):
+    # Z3 is simple: 3^14 partial tables of arity 3 are built, 3^15 refused
     code, out, err = run(capsys, "comp", "Z3", "--max-arity", "3")
     assert (code, out) == (3, "")
-    assert "7625597484987 candidates at arity 3" in err
+    assert err == (
+        "budget exceeded: comp enumeration needs 14348907 partial tables of 15 "
+        "entries at arity 3; budget is 10000000 - lower the arity\n"
+    )
+
+
+def test_comp_runs_no_join_closure(capsys, monkeypatch):
+    expected = run(capsys, "comp", "Z4", "--max-arity", "1")
+    assert expected[0] == 0
+
+    def fail(*args, **kwargs):
+        raise AssertionError("comp ran the congruence join closure")
+
+    monkeypatch.setattr(FiniteAlgebra, "congruence_rows", fail)
+    monkeypatch.setattr(FiniteAlgebra, "all_congruences", fail)
+    monkeypatch.setattr(algebra, "_join_rows", fail)
+    assert run(capsys, "comp", "Z4", "--max-arity", "1") == expected
+    code, out, _ = run(capsys, "comp", "Q8", "--max-arity", "1")
+    assert code == 0 and len(json.loads(out)["members"]["1"]) == 2048
 
 
 def test_group_shortcut_is_checked_once(capsys, monkeypatch):

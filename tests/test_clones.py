@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from congrex import algebra, clones
@@ -32,7 +32,7 @@ from congrex.clones import (
     tensor_generators,
 )
 from congrex.errors import BudgetExceededError, InvalidInputError
-from congrex.groups import GroupStructure, cyclic_group, parse_group_spec
+from congrex.groups import GroupStructure, cyclic_group, parse_group_spec, quaternion_group
 
 from conftest import (
     fixpoint_closure,
@@ -364,20 +364,67 @@ def test_is_congruence_preserving_matches_tuple_loop_on_random_algebras(data):
 
 @settings(max_examples=25, deadline=None)
 @given(small_algebras(min_size=2, max_size=3), st.integers(1, 2))
+@example(cyclic_group(4), 1)
+@example(parse_group_spec("Z2xZ2"), 1)
 def test_comp_fragment_matches_candidate_loop_on_random_algebras(alg, max_arity):
     assert comp_fragment(alg, max_arity).members == loop_comp_fragment(alg, max_arity)
 
 
-def test_comp_fragment_keeps_order_and_members_across_candidate_blocks():
-    # the 3^9 binary candidates span several blocks; Con is {0, 01|2, 1}
+def test_comp_fragment_keeps_order_and_members_across_levels():
+    # Con is {0, 01|2, 1}; the binary tables are filled over 9 levels
     alg = FiniteAlgebra(3, [Operation("u", 1, [1, 0, 2])])
-    assert 3**9 > clones._COMP_BLOCK
     frag = comp_fragment(alg, 2)
     tables = list(map(tuple, frag.parts[1].tolist()))
     assert tables == sorted(set(tables))  # strictly lexicographic
     assert frag.members == loop_comp_fragment(alg, 2)
     # each block signature class of k pairs goes into {0, 1} (2^k ways) or to 2
     assert len(tables) == (2**4 + 1) * (2**2 + 1) * (2**2 + 1) * (2**1 + 1)
+
+
+def assert_comp_part(alg, frag, arity, count):
+    """The part of the given arity has count distinct members in
+    lexicographic order, and each preserves every congruence of alg."""
+    part = frag.parts[arity - 1]
+    assert len(part) == count
+    assert algebra._increasing(part)
+    for alpha in alg.all_congruences():
+        least = alpha.least
+        rep = clones._signature_reps(least, arity)
+        assert (least[part] == least[part[:, rep]]).all()
+
+
+def test_comp_of_z4_is_a_map_of_the_quotient_with_a_free_choice_per_class():
+    # Con(Z4) is the chain 0 < {0, 2 | 1, 3} < 1: a k-ary member is any map of
+    # (Z4/2Z4)^k with a free choice in each class, 2^(2^k) * 2^(4^k) of them
+    z4 = cyclic_group(4)
+    frag = comp_fragment(z4, 2)
+    for k in (1, 2):
+        assert_comp_part(z4, frag, k, 2 ** (2**k) * 2 ** (4**k))
+    assert frag.member_count() == 64 + 1_048_576
+
+
+def test_comp_of_z9_unary():
+    # Con(Z9) is 0 < 3Z9 < 1: any map of Z9/3Z9, then a free choice in each class
+    z9 = cyclic_group(9)
+    assert_comp_part(z9, comp_fragment(z9, 1), 1, 3**3 * 3**9)
+
+
+def test_comp_of_q8_unary_lifts_comp_of_its_central_quotient():
+    # every congruence of Q8 but 0 contains the centre, so a unary member
+    # induces one of the 8 members of Comp(Q8/Z(Q8)), Q8/Z(Q8) = Z2 x Z2, and
+    # takes either value in each centre class: 8 * 2^8 of them
+    q8 = quaternion_group()
+    centre = next(t for t in q8.all_congruences() if t.num_blocks == 4)
+    quotient = loop_comp_fragment(q8.quotient(centre), 1)[0]
+    assert len(quotient) == 8
+    expected = {
+        table
+        for g in quotient
+        for table in itertools.product(*[centre.blocks()[g(b)] for b in centre.block_id])
+    }
+    frag = comp_fragment(q8, 1)
+    assert_comp_part(q8, frag, 1, 2048)
+    assert set(map(tuple, frag.parts[0].tolist())) == expected
 
 
 def assert_checked_functions(frag):
