@@ -413,8 +413,7 @@ def verify_witness(fam: WitnessFamily, up_to_n: int) -> dict:
 
     Raises WitnessCheckError with the offending tuple on any failure.
     """
-    if up_to_n < 1:
-        raise InvalidInputError("up_to_n must be >= 1")
+    _check_up_to_n(up_to_n)
     record = {}
     s = fam.base.size
     for n in range(1, up_to_n + 1):
@@ -519,6 +518,11 @@ def build_commutator_witness(fam: WitnessFamily, d: FiniteFunction, k: int) -> F
     return w
 
 
+def _check_up_to_n(up_to_n: int) -> None:
+    if up_to_n < 1:
+        raise InvalidInputError("up_to_n must be >= 1")
+
+
 def _check_witness_arity(size: int, k: int) -> None:
     """Refuse k < 1, and a commutator witness table of size**(k+2) entries
     over WITNESS_TABLE_BUDGET."""
@@ -541,7 +545,7 @@ def group_witness_pipeline(
     no Mal'cev term, once its family is built and before it is verified.
     The family comes first because it is cheap and refuses most algebras,
     while the Mal'cev search can fill the member cap of the whole ternary
-    clone.  A k below 1, or a commutator witness table over
+    clone.  A k or up_to_n below 1, or a commutator witness table over
     WITNESS_TABLE_BUDGET, is refused before any congruence work too.
     ``force`` and ``budget`` go to the congruence enumeration; ``force``
     also lifts the centrality check's limit.
@@ -554,6 +558,7 @@ def group_witness_pipeline(
     if g is not None and not is_nilpotent_group(g):
         raise NotApplicableError(f"{alg.name or 'the group'} is not nilpotent")
     _check_witness_arity(alg.size, k)
+    _check_up_to_n(up_to_n)
     congs = alg.all_congruences(force=force, budget=budget)
     fam = build_witness_family(alg, congs=congs)
     d = group_malcev_function(g) if g is not None else malcev_term(alg)

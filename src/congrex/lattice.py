@@ -1,17 +1,13 @@
 """Finite bounded lattices and the splitting predicates.
 
-A lattice is stored with its full order relation and meet/join tables as
-numpy arrays, so the predicates are array expressions over them.  On bool
-arrays ``A @ B`` is the relation product (an OR of ANDs in numpy's own loop);
-a float matmul would be faster on large orders, but it makes BLAS allocate
-work buffers that stay resident for the rest of the process.  A lattice
-"splits" if it is the union of two proper subintervals I[0, delta] and
-I[epsilon, 1]; it "splits strongly" if moreover the subintervals overlap
-(epsilon <= delta).
+A lattice "splits" if it is the union of two proper subintervals
+I[0, delta] and I[epsilon, 1]; it "splits strongly" if moreover the
+subintervals overlap (epsilon <= delta).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -23,23 +19,30 @@ from .errors import InvalidInputError
 
 
 def _meets(L: np.ndarray) -> np.ndarray:
-    """Meet table of the bounded order L; the join table is _meets(L.T).
+    """Meet table of the reflexive, antisymmetric relation L (join: _meets(L.T)).
 
-    Among the common lower bounds of a and b the meet dominates all others,
-    so it has the strictly largest down-set: an argmax of down-set sizes, 0
-    off the common lower bounds, finds it, and a dominance check validates
-    it.  One row a at a time, so memory stays O(k^2).
+    The meet of a and b has the strictly largest down-set among their common
+    lower bounds: an argmax of down-set sizes, 0 off them, finds it.  Checking
+    D(meet) == D(a) & D(b) validates it and proves L transitive: c <= b <= a
+    gives meet(a, b) = b, so D(b) = D(a) & D(b) lies in D(a); with a top, L is
+    then a lattice.  Row by row in O(k^2) memory, in the least dtype for k.
     """
     L, LT = np.ascontiguousarray(L), np.ascontiguousarray(L.T)
-    below = L.sum(axis=0, dtype=np.int32)
-    meet = np.empty(L.shape, dtype=np.intp)
+    below = L.sum(axis=0, dtype=np.min_scalar_type(len(L)))
+    meet = np.empty(L.shape, dtype=below.dtype)
     for a in range(len(L)):
         lower = L[:, a] & LT  # lower[b, c] = c <= a and c <= b
         meet[a] = (lower * below).argmax(axis=1)
-        # every common lower bound c must satisfy c <= meet[a, b]
-        if not (~lower | LT[meet[a]]).all():
+        if not (lower == LT[meet[a]]).all():
             raise InvalidInputError("meet or join missing; not a lattice")
     return meet
+
+
+def _join_irreducibles(L: np.ndarray) -> np.ndarray:
+    """Join-irreducibles of the lattice order L (meet-irreducibles of L.T): the
+    j with some x < j whose down-set is one smaller, the greatest below j."""
+    below = L.sum(axis=0)
+    return np.flatnonzero((L & (below[:, None] + 1 == below)).any(axis=0))
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,9 @@ class SplitWitness:
 class FiniteLattice:
     """Bounded lattice on 0..size-1 given by its order relation.
 
-    ``leq`` is the k x k bool order, ``meet`` and ``join`` are k x k intp
-    tables and ``bottom``, ``top`` and ``size`` are ints.
+    ``leq`` is the k x k bool order, ``bottom``, ``top`` and ``size`` are ints,
+    and ``meet`` and ``join`` are k x k tables in the least dtype that holds k.
+    ``meet`` checks leq (see _meets), so ``join`` is built when first read.
     """
 
     def __init__(self, leq):
@@ -77,14 +81,16 @@ class FiniteLattice:
             raise InvalidInputError("order not reflexive")
         if (L & L.T & ~np.eye(k, dtype=bool)).any():
             raise InvalidInputError("order not antisymmetric")
-        if ((L @ L) & ~L).any():
-            raise InvalidInputError("order not transitive")
         bottom, top = np.flatnonzero(L.all(axis=1)), np.flatnonzero(L.all(axis=0))
         if not (len(bottom) and len(top)):
             raise InvalidInputError("lattice is not bounded")
         self.size, self.leq = k, L
         self.bottom, self.top = int(bottom[0]), int(top[0])
-        self.meet, self.join = _meets(L), _meets(L.T)
+        self.meet = _meets(L)
+
+    @functools.cached_property
+    def join(self) -> np.ndarray:
+        return _meets(self.leq.T)
 
     def atoms(self) -> np.ndarray:
         """The elements covering the bottom, ascending."""
@@ -124,20 +130,25 @@ def chain(n: int) -> FiniteLattice:
 
 
 def from_congruences(congs) -> FiniteLattice:
-    """Order a meet/join closed set of partitions by refinement.
+    """Order a meet/join closed set of partitions of one size, holding the
+    identity and the full relation, by refinement.
 
     a <= b iff b's labels are constant on a's blocks, i.e. B[b, least[a]]
     == B[b] for the least-member rows B, checked one row a at a time.
     Closure is checked on irreducibles only: b is the join of the
     join-irreducibles below it, so a v b is in the set for all a, b once
-    a v j is for every join-irreducible j (one lower cover) not below a;
-    dually for meets with meet-irreducibles (one upper cover).
+    a v j is for every join-irreducible j not below a; dually for meets with
+    meet-irreducibles.
     """
     congs = sorted(set(congs), key=lambda p: p.block_id)
     if not congs:
         raise InvalidInputError("empty congruence set")
+    k, n = len(congs), congs[0].size
+    if any(p.size != n for p in congs):
+        raise InvalidInputError("congruences on universes of different sizes")
+    if congs[0] != Partition.full(n) or congs[-1] != Partition.identity(n):
+        raise InvalidInputError("congruence set lacks the identity or the full relation")
     rows = np.array([p.least for p in congs])
-    k, n = rows.shape
     leq = np.empty((k, k), dtype=bool)
     for s in _chunks(k, n):
         block = rows[s]
@@ -147,21 +158,15 @@ def from_congruences(congs) -> FiniteLattice:
         lat = FiniteLattice(leq)
     except InvalidInputError as exc:
         raise InvalidInputError("congruence set is not meet/join closed") from exc
-    L = lat.leq
-    strict = L & ~np.eye(k, dtype=bool)
-    covers = strict & ~(strict @ strict)
     present = {}
     _fresh(present, rows)
-    checks = [(_join_rows, j, ~L[j]) for j in np.flatnonzero(covers.sum(axis=0) == 1)]
-    checks += [(_meet_rows, m, ~L[:, m]) for m in np.flatnonzero(covers.sum(axis=1) == 1)]
-    for kernel, irreducible, outside in checks:
-        others = np.flatnonzero(outside)
-        for s in _chunks(len(others), n):
-            pair = np.broadcast_to(rows[irreducible], (len(others[s]), n))
-            if _fresh(present, kernel(rows[others[s]], pair)):
-                raise InvalidInputError("congruence set is not meet/join closed")
-    assert congs[lat.bottom] == Partition.identity(n)
-    assert congs[lat.top] == Partition.full(n)
+    for kernel, order in ((_join_rows, leq), (_meet_rows, leq.T)):
+        for j in _join_irreducibles(order):
+            others = np.flatnonzero(~order[j])
+            for s in _chunks(len(others), n):
+                pair = np.broadcast_to(rows[j], (len(others[s]), n))
+                if _fresh(present, kernel(rows[others[s]], pair)):
+                    raise InvalidInputError("congruence set is not meet/join closed")
     return lat
 
 
@@ -175,7 +180,8 @@ def _split_witness(l: FiniteLattice, strong: bool):
     # epsilon ranges over atoms only: an atom below a witness epsilon is a
     # witness with the same delta, and atoms have the least down-sets, so
     # they come first in the witness order.  admissible[i, d]: every alpha
-    # is <= d or >= atom i (and atom i <= d, if strong).
+    # is <= d or >= atom i (and atom i <= d, if strong).  A float matmul would
+    # beat bool @ here, but its BLAS work buffers stay resident for good.
     L = l.leq
     atoms = l.atoms()
     admissible = ~(~L[atoms] @ ~L)

@@ -5,19 +5,21 @@ congruences by filtering all set partitions, split witnesses by exhaustive
 (delta, epsilon) search, clone parts by fixed-arity superposition closure.
 Replaced library paths are kept as oracles too: the bounded fixpoint clone
 closure, the row-by-row relation preservation check, the tuple-by-tuple
-congruence preservation check and Comp enumeration, the all-pairs
-congruence join closure, the all-pairs meet/join closedness check, the
-k x k x k lattice tables, the join-fold split witness search over every
-epsilon, the triple-loop modularity check and transitive closure of a
-cover list, the union-find principal congruence and pair-list partition
-join, the pair-by-pair permutability check of two partitions, the
-breadth-first pair orbits and the orbit-by-orbit principal join closure with
-its budget, the bitmask normal subgroup closure, the commutator-by-commutator
-lower central series, the tuple sort of clone fragment members, the pair loop
-of the tensor of two fragments, and the tuple-by-tuple direct product and
-every other table over A^n that the library builds on its argument grid.
-Two helpers that only tests use live here as well: the lattice of a cover
-list and the split witness check.
+congruence preservation check and Comp enumeration, the all-pairs congruence
+join closure, the all-pairs meet/join closedness check, the k x k x k
+lattice tables behind a triple-loop transitivity check, the irreducibles
+from the cover relation strict & ~(strict @ strict), the join-fold split
+witness search over every epsilon, the triple-loop modularity check and
+transitive closure of a cover list, the union-find principal congruence and
+pair-list partition join, the pair-by-pair permutability check of two
+partitions, the breadth-first pair orbits and the orbit-by-orbit principal
+join closure with its budget, the bitmask normal subgroup closure, the
+commutator-by-commutator lower central series, the tuple sort of clone
+fragment members, the pair loop of the tensor of two fragments, and the
+tuple-by-tuple direct product and every other table over A^n that the
+library builds on its argument grid.
+Helpers that only tests use live here as well: the lattice of a cover
+list, the split witness check and random bounded relations.
 """
 
 import itertools
@@ -412,6 +414,41 @@ def cube_bound_tables(leq):
     if not (meet_ok and join_ok):
         return None
     return meet.tolist(), join.tolist()
+
+
+def loop_lattice_tables(leq):
+    """(meet, join) tables of leq if it is a lattice order, else None:
+    transitivity triple by triple, then cube_bound_tables."""
+    n = len(leq)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if leq[a][b] and leq[b][c] and not leq[a][c]:
+            return None
+    return cube_bound_tables(leq)
+
+
+@st.composite
+def bounded_relations(draw):
+    """Reflexive, antisymmetric relations on 0..n-1 with 0 below and n-1
+    above every element, not closed under transitivity: many are no order."""
+    n = draw(st.integers(1, 7))
+    leq = [[a == b or a == 0 or b == n - 1 for b in range(n)] for a in range(n)]
+    pair = st.sampled_from([(False, False), (True, False), (False, True)])
+    for a, b in itertools.combinations(range(1, n - 1), 2):
+        leq[a][b], leq[b][a] = draw(pair)
+    return leq
+
+
+def cover_irreducibles(leq):
+    """(join-irreducibles, meet-irreducibles) of a lattice order, ascending:
+    the elements with one lower, or one upper, cover, the covers being
+    strict & ~(strict @ strict)."""
+    L = np.array(leq, dtype=bool)
+    strict = L & ~np.eye(len(L), dtype=bool)
+    covers = strict & ~(strict @ strict)
+    return (
+        np.flatnonzero(covers.sum(axis=0) == 1).tolist(),
+        np.flatnonzero(covers.sum(axis=1) == 1).tolist(),
+    )
 
 
 def brute_has_split(lat: FiniteLattice, strong: bool) -> bool:

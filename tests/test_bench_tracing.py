@@ -24,6 +24,8 @@ def test_tracing_targets_resolve(capsys):
         tracer.install()
         assert congrex.cli.main(["decide", "Z4"]) == 0
         assert congrex.cli.main(["comp", "Z4", "--max-arity", "1"]) == 0
+        assert congrex.cli.main(["lattice", "Z2xZ2", "--check", "modular"]) == 0
+        assert congrex.cli.main(["lattice", "Z4"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -31,3 +33,5 @@ def test_tracing_targets_resolve(capsys):
     assert {"cli", "analyzer.decide", "groups.structure_init"} <= names
     assert "groups.normal_subgroups" in names
     assert "clones.comp_fragment" in names
+    assert {"lattice.from_congruences", "lattice.init"} <= names
+    assert {"lattice.is_modular", "lattice.split"} <= names

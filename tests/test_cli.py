@@ -418,7 +418,11 @@ def test_witness_cli(capsys):
 
 
 @pytest.mark.parametrize("up_to_n", ["0", "-1"])
-def test_witness_refuses_up_to_n_below_one(capsys, up_to_n):
+def test_witness_refuses_up_to_n_below_one(capsys, monkeypatch, up_to_n):
+    def fail(*args, **kwargs):
+        raise AssertionError("congruences computed before the up_to_n check")
+
+    monkeypatch.setattr(FiniteAlgebra, "all_congruences", fail)
     code, out, err = run(capsys, "witness", "Z4", "--up-to-n", up_to_n)
     assert (code, out, err) == (1, "", "error: up_to_n must be >= 1\n")
 

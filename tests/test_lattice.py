@@ -7,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from congrex import lattice
 from congrex.algebra import Partition
 from congrex.errors import InvalidInputError
 from congrex.groups import cyclic_group, parse_group_spec
 from congrex.lattice import (
     FiniteLattice,
     SplitWitness,
+    _join_irreducibles,
     chain,
     congruence_lattice,
     from_congruences,
@@ -25,12 +27,15 @@ from congrex.lattice import (
 
 from conftest import (
     all_partitions,
+    bounded_relations,
     brute_has_split,
+    cover_irreducibles,
     cube_bound_tables,
     lattice_from_covers,
     loop_covers_order,
     loop_is_modular,
     loop_lattice_product,
+    loop_lattice_tables,
     loop_split_witness,
     m3,
     n5,
@@ -127,6 +132,44 @@ def test_lattice_tables_and_rejections_match_cube_tables(leq):
         assert (lat.meet.tolist(), lat.join.tolist()) == expect
 
 
+@settings(max_examples=300, deadline=None)
+@given(bounded_relations())
+def test_lattice_accepts_exactly_the_relations_the_loop_oracle_accepts(leq):
+    # the meet check alone must reject every intransitive relation
+    expect = loop_lattice_tables(leq)
+    if expect is None:
+        with pytest.raises(InvalidInputError, match="^meet or join missing; not a lattice$"):
+            FiniteLattice(leq)
+    else:
+        lat = FiniteLattice(leq)
+        assert (lat.meet.tolist(), lat.join.tolist()) == expect
+
+
+def test_tables_take_the_least_dtype_that_holds_the_size():
+    for n, dtype in ((255, np.uint8), (256, np.uint16)):
+        lat = chain(n)
+        assert lat.meet.dtype == lat.join.dtype == dtype
+        assert (lat.meet[n - 1, n - 2], lat.join[0, n - 1]) == (n - 2, n - 1)
+
+
+def test_the_join_table_is_built_once_and_only_when_read(monkeypatch):
+    calls = []
+    meets = lattice._meets
+
+    def counted(L):
+        calls.append(len(L))
+        return meets(L)
+
+    monkeypatch.setattr(lattice, "_meets", counted)
+    lat, _ = congruence_lattice(parse_group_spec("Z2xZ2xZ2"))
+    splits_strongly(lat)
+    assert len(calls) == 1
+    assert is_modular(lat)
+    assert len(calls) == 2
+    assert is_modular(lat)
+    assert len(calls) == 2
+
+
 @st.composite
 def relabeled_lattices(draw):
     """The bounded_orders that are lattices, with their elements renamed."""
@@ -135,6 +178,28 @@ def relabeled_lattices(draw):
     perm = draw(st.permutations(range(len(leq))))
     inverse = np.argsort(perm)
     return FiniteLattice(np.array(leq)[np.ix_(inverse, inverse)])
+
+
+def assert_irreducibles_match_the_covers(lat):
+    expect = cover_irreducibles(lat.leq)
+    got = (_join_irreducibles(lat.leq).tolist(), _join_irreducibles(lat.leq.T).tolist())
+    assert got == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabeled_lattices())
+def test_irreducibles_match_the_covers_on_relabeled_lattices(lat):
+    assert_irreducibles_match_the_covers(lat)
+
+
+@pytest.mark.parametrize("name,lat", sorted(small_lattice_corpus().items()))
+def test_irreducibles_match_the_covers_on_the_corpus(name, lat):
+    assert_irreducibles_match_the_covers(lat)
+
+
+@pytest.mark.parametrize("spec", ["Z1", "Z4", "Q8", "S3", "S4", "Z4xZ2xZ2", "Z2xZ2xZ2xZ2"])
+def test_irreducibles_match_the_covers_on_congruence_lattices(spec):
+    assert_irreducibles_match_the_covers(congruence_lattice(parse_group_spec(spec))[0])
 
 
 @st.composite
@@ -235,6 +300,24 @@ def test_from_congruences_rejects_unclosed_sets():
         from_congruences(parts[:3])
     with pytest.raises(InvalidInputError):
         from_congruences([])
+
+
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        ([Partition.identity(2), Partition.full(3)], "on universes of different sizes"),
+        ([Partition.full(3)], "lacks the identity or the full relation"),
+        ([Partition.identity(3), Partition([0, 0, 1])], "lacks the identity or the full relation"),
+    ],
+    ids=["sizes", "no-identity", "no-full"],
+)
+def test_from_congruences_refuses_malformed_sets_up_front(monkeypatch, parts, message):
+    def fail(*args):
+        raise AssertionError("a table was built before the check")
+
+    monkeypatch.setattr(lattice, "_chunks", fail)
+    with pytest.raises(InvalidInputError, match=message):
+        from_congruences(parts)
 
 
 def test_from_congruences_rejects_unclosed_lattice_and_non_lattice_orders():
