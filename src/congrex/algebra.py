@@ -222,9 +222,11 @@ def _grid(shape):
 
 
 def _chunks(count: int, width: int):
-    """Slices of range(count) of at most max(1, _BLOCK // width) items each."""
+    """Slices of range(count) of at most max(1, _BLOCK // width) items each,
+    made one at a time as they are iterated over: a count such as the
+    known^2 heads of a ternary generator may be too large to list."""
     step = max(1, _BLOCK // max(1, width))
-    return [slice(s, s + step) for s in range(0, count, step)]
+    return (slice(s, s + step) for s in range(0, count, step))
 
 
 def _least_members(labels):

@@ -5,17 +5,21 @@ up to an arity bound, the members of each arity as the rows of one array.
 The k-ary part of the clone generated by F is exactly the subuniverse of
 (A; F)^(A^k) generated by the k projections, with F acting coordinatewise on
 value arrays over A^k (the construction behind the free-algebra computation
-of Freese, Kiss and Valeriote).
+of Freese, Kiss and Valeriote, UACalc, 2011).  It is built in semi-naive
+rounds: each applies F only to the argument tuples that hold a member found
+in the round before, a broadcast block of tuples at a time, and to half of
+them for a generator symmetric in its last two arguments.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Partition, _chunks, _distinct_rows, _flat_index, _grid
+from . import algebra
+from .algebra import FiniteAlgebra, Partition, _chunks, _distinct_rows, _flat_index, _fresh, _grid
 from .algebra import _join_rows, _meet_rows, _pair_tables, require_int, table_array
 from .errors import BudgetExceededError, InvalidInputError, NotAGroupError
 from .groups import GroupStructure
@@ -196,43 +200,107 @@ def _lift_generator(f: FiniteFunction) -> FiniteFunction:
     return f
 
 
-def _arity_part(gens, size: int, arity: int, count: int, member_cap: int):
+def _function_count(size: int, entries: int, cap: int):
+    """size**entries, the number of functions whose tables have that many
+    entries over A (|A| = size), if it is at most cap, else None; a count
+    above cap is never built, as it can have millions of digits."""
+    if entries * (size.bit_length() - 1) > cap.bit_length():
+        return None  # size**entries >= 2**(entries * (bit_length - 1)) > cap
+    total = size**entries
+    return total if total <= cap else None
+
+
+def _symmetric_in_last_two(g: FiniteFunction) -> bool:
+    """Whether g(..., x, y) = g(..., y, x) for all arguments."""
+    if g.arity < 2:
+        return False
+    t = g.table.reshape(-1, g.universe_size, g.universe_size)
+    return bool((t == t.transpose(0, 2, 1)).all())
+
+
+def _argument_blocks(index, size: int, arity: int, done: int, symmetric: bool):
+    """The flat indices into a table of the given arity at every argument
+    tuple of members that holds a member found in the last round, in blocks
+    of at most 8 * _BLOCK indices (np.take widens each to an 8-byte intp),
+    or one whole head row when one head has more.
+
+    index holds the members' value arrays as rows; those from done on are
+    new.  A tuple is its head (all arguments but the last) and its last
+    argument.  The tuples with a new member are the disjoint boxes whose
+    first new argument is the j-th: the arguments before it range over old
+    members, it over new ones and the rest over all.  The box of the last
+    argument (old heads against new members) comes first, then the boxes of
+    new heads against all members.  A block is a run of heads of one box
+    against a slice of members, as one broadcast.
+
+    If the table is symmetric in its last two arguments, the last argument
+    starts at the last head argument: g(..., a, b) = g(..., b, a)
+    pointwise, so (..., b, a) with b > a adds nothing that (..., a, b) does
+    not.  The last head argument varies slowest within a box, so a block's
+    slice starts at its first head's, and the tuples below each head's own
+    start are masked out."""
+    known = len(index)
+    for j in reversed(range(arity)):
+        ranges = [(0, done)] * j + [(done, known)] + [(0, known)] * (arity - 1 - j)
+        *heads, (lo, hi) = ranges
+        if not heads:
+            yield index[lo:hi]
+            continue
+        order = heads[-1:] + heads[:-1]
+        shape = [b - a for a, b in order]
+        count = math.prod(shape)
+        for chunk in _chunks(count, (hi - lo) * index.shape[1] // 8):
+            flat = np.arange(chunk.start, min(chunk.stop, count))
+            coords = [c + a for c, (a, _) in zip(np.unravel_index(flat, shape), order)]
+            coords = coords[1:] + coords[:1]  # back to argument order
+            first = max(lo, int(coords[-1][0])) if symmetric else lo
+            block = index[coords[0]][:, None]
+            for c in coords[1:]:
+                block = block * size + index[c][:, None]
+            block = block * size + index[first:hi]
+            yield block[coords[-1][:, None] <= np.arange(first, hi)] if symmetric else block
+
+
+def _arity_part(gens, symmetric, size: int, arity: int, count: int, member_cap: int):
     """The k-ary part (k = arity) of the clone generated by gens, i.e. the
     subuniverse of (A; gens)^(A^k) generated by the projections and the
-    k-ary generators.  Semi-naive: each round applies every generator only
-    to argument tuples that hold a member found in the previous round.
+    k-ary generators, as the rows of one array.  Semi-naive: each round
+    applies every generator only to argument tuples that hold a member found
+    in the previous round, a block at a time (_argument_blocks);
+    symmetric[i] says whether gens[i] is symmetric in its last two
+    arguments.  Stops as soon as the part holds all |A|^(|A|^k) functions.
     Raises BudgetExceededError once count (the members of other arities)
-    plus the members found exceed member_cap."""
+    plus the members found exceed member_cap, checked after each block, so
+    exactly when the whole part would."""
     n = size**arity
     dtype = np.min_scalar_type(size - 1)
-    members = {}  # the bytes of each member's value array, in order found
-    void = np.dtype((np.void, n * dtype.itemsize))
+    full = _function_count(size, n, member_cap)
+    seen = {}  # the bytes of each member's value array, in order found
 
-    def add(block):
-        for key in block.view(void).ravel().tolist():
-            if key not in members:
-                members[key] = None
-                if count + len(members) > member_cap:
-                    raise BudgetExceededError(
-                        f"clone closure exceeded member cap {member_cap}"
-                    )
+    def add(block) -> bool:
+        """Whether the part is full once the new rows of block are added."""
+        _fresh(seen, block)
+        if count + len(seen) > member_cap:
+            raise BudgetExceededError(f"clone closure exceeded member cap {member_cap}")
+        return len(seen) == full
+
+    def members():
+        return np.frombuffer(b"".join(seen), dtype=dtype).reshape(len(seen), n)
 
     start = _grid((size,) * arity) + [g.table for g in gens if g.arity == arity]
-    add(np.stack(start).astype(dtype))
+    if add(np.stack(start).astype(dtype)):
+        return members()
     done = 0
-    while True:
-        known = len(members)
-        rows = np.frombuffer(b"".join(members), dtype=dtype).reshape(known, n)
-        if done == known:
-            return rows
-        rows = rows.astype(np.intp)
-        for g in gens:
-            # the last argument takes a block of members at once; it must be
-            # new unless an earlier argument already is
-            for head in itertools.product(range(known), repeat=g.arity - 1):
-                first = 0 if head and max(head) >= done else done
-                add(g.table[_flat_index([rows[i] for i in head] + [rows[first:]], size)])
-        done = known
+    while done < len(seen):
+        rows = members()
+        for g, sym in zip(gens, symmetric):
+            # table indices stay below size**g.arity, so they fit its dtype
+            index = rows.astype(np.min_scalar_type(len(g.table) - 1))
+            for block in _argument_blocks(index, size, g.arity, done, sym):
+                if add(np.take(g.table, block).reshape(-1, n)):
+                    return members()
+        done = len(rows)
+    return members()
 
 
 def clone_closure(
@@ -248,8 +316,10 @@ def clone_closure(
 
     Nullary generators count as constants.  Generators may have arity up to
     working_arity (default max_arity, never smaller), which does not change
-    the result.  Raises BudgetExceededError as soon as the members of all
-    arities number more than member_cap.
+    the result.  Raises BudgetExceededError exactly when the members of all
+    arities number more than member_cap, after the block of generator
+    applications that passes it.  Whether each generator is symmetric in
+    its last two arguments is checked once, here.
     """
     if working_arity is not None and working_arity < max_arity:
         raise InvalidInputError("working_arity must be >= max_arity")
@@ -258,6 +328,8 @@ def clone_closure(
         if not gens:
             raise InvalidInputError("need universe_size when gens is empty")
         universe_size = gens[0].universe_size
+    if require_int(universe_size, "universe_size") < 1:
+        raise InvalidInputError("universe must be nonempty")
     if any(f.universe_size != universe_size for f in gens):
         raise InvalidInputError("generators live on different universes")
     if max_arity < 1:
@@ -266,10 +338,11 @@ def clone_closure(
     for f in gens:
         if f.arity > bound:
             raise InvalidInputError(f"generator arity {f.arity} exceeds bound {bound}")
+    symmetric = [_symmetric_in_last_two(g) for g in gens]
     parts = []
     for k in range(1, max_arity + 1):
         count = sum(map(len, parts))  # members of the lower arities
-        parts.append(_arity_part(gens, universe_size, k, count, member_cap))
+        parts.append(_arity_part(gens, symmetric, universe_size, k, count, member_cap))
     return CloneFragment(universe_size, max_arity, parts)
 
 
@@ -506,16 +579,34 @@ def preserves_relation(f: FiniteFunction, r: Relation4) -> bool:
 
     f is applied to the |r|^k choices of k tuples of r (k = f.arity; a
     nullary f makes the one empty choice), at most _BLOCK choices at a time,
-    so memory stays O(_BLOCK) beyond r.
+    so memory stays O(_BLOCK) beyond r.  The last t tuples of a choice range
+    over all of r, with t the largest such that |r|^t <= _BLOCK, so their
+    part of the table indices is built once from the relation columns.  A
+    block is a run of choices of the first k - t tuples against all of
+    those, and its image is one broadcast.  Table indices are in the least
+    dtype that holds them; membership is Relation4._hold.
     """
     if f.universe_size != r.universe_size:
         raise InvalidInputError("universe size mismatch")
-    s, k, total = f.universe_size, f.arity, len(r) ** f.arity
-    table = f.table
-    for block in _chunks(total, 1):
-        index = np.arange(block.start, min(block.stop, total))
-        picks = [index // len(r) ** (k - 1 - i) % len(r) for i in range(k)]
-        image = [table[_flat_index([col[p] for p in picks], s)] for col in r.columns]
+    s, k, count = f.universe_size, f.arity, len(r)
+    columns = r.columns.astype(np.min_scalar_type(len(f.table) - 1))
+    trail = 0
+    while trail < k and count ** (trail + 1) <= algebra._BLOCK:
+        trail += 1
+    tail = np.zeros((4, 1), columns.dtype)  # becomes (4, |r|^trail)
+    for pick in _grid((count,) * trail):
+        tail = tail * s + columns[:, pick]
+    lead = k - trail
+    for block in _chunks(count**lead, tail.shape[1]):
+        index = tail[:, None, :]
+        if lead:
+            flat = np.arange(block.start, min(block.stop, count**lead))
+            picks = np.unravel_index(flat, (count,) * lead)
+            head = columns[:, picks[0]]
+            for pick in picks[1:]:
+                head = head * s + columns[:, pick]
+            index = head[:, :, None] * s**trail + index
+        image = np.take(f.table, index).reshape(4, -1)
         if not r._hold(_flat_index(image, s)):
             return False
     return True

@@ -4,9 +4,10 @@ The oracles here are deliberately independent of the library internals:
 congruences by filtering all set partitions, split witnesses by exhaustive
 (delta, epsilon) search, clone parts by fixed-arity superposition closure.
 Replaced library paths are kept as oracles too: the bounded fixpoint clone
-closure, the row-by-row relation preservation check, the tuple-by-tuple
-congruence preservation check and Comp enumeration, the all-pairs congruence
-join closure, the all-pairs meet/join closedness check, the k x k x k
+closure, the head-by-head rounds of the semi-naive clone closure, the
+row-by-row relation preservation check, the tuple-by-tuple congruence
+preservation check and Comp enumeration, the all-pairs congruence join
+closure, the all-pairs meet/join closedness check, the k x k x k
 lattice tables behind a triple-loop transitivity check, the irreducibles
 from the cover relation strict & ~(strict @ strict), the join-fold split
 witness search over every epsilon, the triple-loop modularity check and
@@ -27,7 +28,7 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from congrex.algebra import FiniteAlgebra, Operation, Partition, _flat_index, direct_product
+from congrex.algebra import FiniteAlgebra, Operation, Partition, _flat_index, _grid, direct_product
 from congrex.clones import (
     FiniteFunction,
     add_dummy_arg,
@@ -606,6 +607,43 @@ def superposition_closure(gens, arity, universe_size):
                     current.add(cand)
                     changed = True
     return current
+
+
+def loop_arity_part(gens, size: int, arity: int, count: int, member_cap: int):
+    """The k-ary part (k = arity) of the clone generated by gens (of arity
+    >= 1), as rows in the order found, by semi-naive rounds one head at a
+    time: for each head tuple of the known members, the generator is applied
+    with a slice of members as its last argument, which must be new unless
+    an earlier argument already is.  Raises BudgetExceededError once count
+    plus the members found exceed member_cap, checked per member."""
+    n = size**arity
+    dtype = np.min_scalar_type(size - 1)
+    members = {}  # the bytes of each member's value array, in order found
+    void = np.dtype((np.void, n * dtype.itemsize))
+
+    def add(block):
+        for key in block.view(void).ravel().tolist():
+            if key not in members:
+                members[key] = None
+                if count + len(members) > member_cap:
+                    raise BudgetExceededError(
+                        f"clone closure exceeded member cap {member_cap}"
+                    )
+
+    start = _grid((size,) * arity) + [g.table for g in gens if g.arity == arity]
+    add(np.stack(start).astype(dtype))
+    done = 0
+    while True:
+        known = len(members)
+        rows = np.frombuffer(b"".join(members), dtype=dtype).reshape(known, n)
+        if done == known:
+            return rows
+        rows = rows.astype(np.intp)
+        for g in gens:
+            for head in itertools.product(range(known), repeat=g.arity - 1):
+                first = 0 if head and max(head) >= done else done
+                add(g.table[_flat_index([rows[i] for i in head] + [rows[first:]], size)])
+        done = known
 
 
 def fixpoint_closure(gens, max_arity, universe_size):

@@ -26,6 +26,8 @@ def test_tracing_targets_resolve(capsys):
         assert congrex.cli.main(["comp", "Z4", "--max-arity", "1"]) == 0
         assert congrex.cli.main(["lattice", "Z2xZ2", "--check", "modular"]) == 0
         assert congrex.cli.main(["lattice", "Z4"]) == 0
+        assert congrex.cli.main(["pol", "Z4", "--max-arity", "2"]) == 0
+        assert congrex.cli.main(["witness", "Z4", "--up-to-n", "2"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -35,3 +37,5 @@ def test_tracing_targets_resolve(capsys):
     assert "clones.comp_fragment" in names
     assert {"lattice.from_congruences", "lattice.init"} <= names
     assert {"lattice.is_modular", "lattice.split"} <= names
+    assert {"clones.clone_closure", "clones.preserves_relation"} <= names
+    assert "analyzer.check_centrality" in names

@@ -596,9 +596,11 @@ def _clone_json(arity, table):
         ("con", _algebra_json(1, [0, 1, 1]), "operation 'f': table length 3 != 2^1"),
         ("clone", _clone_json(1, [0, 2]), "entry out of range"),
         ("con", _algebra_json(1, [True, 0]), "operation 'f': table entry is not an integer: True"),
+        ("clone", {"universe_size": 0, "functions": []}, "universe must be nonempty"),
+        ("clone", {"universe_size": -2, "functions": []}, "universe must be nonempty"),
     ],
     ids=["con-string", "clone-string", "con-nested", "clone-nested", "con-length",
-         "clone-range", "con-bool"],
+         "clone-range", "con-bool", "clone-empty-universe", "clone-negative-universe"],
 )
 def test_malformed_tables_are_refused_with_their_messages(tmp_path, capsys, command, data, message):
     path = tmp_path / "input.json"

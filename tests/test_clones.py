@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from congrex.groups import GroupStructure, cyclic_group, parse_group_spec, quate
 
 from conftest import (
     fixpoint_closure,
+    loop_arity_part,
     loop_comp_fragment,
     loop_compose_first,
     loop_congruence_preserving,
@@ -65,6 +67,10 @@ def binary(size, fn):
     return FiniteFunction(
         size, 2, tuple(fn(x, y) for x in range(size) for y in range(size))
     )
+
+
+def ternary(size, fn):
+    return FiniteFunction(size, 3, loop_table(size, 3, lambda args: fn(*args)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +200,145 @@ def generator_sets(draw):
     return size, gens, max_arity
 
 
+def assert_parts_match_the_oracles(frag, gens):
+    """Each arity part of frag, the closure of gens, equals the part that
+    the head-by-head rounds (loop_arity_part) and superposition find."""
+    size = frag.universe_size
+    lifted = [clones._lift_generator(g) for g in gens]
+    for arity, part in enumerate(frag.parts, 1):
+        loop = loop_arity_part(lifted, size, arity, 0, DEFAULT_MEMBER_CAP)
+        assert sorted(loop.tolist()) == part.tolist()
+        assert set(frag.arity_part(arity)) == superposition_closure(gens, arity, size)
+
+
 @settings(max_examples=150, deadline=None)
 @given(generator_sets())
 def test_closure_is_exact_and_contains_the_fixpoint(spec):
     size, gens, max_arity = spec
     frag = clone_closure(gens, max_arity, universe_size=size, working_arity=2)
+    assert_parts_match_the_oracles(frag, gens)
     fixpoint = fixpoint_closure(gens, max_arity, size)
     for arity in range(1, max_arity + 1):
-        part = set(frag.arity_part(arity))
-        assert part == superposition_closure(gens, arity, size)
-        assert {f for f in fixpoint if f.arity == arity} <= part
+        assert {f for f in fixpoint if f.arity == arity} <= set(frag.arity_part(arity))
+
+
+@st.composite
+def symmetric_generator_sets(draw):
+    """Generators on 2 or 3 elements, at least one of them a commutative
+    binary one or, on 2 elements, a ternary one symmetric in its last two
+    arguments, with up to two more of arity 0 to 2 (3 on 2 elements),
+    symmetric or not; and the arity bound of their closure: 2 on 2
+    elements, 1 on 3 (whose binary part can have 3^9 members).  Ternary
+    generators on 3 elements would take superposition_closure seconds."""
+    size = draw(st.sampled_from((2, 3)))
+    cells = st.integers(0, size - 1)
+
+    def symmetric(arity):
+        table = [0] * size**arity
+        for args in itertools.product(range(size), repeat=arity):
+            if args[-2] <= args[-1]:
+                value = draw(cells)
+                table[clones._flat_index(args, size)] = value
+                swapped = args[:-2] + (args[-1], args[-2])
+                table[clones._flat_index(swapped, size)] = value
+        return FiniteFunction(size, arity, tuple(table))
+
+    def any_function(arity):
+        if arity >= 2 and draw(st.booleans()):
+            return symmetric(arity)
+        table = draw(st.lists(cells, min_size=size**arity, max_size=size**arity))
+        return FiniteFunction(size, arity, tuple(table))
+
+    top = 5 - size  # the highest arity
+    gens = [symmetric(draw(st.integers(2, top)))]
+    gens += [any_function(draw(st.integers(0, top))) for _ in range(draw(st.integers(0, 2)))]
+    return size, draw(st.permutations(gens)), 4 - size
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_generator_sets())
+def test_closure_with_symmetric_generators_matches_the_oracles(spec):
+    size, gens, max_arity = spec
+    assert any(clones._symmetric_in_last_two(g) for g in gens)
+    frag = clone_closure(gens, max_arity, universe_size=size, working_arity=3)
+    assert_parts_match_the_oracles(frag, gens)
+
+
+def test_symmetry_in_the_last_two_arguments():
+    assert clones._symmetric_in_last_two(binary(3, lambda x, y: (x + y) % 3))
+    assert not clones._symmetric_in_last_two(binary(3, lambda x, y: (x - y) % 3))
+    assert not clones._symmetric_in_last_two(unary(2, [1, 0]))
+    # x - y + z is symmetric in its first and last arguments, not its last two
+    assert not clones._symmetric_in_last_two(ternary(3, lambda x, y, z: (x - y + z) % 3))
+    assert clones._symmetric_in_last_two(ternary(3, lambda x, y, z: (x * y + x * z) % 3))
+
+
+def test_nand_closure_is_every_boolean_function():
+    nand = binary(2, lambda x, y: 1 - (x & y))
+    frag = clone_closure([nand], 2)
+    assert [len(part) for part in frag.parts] == [4, 16]
+    for arity in (1, 2):
+        assert set(frag.arity_part(arity)) == superposition_closure([nand], arity, 2)
+
+
+def test_closure_stops_once_a_part_holds_every_function(monkeypatch):
+    # (x - y + 1) mod 3 and [0, 0, 2] generate every function on 3 elements:
+    # the 27 unary and the 3^9 binary tables
+    gens = [binary(3, lambda x, y: (x - y + 1) % 3), unary(3, [0, 0, 2])]
+    sizes = []  # (seen, its size) after each block of generator applications
+    fresh = clones._fresh
+
+    def counting_fresh(seen, rows):
+        new = fresh(seen, rows)
+        sizes.append((seen, len(seen)))
+        return new
+
+    monkeypatch.setattr(clones, "_fresh", counting_fresh)
+    frag = clone_closure(gens, 2)
+    for arity, part in enumerate(frag.parts, 1):
+        grid = list(itertools.product(range(3), repeat=3**arity))
+        assert part.tolist() == [list(row) for row in grid]
+    assert frag.member_count() == 19710
+    # no block is applied once a part is full: each size is reached once
+    per_part = {}
+    for seen, size in sizes:
+        per_part.setdefault(id(seen), []).append(size)
+    assert [counts[-1] for counts in per_part.values()] == [27, 3**9]
+    assert [counts.count(counts[-1]) for counts in per_part.values()] == [1, 1]
+
+
+def test_blocks_are_made_as_they_are_iterated_over():
+    # the heads of a ternary generator number known^2: too many to list
+    blocks = clones._chunks(10**18, 1)
+    assert next(blocks) == slice(0, algebra._BLOCK)
+    assert next(blocks) == slice(algebra._BLOCK, 2 * algebra._BLOCK)
+
+
+def test_function_count_is_not_built_above_the_cap():
+    assert clones._function_count(3, 9, 10**6) == 3**9
+    assert clones._function_count(3, 9, 3**9) == 3**9
+    assert clones._function_count(3, 9, 3**9 - 1) is None
+    assert clones._function_count(1, 10**12, 1) == 1
+    assert clones._function_count(1, 10**12, 0) is None
+    # 2^(10^12) would take 125 GB
+    assert clones._function_count(2, 10**12, DEFAULT_MEMBER_CAP) is None
+
+
+@pytest.mark.parametrize(
+    "gens,max_arity",
+    [
+        ([binary(2, lambda x, y: 1 - (x & y))], 2),
+        ([binary(4, lambda x, y: (x + y) % 4), unary(4, [0, 3, 2, 1])], 2),
+        ([ternary(2, lambda x, y, z: (x + y + z) % 2)], 3),
+        ([binary(3, lambda x, y: (x - y + 1) % 3), unary(3, [0, 0, 2])], 2),
+    ],
+    ids=["nand", "z4-term", "minority", "every-function-on-3"],
+)
+def test_closure_refuses_exactly_above_the_member_cap(gens, max_arity):
+    members = clone_closure(gens, max_arity).member_count()
+    with pytest.raises(BudgetExceededError, match=f"member cap {members - 1}$"):
+        clone_closure(gens, max_arity, member_cap=members - 1)
+    assert clone_closure(gens, max_arity, member_cap=members).member_count() == members
 
 
 def test_closure_member_cap():
@@ -219,6 +354,11 @@ def test_closure_member_cap():
 def test_closure_input_validation():
     with pytest.raises(InvalidInputError):
         clone_closure([], 2)
+    for size in (0, -2):
+        with pytest.raises(InvalidInputError, match="universe must be nonempty"):
+            clone_closure([], 2, universe_size=size)
+    with pytest.raises(InvalidInputError, match="universe must be nonempty"):
+        clone_closure([FiniteFunction(0, 1, ())], 1)
     with pytest.raises(InvalidInputError):
         clone_closure([unary(2, [0, 1]), unary(3, [0, 1, 2])], 2)
     with pytest.raises(InvalidInputError):
@@ -712,7 +852,11 @@ def test_preserves_relation_matches_row_loop_on_random_relations(data):
     )
     f = FiniteFunction(size, arity, tuple(table))
     rel = Relation4.from_tuples(size, tuples)
-    assert preserves_relation(f, rel) == loop_preserves_relation(f, rel)
+    # blocks of 1 or 7 choices split the choices between leading tuples,
+    # taken a block at a time, and trailing ones, taken whole
+    block = data.draw(st.sampled_from((1, 7, algebra._BLOCK)))
+    with mock.patch.object(algebra, "_BLOCK", block):
+        assert preserves_relation(f, rel) == loop_preserves_relation(f, rel)
 
 
 def off_at(f, args, value):
@@ -724,19 +868,20 @@ def off_at(f, args, value):
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Blocks of 1000 choices, and the block count of each preserves_relation
-    call in the returned list."""
+    """Blocks of 1000 choices, and for each preserves_relation call the
+    block count and the choices in its largest block, in the returned list."""
     monkeypatch.setattr(algebra, "_BLOCK", 1000)
-    counts = []
+    calls = []
     chunks = clones._chunks
 
     def counting_chunks(count, width):
-        blocks = chunks(count, width)
-        counts.append(len(blocks))
+        blocks = list(chunks(count, width))
+        largest = max((len(range(count)[b]) * width for b in blocks), default=0)
+        calls.append((len(blocks), largest))
         return blocks
 
     monkeypatch.setattr(clones, "_chunks", counting_chunks)
-    return counts
+    return calls
 
 
 def test_preserves_relation_across_blocks(small_blocks):
@@ -751,7 +896,10 @@ def test_preserves_relation_across_blocks(small_blocks):
     for f, expected in [(first, True), (last_only, False), (first_only, False)]:
         assert preserves_relation(f, rel) is expected
         assert loop_preserves_relation(f, rel) is expected
-    assert small_blocks == [33, 33, 33]  # 32^3 choices, 1000 at a time
+    # 32^3 choices: 32^2 choices of the first two tuples, 31 at a time,
+    # each against the 32 of the last one
+    assert [blocks for blocks, _ in small_blocks] == [34, 34, 34]
+    assert [largest for _, largest in small_blocks] == [992, 992, 992]
     assert preserves_relation(last_only, Relation4.from_tuples(4, low))
     # rho of Z4 for the delta classes {0, 2}, {1, 3}: 32 tuples
     d = group_malcev_function(cyclic_group(4))
@@ -772,7 +920,8 @@ def test_preserves_relation_across_blocks(small_blocks):
     for rel in (rho, Relation4.from_tuples(4, [])):
         for f in funcs:
             assert preserves_relation(f, rel) == loop_preserves_relation(f, rel)
-    assert max(small_blocks) > 1
+    assert max(blocks for blocks, _ in small_blocks) > 1
+    assert all(largest <= 1000 for _, largest in small_blocks)
 
 
 def test_malcev_function_identities():
