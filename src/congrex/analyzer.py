@@ -126,12 +126,7 @@ def decide_group(
     """
     alg = as_group_algebra(group)
     g = GroupStructure.of(alg)
-    # the multiplication, inverse map and identity of g, by arity
-    group_tables = {2: g.mul_table.ravel(), 1: g.inv, 0: [g.identity]}
-    extra = [
-        op.name for op in alg.operations
-        if not np.array_equal(op.table, group_tables.get(op.arity))
-    ]
+    extra = [op.name for op in g.extra_operations(alg)]
     if extra:
         return AnalysisReport(
             verdict=VERDICT_NA,

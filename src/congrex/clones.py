@@ -9,6 +9,12 @@ of Freese, Kiss and Valeriote, UACalc, 2011).  It is built in semi-naive
 rounds: each applies F only to the argument tuples that hold a member found
 in the round before, a broadcast block of tuples at a time, and to half of
 them for a generator symmetric in its last two arguments.
+
+On a group whose other operations are its inverse map and constants, the
+k-ary part of Pol is instead the subgroup of G^(A^k) generated by the
+projections and the constants; pol_fragment counts it from a Sims table
+over the coordinates, refuses it over the member cap before listing any
+member, and lists it as the products of the table's levels.
 """
 
 from __future__ import annotations
@@ -358,13 +364,143 @@ def _operation_clone(alg: FiniteAlgebra, max_arity: int, member_cap: int, extra=
     return clone_closure(gens, max_arity, alg.size, member_cap, working_arity=working)
 
 
+def _group_of(alg: FiniteAlgebra) -> GroupStructure | None:
+    """The group of alg when each operation of alg is the group's
+    multiplication, its inverse map or nullary, else None."""
+    try:
+        g = GroupStructure.of(alg)
+    except NotAGroupError:
+        return None
+    return g if all(op.arity == 0 for op in g.extra_operations(alg)) else None
+
+
+class _SimsTable:
+    """A Sims table of a subgroup of G^N under the pointwise product, over
+    the N coordinates in order (Furst, Hopcroft and Luks, FOCS 1980; Knuth,
+    Combinatorica 11, 1991).  Level i holds at most one entry per value at
+    coordinate i, each the identity before i.  entries holds them as rows
+    in the order added and level their levels; slot[i * |G| + v] is the row
+    of the entry of level i with value v there, or -1.
+
+    With T_i the entries of level i and the identity, the products of one
+    element of each T_i, in level order, are distinct members of the group
+    the entries generate: two of them differ at the coordinate of the first
+    level where their factors differ, as the factors above it are the
+    identity there.  So order(), the product of the |T_i|, is a lower bound
+    of the group's order at any time, and equals it once close() has run
+    to the end."""
+
+    def __init__(self, g: GroupStructure, count: int):
+        self.g = g
+        self.ldiv = g.mul_table[g.inv]  # ldiv[a, b] = a^-1 b
+        self.entries = np.empty((0, count), dtype=g.mul_table.dtype)
+        self.level = np.empty(0, dtype=np.intp)
+        self.slot = np.full(count * g.size, -1, dtype=np.intp)
+
+    def order(self) -> int:
+        return math.prod((np.bincount(self.level) + 1).tolist())
+
+    def sift(self, rows) -> None:
+        """Sift each row of rows to the identity, adding entries where
+        needed.  At its first coordinate i off the identity a row is divided
+        on the left by the entry of its value there, v <- t^-1 v, which
+        makes it the identity up to i + 1; all rows take a step at once.  A
+        level and value with no entry make the first row with them the
+        entry, which then divides itself to the identity."""
+        e, n = self.g.identity, self.g.size
+        moved = rows != e
+        while (live := moved.any(axis=1)).any():
+            rows, moved = rows[live], moved[live]
+            first = moved.argmax(axis=1)
+            key = first * n + rows[np.arange(len(rows)), first]
+            slot = self.slot[key]
+            if (missing := slot < 0).any():
+                new, pick = np.unique(key[missing], return_index=True)
+                self.slot[new] = len(self.entries) + np.arange(len(new))
+                self.entries = np.concatenate([self.entries, rows[missing][pick]])
+                self.level = np.concatenate([self.level, new // n])
+                slot = self.slot[key]
+            rows = self.ldiv[self.entries[slot], rows]
+            moved = rows != e
+
+    def close(self, limit: int) -> None:
+        """Sift every product of two entries of which one is new, in both
+        orders, a block of _chunks at a time, until a round adds no entry or
+        order() passes limit.
+
+        In the first case the products T_0 T_1 ... T_m are the group the
+        entries generate.  Let P_i = T_i ... T_m; by downward induction
+        P_(i+1) is a group, generated by the entries above level i.  For
+        such an entry t and u in T_i, t u is the identity before i and sifts
+        to the identity, so it lies in T_i P_(i+1); moving u leftwards
+        through a product of such entries gives P_(i+1) T_i within
+        T_i P_(i+1), and with T_i T_i within P_i this makes P_i closed under
+        the product."""
+        mul = self.g.mul_table
+        done = 0
+        while done < len(self.entries) and self.order() <= limit:
+            stored = self.entries
+            fresh = np.arange(len(stored)) >= done
+            left, right = np.nonzero(fresh[:, None] | fresh)
+            for chunk in _chunks(len(left), stored.shape[1]):
+                self.sift(mul[stored[left[chunk]], stored[right[chunk]]])
+                if self.order() > limit:
+                    return
+            done = len(stored)
+
+    def members(self):
+        """The products T_0 T_1 ... T_m as the rows of one array, by one
+        broadcast product per level."""
+        count = self.entries.shape[1]
+        rows = identity = np.full((1, count), self.g.identity, dtype=self.entries.dtype)
+        for i in np.unique(self.level):
+            factors = np.concatenate([identity, self.entries[self.level == i]])
+            rows = self.g.mul_table[rows[:, None], factors[None]].reshape(-1, count)
+        return rows
+
+
+def _pol_table(g: GroupStructure, arity: int, limit: int) -> _SimsTable:
+    """A Sims table of Pol_k(G), k = arity: the subgroup of G^(A^k)
+    generated by the k projections and the constants, each of which sifts
+    to a product of entries.  It is complete unless its order() is above
+    limit."""
+    count = g.size**arity
+    table = _SimsTable(g, count)
+    gens = _grid((g.size,) * arity) + [np.full(count, v) for v in range(g.size)]
+    table.sift(np.stack(gens).astype(table.entries.dtype))
+    table.close(limit)
+    return table
+
+
 def pol_fragment(
     alg: FiniteAlgebra, max_arity: int, member_cap: int = DEFAULT_MEMBER_CAP
 ) -> CloneFragment:
     """The polynomial clone of alg up to max_arity: the clone generated by
-    the fundamental operations and every constant."""
-    consts = [FiniteFunction.constant(alg.size, v) for v in range(alg.size)]
-    return _operation_clone(alg, max_arity, member_cap, consts)
+    the fundamental operations and every constant.
+
+    On a group algebra (_group_of) each part Pol_k is the group of a Sims
+    table (_pol_table), which counts its members before it lists them.
+    BudgetExceededError is raised as soon as the members of arities 1..k
+    number more than member_cap, before the k-ary members or any higher
+    table are built; the message gives the count, a lower bound if the
+    table stopped early.  Other algebras go through clone_closure."""
+    g = _group_of(alg)
+    if g is None:
+        consts = [FiniteFunction.constant(alg.size, v) for v in range(alg.size)]
+        return _operation_clone(alg, max_arity, member_cap, consts)
+    if max_arity < 1:
+        raise InvalidInputError("max_arity must be >= 1")
+    parts, total = [], 0
+    for k in range(1, max_arity + 1):
+        table = _pol_table(g, k, member_cap - total)
+        total += table.order()
+        if total > member_cap:
+            raise BudgetExceededError(
+                f"polynomial clone has at least {total} members up to arity {k}, "
+                f"above the member cap {member_cap}"
+            )
+        parts.append(table.members())
+    return CloneFragment(alg.size, max_arity, parts)
 
 
 def _signature_reps(least, arity: int):

@@ -196,6 +196,12 @@ class GroupStructure:
     def mul(self, x: int, y: int) -> int:
         return int(self.mul_table[x, y])
 
+    def extra_operations(self, alg: FiniteAlgebra):
+        """The operations of alg, in order, other than this group's
+        multiplication, inverse map and identity."""
+        tables = {2: self.mul_table.ravel(), 1: self.inv, 0: [self.identity]}
+        return [op for op in alg.operations if not np.array_equal(op.table, tables.get(op.arity))]
+
     def subgroup_closure(self, elements) -> frozenset:
         """Subgroup generated by the given elements (identity always included)."""
         member = np.zeros(self.size, dtype=bool)

@@ -411,6 +411,8 @@ PINNED_COMMANDS = [
     ["witness", "Z4_MINUS"],
     ["pol", "Z6", "--max-arity", "2"],
     ["pol", "Z12", "--max-arity", "1"],
+    ["pol", "Q8", "--max-arity", "2"],
+    ["tensor", "Z4", "Z3"],
 ]
 
 #: sha256 of the exit code, a newline and the stdout of each pinned command
@@ -421,6 +423,8 @@ PINNED_DIGESTS = {
     "witness Z4_MINUS": "b299843690782db2e271e00f6efa02e9899a554dc4245888caee49b4c8432556",
     "pol Z6 --max-arity 2": "d4209e69720046a704f5dafe96c8762570944a171ac75007b235b86c8706e80c",
     "pol Z12 --max-arity 1": "657b2308614fec0a53a3fa6410f22709282cb5cd988af48f5f2dd240a8b93d01",
+    "pol Q8 --max-arity 2": "d226d5091967643b6e9a32bfd85537ee1899764408d33806940f4a40c2a85f07",
+    "tensor Z4 Z3": "a9f6f5ff6648f4e719bb1ca109eb1173ca421fefa414e9d3c9092c288122a2bf",
 }
 
 

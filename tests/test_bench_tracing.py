@@ -3,6 +3,7 @@ methods by name; ``Tracer.install`` fails on a name that no longer resolves
 in its congrex module."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import congrex.cli
@@ -17,7 +18,19 @@ def _load_tracing():
     return module
 
 
-def test_tracing_targets_resolve(capsys):
+#: (Z4; x - y), not a group, so its Pol goes through clones.clone_closure
+Z4_MINUS = {
+    "name": "(Z4;x-y)",
+    "size": 4,
+    "operations": [
+        {"name": "-", "arity": 2, "table": [(x - y) % 4 for x in range(4) for y in range(4)]}
+    ],
+}
+
+
+def test_tracing_targets_resolve(capsys, tmp_path):
+    z4_minus = tmp_path / "z4minus.json"
+    z4_minus.write_text(json.dumps(Z4_MINUS))
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     try:
@@ -27,6 +40,7 @@ def test_tracing_targets_resolve(capsys):
         assert congrex.cli.main(["lattice", "Z2xZ2", "--check", "modular"]) == 0
         assert congrex.cli.main(["lattice", "Z4"]) == 0
         assert congrex.cli.main(["pol", "Z4", "--max-arity", "2"]) == 0
+        assert congrex.cli.main(["pol", str(z4_minus), "--max-arity", "2"]) == 0
         assert congrex.cli.main(["witness", "Z4", "--up-to-n", "2"]) == 0
     finally:
         tracer.uninstall()

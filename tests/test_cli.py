@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from congrex import algebra, analyzer, cli
+from congrex import algebra, analyzer, cli, clones
 from congrex.algebra import FiniteAlgebra, Operation, Partition
 from congrex.cli import main
 from congrex.groups import (
@@ -506,6 +506,28 @@ def test_pol_and_comp_cli(capsys):
 def test_max_arity_below_one_is_refused(capsys, command):
     code, out, err = run(capsys, command, "Z3", "--max-arity", "0")
     assert (code, out, err) == (1, "", "error: max_arity must be >= 1\n")
+
+
+def test_pol_s3_at_arity_two_is_refused_before_its_members(capsys, monkeypatch):
+    # |Pol_2(S3)| = 4,251,528: the Sims table passes the default cap of 10^6
+    # before any binary member is listed
+    monkeypatch.delenv("CONGREX_BUDGET", raising=False)
+    widths = []
+    members = clones._SimsTable.members
+
+    def spy(table):
+        widths.append(table.entries.shape[1])
+        return members(table)
+
+    monkeypatch.setattr(clones._SimsTable, "members", spy)
+    code, out, err = run(capsys, "pol", "S3", "--max-arity", "2")
+    assert (code, out) == (3, "")
+    assert re.fullmatch(
+        r"budget exceeded: polynomial clone has at least \d+ members up to arity 2, "
+        r"above the member cap 1000000\n",
+        err,
+    )
+    assert widths == [6]
 
 
 def test_clone_cli(tmp_path, capsys):

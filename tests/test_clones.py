@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -33,9 +35,16 @@ from congrex.clones import (
     tensor_generators,
 )
 from congrex.errors import BudgetExceededError, InvalidInputError
-from congrex.groups import GroupStructure, cyclic_group, parse_group_spec, quaternion_group
+from congrex.groups import (
+    GroupStructure,
+    cyclic_group,
+    group_from_cayley,
+    parse_group_spec,
+    quaternion_group,
+)
 
 from conftest import (
+    d4_cayley,
     fixpoint_closure,
     loop_arity_part,
     loop_comp_fragment,
@@ -50,6 +59,7 @@ from conftest import (
     loop_tensor_function,
     malcev_functions,
     pair_list_join,
+    relabeled_cayley,
     small_algebras,
     small_groups,
     sorted_parts,
@@ -346,7 +356,7 @@ def test_closure_member_cap():
     gens = [FiniteFunction.from_operation(4, op) for op in z4.operations if op.arity]
     with pytest.raises(BudgetExceededError):
         clone_closure(gens, 2, universe_size=4, member_cap=3)
-    # the cap is checked per member, so a large closure is refused early
+    # Pol_2(S3) is refused from its Sims table, before any member is built
     with pytest.raises(BudgetExceededError):
         pol_fragment(parse_group_spec("S3"), 2, member_cap=20000)
 
@@ -426,6 +436,139 @@ def test_pol_subset_of_comp():
     pol = pol_fragment(z4, 1)
     comp = comp_fragment(z4, 1)
     assert pol.function_set() <= comp.function_set()
+
+
+# ---------------------------------------------------------------------------
+# Pol of a group from a Sims table, against the enumerating closure
+
+
+def closure_pol(alg, max_arity):
+    """Pol of alg by clone_closure: the clone of its operations and every
+    constant."""
+    consts = [FiniteFunction.constant(alg.size, v) for v in range(alg.size)]
+    return clones._operation_clone(alg, max_arity, DEFAULT_MEMBER_CAP, consts)
+
+
+def pol_order(alg, arity):
+    """|Pol_k(alg)| from the Sims table alone, no member listed."""
+    return clones._pol_table(GroupStructure.of(alg), arity, math.inf).order()
+
+
+def nonabelian_group(name, seed=None):
+    """S3, Q8 or D4, on elements renamed by random.Random(seed) if given."""
+    table = d4_cayley() if name == "D4" else GroupStructure.of(parse_group_spec(name)).mul_table
+    table = [list(map(int, row)) for row in table]
+    if seed is not None:
+        perm = list(range(len(table)))
+        random.Random(seed).shuffle(perm)
+        table = relabeled_cayley(table, perm)
+    return group_from_cayley(table, name=name)
+
+
+Z4_ADD = Operation("+", 2, [(x + y) % 4 for x in range(4) for y in range(4)])
+Z4_NEG = Operation("-", 1, [0, 3, 2, 1])
+Z4_ZERO = Operation("0", 0, [0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups())
+def test_pol_of_small_groups_equals_the_closure(alg):
+    expected = closure_pol(alg, 2)
+    with mock.patch.object(clones, "clone_closure", side_effect=AssertionError):
+        assert pol_fragment(alg, 2) == expected
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("name", ["S3", "Q8", "D4"])
+def test_pol_of_relabeled_nonabelian_groups_equals_the_closure(name, seed):
+    alg = nonabelian_group(name, seed)
+    assert pol_fragment(alg, 1) == closure_pol(alg, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_pol_of_cyclic_groups_is_the_affine_maps(n):
+    # Pol_k(Z_n) is the n^(k+1) maps a1 x1 + ... + ak xk + b
+    frag = pol_fragment(cyclic_group(n), 2)
+    assert [len(part) for part in frag.parts] == [n**2, n**3]
+    assert frag.parts[1].tolist() == sorted(
+        [(a * x + b * y + c) % n for x in range(n) for y in range(n)]
+        for a, b, c in itertools.product(range(n), repeat=3)
+    )
+
+
+def test_pol_orders_of_nonabelian_groups():
+    s3, q8, d4 = (nonabelian_group(name) for name in ("S3", "Q8", "D4"))
+    assert [len(part) for part in pol_fragment(s3, 1).parts] == [324]
+    assert [len(part) for part in pol_fragment(d4, 1).parts] == [128]
+    assert [len(part) for part in pol_fragment(q8, 2).parts] == [128, 4096]
+    assert pol_order(s3, 2) == 4251528
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [[Z4_ADD], [Z4_ADD, Z4_NEG, Z4_ZERO, Operation("c", 0, [3])]],
+    ids=["multiplication-only", "extra-constant"],
+)
+def test_group_reducts_and_constants_take_the_table(ops):
+    alg = FiniteAlgebra(4, ops)
+    expected = closure_pol(alg, 2)
+    with mock.patch.object(clones, "clone_closure", side_effect=AssertionError):
+        assert pol_fragment(alg, 2) == expected
+    assert expected == pol_fragment(cyclic_group(4), 2)
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        [Z4_ADD, Z4_NEG, Z4_ZERO, Operation("f", 1, [0, 0, 2, 2])],
+        [Operation("-", 2, [(x - y) % 4 for x in range(4) for y in range(4)])],
+    ],
+    ids=["extra-unary", "subtraction-only"],
+)
+def test_other_algebras_take_the_closure(ops):
+    alg = FiniteAlgebra(4, ops)
+    expected = closure_pol(alg, 2)
+    with mock.patch.object(clones, "_pol_table", side_effect=AssertionError):
+        assert pol_fragment(alg, 2) == expected
+
+
+def test_pol_of_a_group_refuses_exactly_above_the_member_cap():
+    z4 = cyclic_group(4)
+    with pytest.raises(BudgetExceededError, match="above the member cap 79$"):
+        pol_fragment(z4, 2, member_cap=79)
+    assert pol_fragment(z4, 2, member_cap=80).member_count() == 80
+    with pytest.raises(BudgetExceededError, match="up to arity 1, above the member cap 0$"):
+        pol_fragment(z4, 2, member_cap=0)
+
+
+def spy_members(built):
+    """A _SimsTable.members that records the arity part it lists, by width."""
+    members = clones._SimsTable.members
+
+    def spy(table):
+        built.append(table.entries.shape[1])
+        return members(table)
+
+    return mock.patch.object(clones._SimsTable, "members", spy)
+
+
+def test_pol_builds_no_member_of_a_refused_arity():
+    built = []
+    with spy_members(built), pytest.raises(BudgetExceededError, match="up to arity 2,"):
+        pol_fragment(parse_group_spec("S3"), 2)
+    assert built == [6]  # the 324 unary members only
+
+
+def test_sims_table_stops_once_its_order_passes_the_limit():
+    # the table is a lower bound while it grows: it stops early, above the limit
+    table = clones._pol_table(GroupStructure.of(parse_group_spec("S3")), 2, 10**6)
+    assert 10**6 < table.order() < pol_order(parse_group_spec("S3"), 2)
+
+
+def test_group_of_refuses_a_second_binary_operation_and_non_groups():
+    times = Operation("*", 2, [(x * y) % 4 for x in range(4) for y in range(4)])
+    assert clones._group_of(FiniteAlgebra(4, [Z4_ADD, times])) is None
+    assert clones._group_of(FiniteAlgebra(4, [times])) is None
 
 
 def test_comp_budget():
