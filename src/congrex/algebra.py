@@ -308,6 +308,37 @@ def _principal_rows(translations, a, b, n: int):
     return out
 
 
+def principal_split(principals, first_a, first_b, strong: bool):
+    """(delta, epsilon) as least-member rows, the split of Con(A) by the rule
+    of lattice.splits(_strongly), from the distinct principal congruences
+    alone (_distinct_principal_rows: rows, first pairs), or None.
+
+    Cg(a, b) <= theta iff theta relates a and b, and every congruence is a
+    join of principal ones.  So the atoms are the minimal principal rows,
+    taken in lexicographic order (that of all_congruences), and delta_eps is
+    the join of the principal rows not above epsilon, and of epsilon if
+    strong (Freese, Algebra Universalis 59, 2008).
+    """
+    n = principals.shape[1]
+    labels = np.ascontiguousarray(principals.T)  # labels[x]: x's label in each row
+    below = np.zeros(len(principals), dtype=np.intp)  # the principal rows below each
+    for s in _chunks(len(principals), len(principals)):
+        below += (labels[first_a[s]] == labels[first_b[s]]).sum(axis=0)
+    atoms = np.flatnonzero(below == 1)
+    for eps in atoms[np.lexsort(principals[atoms].T[::-1])]:
+        outside = labels[first_a[eps]] != labels[first_b[eps]]
+        outside[eps] = strong
+        delta, outside = np.arange(n), np.flatnonzero(outside)
+        for s in _chunks(len(outside), n):
+            rows = principals[outside[s]]
+            _hook(delta, np.tile(np.arange(n), len(rows)), rows.ravel())
+            if not delta.any():  # the full relation: epsilon does not split
+                break
+        else:
+            return delta.astype(np.int32), principals[eps]
+    return None
+
+
 def _fresh(seen: dict, rows):
     """Add the bytes of each row of a 2-D array to seen, in order (equal
     bytes, equal rows); the indices of the rows that were new, each
@@ -491,11 +522,12 @@ class FiniteAlgebra:
         least = forest[pairs] == pairs
         return a[least], b[least]
 
-    def _distinct_principal_rows(self, force: bool, budget: int | None):
+    def _distinct_principal_rows(self, force: bool = False, budget: int | None = None):
         """(rows, first_a, first_b): the distinct principal congruences as
         least-member rows of an int32 array, in the order found, each with
         the first pair (a, b) that gave it; refused up front when the
-        estimate n^2 * #translations exceeds the budget, unless force.
+        estimate n^2 * #translations exceeds the budget (by default
+        CONGREX_BUDGET or DEFAULT_BUDGET), unless force.
 
         A translation t that permutes A has its inverse among its powers, so
         Cg(t(a), t(b)) = Cg(a, b): Cg is computed only for pairs that meet
@@ -505,6 +537,8 @@ class FiniteAlgebra:
         n = self.size
         trans = self.unary_translations()
         estimate = n * n * max(1, len(trans))
+        if budget is None and not force:
+            budget = budget_from_env()
         if not force and estimate > budget:
             raise BudgetExceededError(
                 f"congruence enumeration estimate {estimate} exceeds budget {budget}"

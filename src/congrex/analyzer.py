@@ -23,6 +23,7 @@ from .algebra import (
     _grid,
     direct_product,
     is_congruence_uniform,
+    principal_split,
 )
 from .clones import (
     FiniteFunction,
@@ -53,7 +54,7 @@ from .groups import (
     split_normal_subgroup_lattice,
     sylow_decomposition,
 )
-from .lattice import congruence_lattice, from_congruences, splits, splits_strongly
+from .lattice import SplitWitness
 
 VERDICT_INFINITE = "infinitely-many"
 VERDICT_FINITE = "finitely-many"
@@ -206,6 +207,16 @@ def decide_abelian_spec(p: int, exponents) -> AnalysisReport:
     )
 
 
+def congruence_split(congs, principals, strong: bool):
+    """principal_split of principals, the triple of _distinct_principal_rows,
+    as a SplitWitness of indices into congs, the sorted all_congruences of
+    the same algebra, or None."""
+    found = principal_split(*principals, strong)
+    if found is None:
+        return None
+    return SplitWitness(*(congs.index(Partition._of_row(r)) for r in found))
+
+
 def decide_product(
     factors,
     assume_nilpotent: bool = False,
@@ -217,8 +228,9 @@ def decide_product(
     Checks the hypotheses (prime-power coprime orders; nilpotency verified
     for groups, otherwise asserted by the caller), verifies skew-freeness of
     the product, and evaluates both the per-factor and whole-lattice strong
-    splitting tests, which must agree.  ``force`` and ``budget`` go to every
-    congruence enumeration.
+    splitting tests, which must agree, each from the principal congruences
+    (congruence_split).  ``force`` and ``budget`` go to every congruence
+    enumeration.
     """
     factors = [as_group_algebra(f) for f in factors]
     if not factors:
@@ -271,11 +283,9 @@ def decide_product(
             )
 
     factor_reports = []
-    factor_strong = []
     for f in factors:
-        f_lat, f_congs = congruence_lattice(f, force=force, budget=budget)
-        w = splits_strongly(f_lat)
-        factor_strong.append(w is not None)
+        f_congs = f.all_congruences(force=force, budget=budget)
+        w = congruence_split(f_congs, f._distinct_principal_rows(force, budget), strong=True)
         factor_reports.append(
             {
                 "name": f.name,
@@ -286,14 +296,14 @@ def decide_product(
         )
     if prod_congs is None:  # a single factor is its own product
         prod_congs = f_congs
-    lat, prod_congs = _lattice_with(prod_congs)
-    whole = splits_strongly(lat)
-    if (whole is not None) != any(factor_strong):
+    principals = prod._distinct_principal_rows(force, budget)
+    whole = congruence_split(prod_congs, principals, strong=True)
+    if (whole is not None) != any(r["lattice_witness"] for r in factor_reports):
         raise CongrexError(
             "internal: per-factor and whole-lattice splitting disagree"
         )
     diagnostics["congruence_count"] = len(prod_congs)
-    diagnostics["splits"] = splits(lat) is not None
+    diagnostics["splits"] = congruence_split(prod_congs, principals, strong=False) is not None
     return AnalysisReport(
         verdict=VERDICT_INFINITE if whole else VERDICT_FINITE,
         route="coprime-product-lattice",
@@ -314,6 +324,9 @@ class WitnessFamily:
     Built from a strong splitting witness (delta, epsilon) of Con(base) with
     epsilon an atom, and a pair a != b inside epsilon: the n-ary member sends
     a tuple to a when some coordinate meets the delta-class of a, else to b.
+    The checks read the least-member rows of the distinct principal
+    congruences of base (principals, computed if not given): every
+    congruence is a join of principal ones.
     """
 
     def __init__(
@@ -323,28 +336,27 @@ class WitnessFamily:
         epsilon: Partition,
         a: int,
         b: int,
-        congs=None,
+        principals=None,
     ):
-        if congs is None:
-            congs = base.all_congruences()
-        if epsilon not in congs or delta not in congs:
+        if principals is None:
+            principals = base._distinct_principal_rows()[0]
+        if not (base.is_congruence(epsilon) and base.is_congruence(delta)):
             raise InvalidInputError("delta/epsilon are not congruences of base")
         if epsilon.is_identity() or delta.is_full():
             raise InvalidInputError("witness requires 0 < epsilon and delta < 1")
         if not epsilon.refines(delta):
             raise InvalidInputError("witness requires epsilon <= delta")
-        nontrivial = [t for t in congs if not t.is_identity()]
-        if any(t != epsilon and t.refines(epsilon) for t in nontrivial):
+        eps, dl = epsilon.least, delta.least
+        below_eps = (eps[principals] == eps).all(axis=1)
+        if (below_eps & (principals != eps).any(axis=1)).any():
             raise InvalidInputError("epsilon must be an atom of the lattice")
-        for alpha in congs:
-            if not (alpha.refines(delta) or epsilon.refines(alpha)):
-                raise InvalidInputError(
-                    "delta/epsilon do not witness a strong split"
-                )
+        below_delta = (dl[principals] == dl).all(axis=1)
+        if not (below_delta | (principals[:, eps] == principals).all(axis=1)).all():
+            raise InvalidInputError("delta/epsilon do not witness a strong split")
         if a == b or not epsilon.same(a, b):
             raise InvalidInputError("(a, b) must be a non-diagonal epsilon pair")
         self.base = base
-        self.congruences = congs
+        self.principals = principals
         self.delta = delta
         self.epsilon = epsilon
         self.a = a
@@ -370,40 +382,26 @@ class WitnessFamily:
         return [self.function(n) for n in range(1, up_to_n + 1)]
 
 
-def build_witness_family(base: FiniteAlgebra, congs=None) -> WitnessFamily:
-    """Turn a strong splitting witness of Con(base) into a WitnessFamily.
-
-    epsilon is refined to an atom below it (always possible for a valid
-    witness), and (a, b) is the least non-diagonal pair inside epsilon.
+def build_witness_family(
+    base: FiniteAlgebra, force: bool = False, budget: int | None = None
+) -> WitnessFamily:
+    """The WitnessFamily of the strong split (delta, epsilon) of Con(base)
+    by principal_split, from the principal congruences alone (under force
+    and budget), and (a, b) the least non-diagonal pair inside epsilon.
     """
-    if congs is None:
-        congs = base.all_congruences()
-    lat, congs = _lattice_with(congs)
-    w = splits_strongly(lat)
-    if w is None:
+    principals = base._distinct_principal_rows(force, budget)
+    found = principal_split(*principals, strong=True)
+    if found is None:
         raise InvalidInputError("congruence lattice does not split strongly")
-    delta = congs[w.delta]
-    epsilon = congs[w.epsilon]
-    refined = next((congs[e] for e in lat.atoms() if congs[e].refines(epsilon)), None)
-    if refined is None:
-        raise CongrexError("internal: no atom below a valid epsilon")
-    a, b = next(
-        (x, y)
-        for x in range(base.size)
-        for y in range(base.size)
-        if x != y and refined.same(x, y)
-    )
-    return WitnessFamily(base, delta, refined, a, b, congs=congs)
-
-
-def _lattice_with(congs):
-    congs = sorted(set(congs), key=lambda p: p.block_id)
-    return from_congruences(congs), congs
+    delta, epsilon = map(Partition._of_row, found)
+    a, b = next(block for block in epsilon.blocks() if len(block) > 1)[:2]
+    return WitnessFamily(base, delta, epsilon, a, b, principals=principals[0])
 
 
 def verify_witness(fam: WitnessFamily, up_to_n: int) -> dict:
     """Exhaustively check each family member up to the given arity: it is
-    congruence preserving, its range sits inside one epsilon class, and it is
+    congruence preserving (it preserves the principal congruences, so every
+    join of them), its range sits inside one epsilon class, and it is
     constant on componentwise delta-related tuples.
 
     Raises WitnessCheckError with the offending tuple on any failure.
@@ -413,7 +411,7 @@ def verify_witness(fam: WitnessFamily, up_to_n: int) -> dict:
     s = fam.base.size
     for n in range(1, up_to_n + 1):
         f = fam.function(n)
-        if not is_congruence_preserving(f, fam.congruences):
+        if not is_congruence_preserving(f, fam.principals):
             raise WitnessCheckError(f"member of arity {n} is not congruence preserving")
         values = set(np.flatnonzero(np.bincount(f.table, minlength=s)).tolist())
         if not values <= {fam.a, fam.b}:
@@ -542,7 +540,7 @@ def group_witness_pipeline(
     while the Mal'cev search can fill the member cap of the whole ternary
     clone.  A k or up_to_n below 1, or a commutator witness table over
     WITNESS_TABLE_BUDGET, is refused before any congruence work too.
-    ``force`` and ``budget`` go to the congruence enumeration; ``force``
+    ``force`` and ``budget`` go to the principal congruences; ``force``
     also lifts the centrality check's limit.
     """
     alg = as_group_algebra(group)
@@ -554,8 +552,7 @@ def group_witness_pipeline(
         raise NotApplicableError(f"{alg.name or 'the group'} is not nilpotent")
     _check_witness_arity(alg.size, k)
     _check_up_to_n(up_to_n)
-    congs = alg.all_congruences(force=force, budget=budget)
-    fam = build_witness_family(alg, congs=congs)
+    fam = build_witness_family(alg, force=force, budget=budget)
     d = group_malcev_function(g) if g is not None else malcev_term(alg)
     if d is None:
         raise NotApplicableError(f"{alg.name or 'the algebra'} has no Mal'cev term")

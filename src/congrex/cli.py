@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .algebra import DEFAULT_BUDGET, FiniteAlgebra, budget_from_env, direct_product, require_int
 from .analyzer import (
+    congruence_split,
     decide_group,
     decide_product,
     group_witness_pipeline,
@@ -42,7 +43,7 @@ from .errors import (
 from .groups import parse_group_spec
 from .lattice import (
     FiniteLattice,
-    congruence_lattice,
+    from_congruences,
     is_modular,
     splits,
     splits_strongly,
@@ -73,17 +74,11 @@ def load_algebra(token: str) -> FiniteAlgebra:
     return parse_group_spec(token)
 
 
-def load_lattice(token: str, force: bool = False, budget: int | None = None):
-    """(lattice, congruence list or None): a lattice JSON file, or Con of an
-    algebra given by shortcut/JSON within the congruence budget."""
-    if os.path.exists(token):
-        data = read_json(token)
-        if "leq" in data:
-            return FiniteLattice.from_json_dict(data), None
-        alg = FiniteAlgebra.from_json_dict(data)
-    else:
-        alg = parse_group_spec(token)
-    return congruence_lattice(alg, force=force, budget=budget)
+def load_lattice(token: str):
+    """The lattice of a lattice JSON file, else load_algebra(token)."""
+    if os.path.exists(token) and "leq" in (data := read_json(token)):
+        return FiniteLattice.from_json_dict(data)
+    return load_algebra(token)
 
 
 def _int_row(obj, pad: str):
@@ -229,16 +224,26 @@ def cmd_con(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    lat, _ = load_lattice(args.input, force=args.force, budget=args.budget)
+    source = load_lattice(args.input)
+    lat = source if isinstance(source, FiniteLattice) else None
+    if lat is None:
+        congs = source.all_congruences(force=args.force, budget=args.budget)
+        if args.check == "modular":
+            lat = from_congruences(congs)
     if args.check == "modular":
         result = is_modular(lat)
         emit({"check": "modular", "result": result}, args.format, [str(result)])
         return EXIT_OK
-    w = splits_strongly(lat) if args.check == "splits-strongly" else splits(lat)
+    strong = args.check == "splits-strongly"
+    if lat is None:  # Con(A): the split checks build no lattice
+        principals = source._distinct_principal_rows(args.force, args.budget)
+        size, w = len(congs), congruence_split(congs, principals, strong)
+    else:
+        size, w = lat.size, (splits_strongly if strong else splits)(lat)
     payload = {
         "check": args.check,
         "witness": w.to_json_dict() if w else None,
-        "size": lat.size,
+        "size": size,
     }
     emit(payload, args.format, [f"{args.check}: {w.to_json_dict() if w else None}"])
     return EXIT_OK

@@ -450,12 +450,15 @@ class _SimsTable:
 
     def members(self):
         """The products T_0 T_1 ... T_m as the rows of one array, by one
-        broadcast product per level."""
+        broadcast product per level, over the columns from i on at level i:
+        its factors are the identity before coordinate i."""
         count = self.entries.shape[1]
         rows = identity = np.full((1, count), self.g.identity, dtype=self.entries.dtype)
         for i in np.unique(self.level):
-            factors = np.concatenate([identity, self.entries[self.level == i]])
-            rows = self.g.mul_table[rows[:, None], factors[None]].reshape(-1, count)
+            factors = np.concatenate([identity, self.entries[self.level == i]])[:, i:]
+            product = self.g.mul_table[rows[:, None, i:], factors[None]]
+            rows = np.repeat(rows, len(factors), axis=0)
+            rows[:, i:] = product.reshape(len(rows), -1)
         return rows
 
 
@@ -512,16 +515,15 @@ def _signature_reps(least, arity: int):
     return np.ravel(_flat_index(np.ix_(*[least] * arity), len(least)))
 
 
-def is_congruence_preserving(f: FiniteFunction, congs) -> bool:
+def is_congruence_preserving(f: FiniteFunction, rows) -> bool:
     """True iff componentwise alpha-related tuples map to alpha-related values,
-    for every congruence alpha in congs: iff f maps each argument tuple into
-    the block of its value at the first tuple with the same block signature.
-    A function that preserves alpha and beta preserves alpha v beta, so for
-    congs = Con(A) the principal congruences suffice."""
-    for alpha in congs:
-        if alpha.size != f.universe_size:
+    for every congruence alpha whose least-member row is in rows: iff f maps
+    each argument tuple into the block of its value at the first tuple with
+    the same block signature.  A function that preserves alpha and beta
+    preserves alpha v beta, so for Con(A) the principal congruences suffice."""
+    for least in rows:
+        if len(least) != f.universe_size:
             raise InvalidInputError("congruence size mismatch")
-        least = alpha.least
         if not (least[f.table] == least[f.table[_signature_reps(least, f.arity)]]).all():
             return False
     return True
@@ -544,9 +546,10 @@ def comp_fragment(
     with the block signature of x (_signature_reps), in increasing order, so
     the rows stay in lexicographic order.
 
-    The budget bounds the rows of each level, counted before the level is
-    built.  The principal congruences are computed under the same budget,
-    and force lifts only that limit.
+    The budget bounds the rows of each level: a level is refused as soon as
+    its rows counted so far, block by block, pass it.  The principal
+    congruences are computed under the same budget, and force lifts only
+    that limit.
     """
     if max_arity < 1:
         raise InvalidInputError("max_arity must be >= 1")
@@ -562,7 +565,7 @@ def comp_fragment(
         for x in range(s**arity):
             moved = np.flatnonzero(reps[:, x] != x)
             counts = np.empty(len(columns[0]) if columns else 1, dtype=np.intp)
-            values = []
+            values, total = [], 0
             for rows in _chunks(len(counts), 1):  # 2^13 rows, |A| values each
                 allowed = np.ones((len(counts[rows]), s), dtype=bool)
                 for j in moved:
@@ -570,11 +573,11 @@ def comp_fragment(
                 flat = np.flatnonzero(allowed)
                 counts[rows] = np.bincount(flat // s, minlength=len(allowed))
                 values.append((flat % s).astype(dtype))
-            if counts.sum() > budget:
-                raise BudgetExceededError(
-                    f"comp enumeration needs {counts.sum()} partial tables of {x + 1} "
-                    f"entries at arity {arity}; budget is {budget} - lower the arity"
-                )
+                if (total := total + len(flat)) > budget:
+                    raise BudgetExceededError(
+                        f"comp enumeration needs at least {total} partial tables of {x + 1} "
+                        f"entries at arity {arity}; budget is {budget} - lower the arity"
+                    )
             columns = [np.repeat(c, counts) for c in columns] + [np.concatenate(values)]
         parts.append(np.stack(columns, axis=1))
     return CloneFragment(s, max_arity, parts)

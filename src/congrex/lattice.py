@@ -92,10 +92,6 @@ class FiniteLattice:
     def join(self) -> np.ndarray:
         return _meets(self.leq.T)
 
-    def atoms(self) -> np.ndarray:
-        """The elements covering the bottom, ascending."""
-        return np.flatnonzero(self.leq.sum(axis=0) == 2)
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -177,35 +173,31 @@ def congruence_lattice(alg, **kwargs):
 
 
 def _split_witness(l: FiniteLattice, strong: bool):
-    # epsilon ranges over atoms only: an atom below a witness epsilon is a
-    # witness with the same delta, and atoms have the least down-sets, so
-    # they come first in the witness order.  admissible[i, d]: every alpha
-    # is <= d or >= atom i (and atom i <= d, if strong).  A float matmul would
-    # beat bool @ here, but its BLAS work buffers stay resident for good.
-    L = l.leq
-    atoms = l.atoms()
-    admissible = ~(~L[atoms] @ ~L)
-    if strong:
-        admissible &= L[atoms]
-    admissible[:, l.top] = False
-    found = np.flatnonzero(admissible.any(axis=1))
-    if not len(found):
-        return None
-    delta = np.where(admissible[found[0]], L.sum(axis=0), -1).argmax()
-    return SplitWitness(delta=int(delta), epsilon=int(atoms[found[0]]))
+    # epsilon ranges over the atoms, ascending: an atom below a witness
+    # epsilon is a witness with the same delta.  delta_eps, the least upper
+    # bound of the x with epsilon not <= x (and of epsilon, if strong), is
+    # the upper bound with the fewest elements below it.
+    L, below = l.leq, l.leq.sum(axis=0)
+    for eps in np.flatnonzero(below == 2):
+        outside = ~L[eps]
+        outside[eps] = strong
+        delta = int(np.where(L[outside].all(axis=0), below, l.size + 1).argmin())
+        if delta != l.top:
+            return SplitWitness(delta=delta, epsilon=int(eps))
+    return None
 
 
 def splits_strongly(l: FiniteLattice):
-    """Witness for I[0,delta] u I[epsilon,1] = L with 0 < eps <= delta < 1.
-
-    Witness selection is deterministic: epsilon as low as possible, then delta
-    as high as possible, ties by element index.
-    """
+    """Witness for I[0,delta] u I[epsilon,1] = L with 0 < eps <= delta < 1:
+    the first atom epsilon, by index, whose delta_eps (the join of epsilon
+    and every x not above it) is below the top, and delta = delta_eps, the
+    least delta that splits with it."""
     return _split_witness(l, strong=True)
 
 
 def splits(l: FiniteLattice):
-    """Like splits_strongly, but the subintervals need not overlap."""
+    """Like splits_strongly, but the subintervals need not overlap, and
+    delta_eps leaves epsilon out of the join."""
     return _split_witness(l, strong=False)
 
 

@@ -10,15 +10,16 @@ preservation check and Comp enumeration, the all-pairs congruence join
 closure, the all-pairs meet/join closedness check, the k x k x k
 lattice tables behind a triple-loop transitivity check, the irreducibles
 from the cover relation strict & ~(strict @ strict), the join-fold split
-witness search over every epsilon, the triple-loop modularity check and
-transitive closure of a cover list, the union-find principal congruence and
-pair-list partition join, the pair-by-pair permutability check of two
-partitions, the breadth-first pair orbits and the orbit-by-orbit principal
-join closure with its budget, the bitmask normal subgroup closure, the
-commutator-by-commutator lower central series, the tuple sort of clone
-fragment members, the pair loop of the tensor of two fragments, and the
-tuple-by-tuple direct product and every other table over A^n that the
-library builds on its argument grid.
+witness search over every epsilon, the witness family checks over every
+congruence, the full-width member product of a Sims table, the triple-loop
+modularity check and transitive closure of a cover list, the union-find
+principal congruence and pair-list partition join, the pair-by-pair
+permutability check of two partitions, the breadth-first pair orbits and
+the orbit-by-orbit principal join closure with its budget, the bitmask
+normal subgroup closure, the commutator-by-commutator lower central
+series, the tuple sort of clone fragment members, the pair loop of the
+tensor of two fragments, and the tuple-by-tuple direct product and every
+other table over A^n that the library builds on its argument grid.
 Helpers that only tests use live here as well: the lattice of a cover
 list, the split witness check and random bounded relations.
 """
@@ -470,8 +471,8 @@ def brute_has_split(lat: FiniteLattice, strong: bool) -> bool:
 
 def loop_split_witness(lat: FiniteLattice, strong: bool):
     """The split witness by a join fold for every epsilon, in the witness
-    order: epsilon with the least down-set first, then delta with the
-    largest, ties by element index."""
+    order: epsilon with the least down-set first, ties by element index, and
+    delta_eps, the least admissible delta for it."""
     if lat.bottom == lat.top:
         return None
     n = lat.size
@@ -486,17 +487,28 @@ def loop_split_witness(lat: FiniteLattice, strong: bool):
                 need = join[need][alpha]
         if strong:
             need = join[need][eps]
-        if need == lat.top:
-            continue
-        deltas = [
-            d
-            for d in range(n)
-            if d != lat.top and leq[need][d] and (not strong or leq[eps][d])
-        ]
-        if not deltas:
-            continue
-        deltas.sort(key=lambda d: (-below[d], d))
-        return SplitWitness(delta=deltas[0], epsilon=eps)
+        if need != lat.top:
+            return SplitWitness(delta=need, epsilon=eps)
+    return None
+
+
+def loop_witness_family_refusal(base: FiniteAlgebra, delta, epsilon, a: int, b: int):
+    """The message with which the witness family refuses (delta, epsilon,
+    a, b) on base, or None: each check a loop over all of Con(base), in the
+    order of WitnessFamily, whose checks read the principal congruences."""
+    congs = base.all_congruences()
+    if epsilon not in congs or delta not in congs:
+        return "delta/epsilon are not congruences of base"
+    if epsilon.is_identity() or delta.is_full():
+        return "witness requires 0 < epsilon and delta < 1"
+    if not loop_refines(epsilon, delta):
+        return "witness requires epsilon <= delta"
+    if any(t != epsilon and not t.is_identity() and loop_refines(t, epsilon) for t in congs):
+        return "epsilon must be an atom of the lattice"
+    if not all(loop_refines(alpha, delta) or loop_refines(epsilon, alpha) for alpha in congs):
+        return "delta/epsilon do not witness a strong split"
+    if a == b or epsilon.block_id[a] != epsilon.block_id[b]:
+        return "(a, b) must be a non-diagonal epsilon pair"
     return None
 
 
@@ -681,6 +693,17 @@ def fixpoint_closure(gens, max_arity, universe_size):
             if g.arity + f.arity - 1 <= max_arity:
                 add(compose_first(g, f))
     return members
+
+
+def full_width_members(table):
+    """The members of a clones._SimsTable, each level's broadcast product
+    taken over every column."""
+    count = table.entries.shape[1]
+    rows = identity = np.full((1, count), table.g.identity, dtype=table.entries.dtype)
+    for i in np.unique(table.level):
+        factors = np.concatenate([identity, table.entries[table.level == i]])
+        rows = table.g.mul_table[rows[:, None], factors[None]].reshape(-1, count)
+    return rows
 
 
 def loop_preserves_relation(f, rel):

@@ -402,8 +402,9 @@ Z4_MINUS = {
 }
 
 #: the fragment and witness outputs behind the relation check and the row
-#: writer (pol Z12 has values of one and two digits); "Z4_MINUS" stands for
-#: the file of Z4_MINUS
+#: writer (pol Z12 has values of one and two digits), and the split check on
+#: the 2,825 congruences of Z2^6, which does not split; "Z4_MINUS" stands
+#: for the file of Z4_MINUS
 PINNED_COMMANDS = [
     ["comp", "Z3", "--max-arity", "2"],
     ["witness", "Q8", "--up-to-n", "2"],
@@ -413,18 +414,22 @@ PINNED_COMMANDS = [
     ["pol", "Z12", "--max-arity", "1"],
     ["pol", "Q8", "--max-arity", "2"],
     ["tensor", "Z4", "Z3"],
+    ["lattice", "Z2xZ2xZ2xZ2xZ2xZ2", "--check", "splits-strongly"],
 ]
 
 #: sha256 of the exit code, a newline and the stdout of each pinned command
 PINNED_DIGESTS = {
     "comp Z3 --max-arity 2": "8e1f94abd6a5a6ee118cee3accb4b553d4766693444374b7315123a3e5b7488a",
-    "witness Q8 --up-to-n 2": "635ddca32ed0c0d3d2470f99256a63afaf87c5f336e5917bab9c709d449bb166",
+    "witness Q8 --up-to-n 2": "43909fca7e7bbd5ff080b0e00d153d7c72b8ca034d5ab4bde57a3ba49ce3186c",
     "witness Z4": "9855a2427177bc5ca92ab3e85759df31a3f40aa311566d5002445e5db1eac9d9",
     "witness Z4_MINUS": "b299843690782db2e271e00f6efa02e9899a554dc4245888caee49b4c8432556",
     "pol Z6 --max-arity 2": "d4209e69720046a704f5dafe96c8762570944a171ac75007b235b86c8706e80c",
     "pol Z12 --max-arity 1": "657b2308614fec0a53a3fa6410f22709282cb5cd988af48f5f2dd240a8b93d01",
     "pol Q8 --max-arity 2": "d226d5091967643b6e9a32bfd85537ee1899764408d33806940f4a40c2a85f07",
     "tensor Z4 Z3": "a9f6f5ff6648f4e719bb1ca109eb1173ca421fefa414e9d3c9092c288122a2bf",
+    "lattice Z2xZ2xZ2xZ2xZ2xZ2 --check splits-strongly": (
+        "fbf3bfc2fcaa489799b523f244eb658c42f657b434e67282fca93124a8f77d1f"
+    ),
 }
 
 

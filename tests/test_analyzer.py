@@ -50,12 +50,15 @@ from congrex.groups import (
 )
 
 from conftest import (
+    all_partitions,
     loop_commutator_witness,
     loop_rho_tuples,
+    loop_witness_family_refusal,
     loop_witness_function,
     malcev_functions,
     q8_times_z3_cayley,
     relabeled_cayley,
+    small_algebras,
     small_groups,
     table_key,
 )
@@ -294,6 +297,41 @@ def test_witness_family_constructor_validation():
         WitnessFamily(z4, beta, beta, 0, 1)
     with pytest.raises(InvalidInputError):
         WitnessFamily(z4, beta, Partition.from_blocks(4, [[0, 1], [2, 3]]), 0, 1)
+
+
+@st.composite
+def witness_candidates(draw):
+    """(base, delta, epsilon, a, b): base a random algebra or group, delta
+    and epsilon nontrivial congruences, or any partitions a quarter of the
+    time, and (a, b) the first pair of an epsilon block half of the time."""
+    groups = st.sampled_from(["Z8", "Q8", "Z2xZ4", "Z9"]).map(parse_group_spec)
+    alg = draw(st.one_of(small_algebras(min_size=2), small_groups(), groups))
+    congs = alg.all_congruences()
+    inner = [p for p in congs if not (p.is_identity() or p.is_full())] or congs
+    parts = list(all_partitions(alg.size)) if alg.size <= 4 else congs
+    delta, epsilon = (
+        draw(st.sampled_from(parts if draw(st.integers(0, 3)) == 0 else inner))
+        for _ in range(2)
+    )
+    pairs = [block[:2] for block in epsilon.blocks() if len(block) > 1]
+    if pairs and draw(st.booleans()):
+        a, b = draw(st.sampled_from(pairs))
+    else:
+        a, b = draw(st.lists(st.integers(0, alg.size - 1), min_size=2, max_size=2))
+    return alg, delta, epsilon, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_candidates())
+def test_witness_family_refuses_exactly_what_the_all_congruence_loops_refuse(candidate):
+    expected = loop_witness_family_refusal(*candidate)
+    if expected is None:
+        fam = WitnessFamily(*candidate)
+        assert (fam.base, fam.delta, fam.epsilon, fam.a, fam.b) == candidate
+    else:
+        with pytest.raises(InvalidInputError) as err:
+            WitnessFamily(*candidate)
+        assert str(err.value) == expected
 
 
 def test_verify_witness_z4():

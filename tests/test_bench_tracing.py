@@ -28,9 +28,16 @@ Z4_MINUS = {
 }
 
 
+#: the 3-element chain, as a lattice file: the split checks of an algebra
+#: read its principal congruences, those of a lattice file its order
+CHAIN_3 = {"size": 3, "leq": [[True, True, True], [False, True, True], [False, False, True]]}
+
+
 def test_tracing_targets_resolve(capsys, tmp_path):
     z4_minus = tmp_path / "z4minus.json"
     z4_minus.write_text(json.dumps(Z4_MINUS))
+    chain_3 = tmp_path / "chain3.json"
+    chain_3.write_text(json.dumps(CHAIN_3))
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     try:
@@ -39,6 +46,7 @@ def test_tracing_targets_resolve(capsys, tmp_path):
         assert congrex.cli.main(["comp", "Z4", "--max-arity", "1"]) == 0
         assert congrex.cli.main(["lattice", "Z2xZ2", "--check", "modular"]) == 0
         assert congrex.cli.main(["lattice", "Z4"]) == 0
+        assert congrex.cli.main(["lattice", str(chain_3)]) == 0
         assert congrex.cli.main(["pol", "Z4", "--max-arity", "2"]) == 0
         assert congrex.cli.main(["pol", str(z4_minus), "--max-arity", "2"]) == 0
         assert congrex.cli.main(["witness", "Z4", "--up-to-n", "2"]) == 0

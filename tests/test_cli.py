@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from congrex import algebra, analyzer, cli, clones
+from congrex import algebra, analyzer, cli, clones, lattice
 from congrex.algebra import FiniteAlgebra, Operation, Partition
 from congrex.cli import main
 from congrex.groups import (
@@ -375,8 +375,8 @@ def test_comp_budget_bounds_the_rows_of_each_level(tmp_path, capsys, monkeypatch
     code, out, err = run(capsys, *argv, "--budget", "3")
     assert (code, out) == (3, "")
     assert err == (
-        "budget exceeded: comp enumeration needs 4 partial tables of 2 entries "
-        "at arity 1; budget is 3 - lower the arity\n"
+        "budget exceeded: comp enumeration needs at least 4 partial tables of 2 "
+        "entries at arity 1; budget is 3 - lower the arity\n"
     )
     assert run(capsys, *argv, "--budget", "4")[0] == 0
 
@@ -770,11 +770,13 @@ def test_decide_group_tests_nilpotency_before_the_budget(capsys, monkeypatch):
 
 
 def test_comp_refuses_before_any_preservation_check(capsys):
-    # Z3 is simple: 3^14 partial tables of arity 3 are built, 3^15 refused
+    # Z3 is simple: 3^14 partial tables of arity 3 are built, and the 3^15
+    # of the next level are refused at the first block of 2^13 parent rows,
+    # 3 * 2^13 children each, that takes the count past the budget
     code, out, err = run(capsys, "comp", "Z3", "--max-arity", "3")
     assert (code, out) == (3, "")
     assert err == (
-        "budget exceeded: comp enumeration needs 14348907 partial tables of 15 "
+        "budget exceeded: comp enumeration needs at least 10002432 partial tables of 15 "
         "entries at arity 3; budget is 10000000 - lower the arity\n"
     )
 
@@ -792,6 +794,65 @@ def test_comp_runs_no_join_closure(capsys, monkeypatch):
     assert run(capsys, "comp", "Z4", "--max-arity", "1") == expected
     code, out, _ = run(capsys, "comp", "Q8", "--max-arity", "1")
     assert code == 0 and len(json.loads(out)["members"]["1"]) == 2048
+
+
+def minus_file(path, n):
+    """(Z_n; x - y) as an algebra file: no group, the congruences of Z_n."""
+    table = [(x - y) % n for x in range(n) for y in range(n)]
+    op = {"name": "-", "arity": 2, "table": table}
+    path.write_text(json.dumps({"size": n, "operations": [op]}))
+    return str(path)
+
+
+#: commands whose split is delta_eps from the principal congruences; "M4"
+#: and "M3" stand for the files of (Z4; x - y) and (Z3; x - y)
+SPLIT_COMMANDS = [
+    ["witness", "Q8", "--up-to-n", "2"],
+    ["witness", "M4"],
+    ["decide", "Z4", "Z3"],
+    ["decide", "Z8", "Z9"],
+    ["decide", "M4", "M3", "--assume-nilpotent-pp-factors"],
+    ["lattice", "Z2xZ8", "--check", "splits"],
+    ["lattice", "Q8", "--check", "splits-strongly"],
+    ["lattice", "M4", "--check", "splits-strongly"],
+]
+
+
+def test_split_commands_build_no_lattice(tmp_path, capsys, monkeypatch):
+    files = {f"M{n}": minus_file(tmp_path / f"m{n}.json", n) for n in (3, 4)}
+    argvs = [[files.get(a, a) for a in argv] for argv in SPLIT_COMMANDS]
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in expected] == [0] * len(argvs)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(lattice.FiniteLattice, "__init__", fail)
+    monkeypatch.setattr(lattice, "from_congruences", fail)
+    monkeypatch.setattr(cli, "from_congruences", fail)
+    assert [run(capsys, *argv) for argv in argvs] == expected
+    # witness computes the principal congruences only, no join closure
+    monkeypatch.setattr(FiniteAlgebra, "congruence_rows", fail)
+    for argv, out in zip(argvs, expected):
+        if argv[0] == "witness":
+            assert run(capsys, *argv) == out
+
+
+def test_witness_answers_where_only_the_join_closure_was_over_budget(tmp_path, capsys):
+    # every partition of a set without operations is a congruence: 115,975
+    # of them on 10 elements, but 45 principal ones, each an atom
+    path = tmp_path / "set10.json"
+    path.write_text(json.dumps({"size": 10, "operations": []}))
+    code, out, err = run(capsys, "witness", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: congruence lattice does not split strongly\n"
+
+
+def test_witness_budget_refusal_comes_from_the_principal_estimate(capsys):
+    # Z4 has 16 pairs and 4 translations other than the identity
+    code, out, err = run(capsys, "witness", "Z4", "--budget", "1")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: congruence enumeration estimate 64 exceeds budget 1\n"
 
 
 def test_group_shortcut_is_checked_once(capsys, monkeypatch):

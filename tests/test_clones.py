@@ -46,6 +46,7 @@ from congrex.groups import (
 from conftest import (
     d4_cayley,
     fixpoint_closure,
+    full_width_members,
     loop_arity_part,
     loop_comp_fragment,
     loop_compose_first,
@@ -428,7 +429,7 @@ def test_comp_z4_unary_count_and_structure():
     beta = Partition.from_blocks(4, [[0, 2], [1, 3]])
     for f in frag.arity_part(1):
         assert beta.same(f(0), f(2)) and beta.same(f(1), f(3))
-        assert is_congruence_preserving(f, congs)
+        assert is_congruence_preserving(f, [p.least for p in congs])
 
 
 def test_pol_subset_of_comp():
@@ -552,6 +553,20 @@ def spy_members(built):
     return mock.patch.object(clones._SimsTable, "members", spy)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_groups(), st.integers(1, 2))
+def test_sims_members_match_the_full_width_product(alg, arity):
+    table = clones._pol_table(GroupStructure.of(alg), arity, math.inf)
+    assert np.array_equal(table.members(), full_width_members(table))
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+@pytest.mark.parametrize("name,arity", [("S3", 1), ("Q8", 2), ("D4", 2)])
+def test_sims_members_of_nonabelian_groups_match_the_full_width_product(name, arity, seed):
+    table = clones._pol_table(GroupStructure.of(nonabelian_group(name, seed)), arity, math.inf)
+    assert np.array_equal(table.members(), full_width_members(table))
+
+
 def test_pol_builds_no_member_of_a_refused_arity():
     built = []
     with spy_members(built), pytest.raises(BudgetExceededError, match="up to arity 2,"):
@@ -591,9 +606,9 @@ def test_comp_on_simple_algebra_is_everything():
 def test_is_congruence_preserving_examples():
     congs = cyclic_group(4).all_congruences()
     f1 = unary(4, [0, 2, 0, 2])
-    assert is_congruence_preserving(f1, congs)
+    assert is_congruence_preserving(f1, [p.least for p in congs])
     swap01 = unary(4, [1, 0, 2, 3])
-    assert not is_congruence_preserving(swap01, congs)
+    assert not is_congruence_preserving(swap01, [p.least for p in congs])
 
 
 def test_congruence_preserving_unary_functions_on_the_klein_group():
@@ -607,11 +622,11 @@ def test_congruence_preserving_unary_functions_on_the_klein_group():
         f = unary(4, values)
         broken = []
         for alpha in congs:
-            kept = is_congruence_preserving(f, [alpha])
+            kept = is_congruence_preserving(f, [alpha.least])
             assert kept == loop_congruence_preserving(f, [alpha])
             if not kept:
                 broken.append(alpha)
-        assert is_congruence_preserving(f, congs) == (not broken)
+        assert is_congruence_preserving(f, [p.least for p in congs]) == (not broken)
         if len(broken) == 1:
             broken_alone.add(broken[0])
     assert broken_alone == set(atoms)
@@ -639,10 +654,11 @@ def test_is_congruence_preserving_matches_tuple_loop_on_random_algebras(data):
     f = data.draw(functions_on(alg.size))
     congs = alg.all_congruences()
     for alpha in congs:
-        assert is_congruence_preserving(f, [alpha]) == loop_congruence_preserving(
+        assert is_congruence_preserving(f, [alpha.least]) == loop_congruence_preserving(
             f, [alpha]
         )
-    assert is_congruence_preserving(f, congs) == loop_congruence_preserving(f, congs)
+    rows = [p.least for p in congs]
+    assert is_congruence_preserving(f, rows) == loop_congruence_preserving(f, congs)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congrex.algebra import FiniteAlgebra, Operation, Partition
+from congrex.algebra import FiniteAlgebra, Operation, Partition, principal_split
 from congrex.errors import InvalidInputError, NotAGroupError
 from congrex.groups import (
     GroupStructure,
@@ -389,6 +390,31 @@ def test_subgroup_split_agrees_with_lattice_route(spec, strong):
             assert eps <= delta
         for s in subs:
             assert s <= delta or eps <= s
+
+
+def assert_subgroup_split_is_the_principal_split(alg):
+    """split_normal_subgroup_lattice and principal_split give the same pair,
+    the latter's congruences read as the classes of the identity."""
+    g = GroupStructure(alg)
+    subs = normal_subgroups(g)
+    principals = alg._distinct_principal_rows()
+    for strong in (True, False):
+        found = principal_split(*principals, strong)
+        if found is not None:
+            found = tuple(frozenset(np.flatnonzero(r == r[g.identity]).tolist()) for r in found)
+        assert split_normal_subgroup_lattice(g, subs, strong=strong) == found
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups())
+def test_subgroup_split_is_the_principal_split(alg):
+    assert_subgroup_split_is_the_principal_split(alg)
+
+
+@pytest.mark.parametrize("spec", ["Z8", "Z9", "Z16", "Z27", "Q8", "D4", "Z2xZ4", "Z2xZ8", "Z4xZ4"])
+def test_subgroup_split_is_the_principal_split_on_p_groups(spec):
+    alg = group_from_cayley(d4_cayley()) if spec == "D4" else parse_group_spec(spec)
+    assert_subgroup_split_is_the_principal_split(alg)
 
 
 def test_witness_partitions_for_z4():

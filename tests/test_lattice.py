@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congrex import lattice
-from congrex.algebra import Partition
+from congrex.algebra import FiniteAlgebra, Operation, Partition
+from congrex.analyzer import congruence_split
 from congrex.errors import InvalidInputError
-from congrex.groups import cyclic_group, parse_group_spec
+from congrex.groups import cyclic_group, group_from_cayley, parse_group_spec
 from congrex.lattice import (
     FiniteLattice,
     SplitWitness,
@@ -31,6 +32,7 @@ from conftest import (
     brute_has_split,
     cover_irreducibles,
     cube_bound_tables,
+    d4_cayley,
     lattice_from_covers,
     loop_covers_order,
     loop_is_modular,
@@ -40,6 +42,7 @@ from conftest import (
     m3,
     n5,
     pairwise_closed,
+    permutation_algebras,
     small_algebras,
     small_lattice_corpus,
     witness_is_valid,
@@ -468,6 +471,40 @@ def test_split_witness_and_modularity_match_the_loops(lat):
 @given(small_algebras())
 def test_split_witness_and_modularity_of_congruence_lattices_match_the_loops(alg):
     assert_predicates_match_the_loops(congruence_lattice(alg)[0])
+
+
+def assert_principal_split_matches_the_lattice(alg):
+    """The split from the principal congruences names, by index into the
+    sorted congruence list, the (delta, epsilon) of the lattice predicates."""
+    lat, congs = congruence_lattice(alg)
+    principals = alg._distinct_principal_rows()
+    for strong, predicate in ((True, splits_strongly), (False, splits)):
+        assert congruence_split(congs, principals, strong) == predicate(lat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_algebras())
+def test_principal_split_matches_the_lattice_predicates(alg):
+    assert_principal_split_matches_the_lattice(alg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(permutation_algebras())
+def test_principal_split_matches_the_lattice_predicates_on_permutation_algebras(alg):
+    assert_principal_split_matches_the_lattice(alg)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["Z4", "Z8", "Z9", "Z16", "Z27", "Q8", "D4", "Z2xZ4", "Z2xZ8", "Z4xZ3", "Z8xZ3", "Z4xZ4"],
+)
+@pytest.mark.parametrize("subtraction_only", [False, True])
+def test_principal_split_matches_the_lattice_predicates_on_groups(spec, subtraction_only):
+    alg = group_from_cayley(d4_cayley()) if spec == "D4" else parse_group_spec(spec)
+    if subtraction_only:  # (G; x - y): the same congruences, no group reduct
+        add, neg = alg.operation("+").table.reshape(alg.size, -1), alg.operation("-").table
+        alg = FiniteAlgebra(alg.size, [Operation("-", 2, add[:, neg].ravel())])
+    assert_principal_split_matches_the_lattice(alg)
 
 
 @pytest.mark.parametrize("name,lat", sorted(small_lattice_corpus().items()))
