@@ -452,9 +452,10 @@ def build_rho(
 
 def check_centrality(base: FiniteAlgebra, extra, rho: Relation4, force: bool = False) -> bool:
     """True iff every fundamental operation of base, and every extra function,
-    preserves the centrality relation.  Each function f is applied to all
-    |rho|^arity(f) choices of tuples of rho; a sum over CENTRALITY_BUDGET
-    is refused up front unless force is set."""
+    preserves the centrality relation.  Each function f is applied to at
+    most |rho|^arity(f) choices of tuples of rho (clones.preserves_relation);
+    a sum of these estimates over CENTRALITY_BUDGET is refused up front
+    unless force is set."""
     funcs = [FiniteFunction.from_operation(base.size, op) for op in base.operations]
     funcs += extra
     estimate = sum(len(rho) ** f.arity for f in funcs)

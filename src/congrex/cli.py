@@ -366,10 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget: int):
+    def common(p, budget: int, force: bool = True):
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--force", action="store_true")
+        if force:
+            p.add_argument("--force", action="store_true")
         p.set_defaults(default_budget=budget)
 
     p = sub.add_parser("con", help="congruence lattice of an algebra")
@@ -403,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clone", help="closure of a generator file")
     p.add_argument("input")
     p.add_argument("--max-arity", type=int, default=2)
-    common(p, DEFAULT_MEMBER_CAP)
+    common(p, DEFAULT_MEMBER_CAP, force=False)
     p.set_defaults(func=cmd_clone)
 
     p = sub.add_parser("comp", help="congruence preserving functions")
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pol", help="polynomial functions")
     p.add_argument("input")
     p.add_argument("--max-arity", type=int, default=2)
-    common(p, DEFAULT_MEMBER_CAP)
+    common(p, DEFAULT_MEMBER_CAP, force=False)
     p.set_defaults(func=cmd_pol)
 
     p = sub.add_parser("skew", help="skew congruences of a binary product")
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--max-arity", type=int, default=2)
-    common(p, DEFAULT_MEMBER_CAP)
+    common(p, DEFAULT_MEMBER_CAP, force=False)
     p.set_defaults(func=cmd_tensor)
 
     return parser

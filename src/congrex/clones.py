@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra
 from .algebra import FiniteAlgebra, Partition, _chunks, _distinct_rows, _flat_index, _fresh, _grid
 from .algebra import _join_rows, _meet_rows, _pair_tables, require_int, table_array
 from .errors import BudgetExceededError, InvalidInputError, NotAGroupError
@@ -226,18 +225,21 @@ def _symmetric_in_last_two(g: FiniteFunction) -> bool:
 
 def _argument_blocks(index, size: int, arity: int, done: int, symmetric: bool):
     """The flat indices into a table of the given arity at every argument
-    tuple of members that holds a member found in the last round, in blocks
-    of at most 8 * _BLOCK indices (np.take widens each to an 8-byte intp),
-    or one whole head row when one head has more.
+    tuple of rows of index that holds a new row, in blocks of at most
+    8 * _BLOCK indices (np.take widens each to an 8-byte intp), or one whole
+    head row when one head has more.
 
-    index holds the members' value arrays as rows; those from done on are
-    new.  A tuple is its head (all arguments but the last) and its last
-    argument.  The tuples with a new member are the disjoint boxes whose
-    first new argument is the j-th: the arguments before it range over old
-    members, it over new ones and the rest over all.  The box of the last
-    argument (old heads against new members) comes first, then the boxes of
-    new heads against all members.  A block is a run of heads of one box
-    against a slice of members, as one broadcast.
+    index holds value arrays as rows, each the values of an argument at
+    every coordinate: the members of a clone closure, found in the last
+    round from done on, or the tuples of a relation, all new (done = 0).
+    A tuple is its head (all arguments but the last) and its last argument.
+    The tuples with a new row are the disjoint boxes whose first new
+    argument is the j-th: the arguments before it range over old rows, it
+    over new ones and the rest over all; with done = 0 every box but the
+    first argument's is empty.  The box of the last argument (old heads
+    against new rows) comes first, then the boxes of new heads against all
+    rows.  A block is a run of heads of one box against a slice of rows, as
+    one broadcast.
 
     If the table is symmetric in its last two arguments, the last argument
     starts at the last head argument: g(..., a, b) = g(..., b, a)
@@ -716,37 +718,22 @@ class Relation4:
 def preserves_relation(f: FiniteFunction, r: Relation4) -> bool:
     """True iff r is closed under coordinatewise application of f.
 
-    f is applied to the |r|^k choices of k tuples of r (k = f.arity; a
-    nullary f makes the one empty choice), at most _BLOCK choices at a time,
-    so memory stays O(_BLOCK) beyond r.  The last t tuples of a choice range
-    over all of r, with t the largest such that |r|^t <= _BLOCK, so their
-    part of the table indices is built once from the relation columns.  A
-    block is a run of choices of the first k - t tuples against all of
-    those, and its image is one broadcast.  Table indices are in the least
-    dtype that holds them; membership is Relation4._hold.
+    This is one round of the clone closure's kernel, _argument_blocks, with
+    the tuples of r as rows and every row new: f is applied to at most the
+    |r|^k choices of k tuples of r (k = f.arity), about half of them for an
+    f symmetric in its last two arguments, a block at a time, and each
+    block's image is one np.take.  A nullary f maps to its one constant
+    tuple.  Membership is Relation4._hold.
     """
     if f.universe_size != r.universe_size:
         raise InvalidInputError("universe size mismatch")
-    s, k, count = f.universe_size, f.arity, len(r)
-    columns = r.columns.astype(np.min_scalar_type(len(f.table) - 1))
-    trail = 0
-    while trail < k and count ** (trail + 1) <= algebra._BLOCK:
-        trail += 1
-    tail = np.zeros((4, 1), columns.dtype)  # becomes (4, |r|^trail)
-    for pick in _grid((count,) * trail):
-        tail = tail * s + columns[:, pick]
-    lead = k - trail
-    for block in _chunks(count**lead, tail.shape[1]):
-        index = tail[:, None, :]
-        if lead:
-            flat = np.arange(block.start, min(block.stop, count**lead))
-            picks = np.unravel_index(flat, (count,) * lead)
-            head = columns[:, picks[0]]
-            for pick in picks[1:]:
-                head = head * s + columns[:, pick]
-            index = head[:, :, None] * s**trail + index
-        image = np.take(f.table, index).reshape(4, -1)
-        if not r._hold(_flat_index(image, s)):
+    s = f.universe_size
+    if f.arity == 0:
+        return (int(f.table[0]),) * 4 in r
+    rows = r.columns.T.astype(np.min_scalar_type(len(f.table) - 1))
+    for block in _argument_blocks(rows, s, f.arity, 0, _symmetric_in_last_two(f)):
+        image = np.take(f.table, block).reshape(-1, 4)
+        if not r._hold(_flat_index(image.T, s)):
             return False
     return True
 

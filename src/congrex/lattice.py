@@ -212,6 +212,8 @@ def is_modular(l: FiniteLattice) -> bool:
 
 def transposes_up(l: FiniteLattice, a: int, b: int, c: int, d: int) -> bool:
     """True iff I[a,b] transposes up to I[c,d]: a = b ^ c and b v c = d."""
+    if any(not 0 <= require_int(x, "element") < l.size for x in (a, b, c, d)):
+        raise InvalidInputError(f"element outside the {l.size} elements of the lattice")
     if not (l.leq[a, b] and l.leq[c, d]):
         raise InvalidInputError("arguments do not form intervals")
     return bool(l.meet[b, c] == a and l.join[b, c] == d)

@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from congrex import algebra, analyzer, cli, clones, lattice
 from congrex.algebra import FiniteAlgebra, Operation, Partition
-from congrex.cli import main
+from congrex.cli import build_parser, main
 from congrex.groups import (
     GroupStructure,
     cyclic_group,
@@ -280,6 +280,20 @@ def test_lattice_budget_and_force(capsys):
     code, out, _ = run(capsys, "lattice", "Z2xZ2xZ2", "--budget", "1", "--force")
     assert code == 0
     assert json.loads(out)["size"] == 16
+
+
+@pytest.mark.parametrize("argv", [["pol", "Z4"], ["clone", "GENS"], ["tensor", "Z2", "Z3"]])
+def test_force_is_a_usage_error_where_nothing_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
+def test_force_is_offered_where_a_budget_or_limit_reads_it():
+    parser = build_parser()
+    for argv in (["con"], ["lattice"], ["decide"], ["witness"], ["comp"], ["skew", "Z2"]):
+        assert parser.parse_args([*argv, "Z4", "--force"]).force
 
 
 def test_budget_env(capsys, monkeypatch):

@@ -1009,10 +1009,15 @@ def test_preserves_relation_matches_row_loop_on_random_relations(data):
     tuples = data.draw(
         st.lists(st.tuples(*[st.integers(0, size - 1)] * 4), max_size=6)
     )
-    f = FiniteFunction(size, arity, tuple(table))
     rel = Relation4.from_tuples(size, tuples)
-    # blocks of 1 or 7 choices split the choices between leading tuples,
-    # taken a block at a time, and trailing ones, taken whole
+    if data.draw(st.booleans()) and arity >= 2:
+        # symmetric in the last two arguments, which takes the half-tuple
+        # path: the value at (..., x, y) becomes the one at (..., min, max)
+        t = np.array(table).reshape(-1, size, size)
+        table = np.triu(t) + np.triu(t, 1).transpose(0, 2, 1)
+    f = FiniteFunction(size, arity, np.ravel(table).tolist())
+    # blocks of 1 or 7 split each box of the kernel into runs of heads,
+    # down to one head a block
     block = data.draw(st.sampled_from((1, 7, algebra._BLOCK)))
     with mock.patch.object(algebra, "_BLOCK", block):
         assert preserves_relation(f, rel) == loop_preserves_relation(f, rel)
@@ -1027,8 +1032,9 @@ def off_at(f, args, value):
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Blocks of 1000 choices, and for each preserves_relation call the
-    block count and the choices in its largest block, in the returned list."""
+    """_BLOCK = 1000, and for each _chunks call the block count and its
+    largest block's items times the width, which _chunks keeps within
+    _BLOCK, in the returned list."""
     monkeypatch.setattr(algebra, "_BLOCK", 1000)
     calls = []
     chunks = clones._chunks
@@ -1055,10 +1061,12 @@ def test_preserves_relation_across_blocks(small_blocks):
     for f, expected in [(first, True), (last_only, False), (first_only, False)]:
         assert preserves_relation(f, rel) is expected
         assert loop_preserves_relation(f, rel) is expected
-    # 32^3 choices: 32^2 choices of the first two tuples, 31 at a time,
-    # each against the 32 of the last one
-    assert [blocks for blocks, _ in small_blocks] == [34, 34, 34]
-    assert [largest for _, largest in small_blocks] == [992, 992, 992]
+    # one _chunks call per box of _argument_blocks with every tuple new:
+    # the boxes of the last and the middle argument are empty, and the
+    # first argument's holds all 32^3 choices, its 32^2 heads 62 at a time
+    # (width 32 * 4 // 8 = 16), each against the 32 of the last tuple
+    assert [blocks for blocks, _ in small_blocks] == [0, 0, 17] * 3
+    assert [largest for _, largest in small_blocks] == [0, 0, 992] * 3
     assert preserves_relation(last_only, Relation4.from_tuples(4, low))
     # rho of Z4 for the delta classes {0, 2}, {1, 3}: 32 tuples
     d = group_malcev_function(cyclic_group(4))

@@ -545,6 +545,10 @@ def test_transposes_up():
     assert not transposes_up(c3, 0, 1, 1, 2)
     with pytest.raises(InvalidInputError):
         transposes_up(c3, 1, 0, 0, 2)
+    # -1 would wrap to the top, and 5 is past the table
+    for args in [(-1, -1, -1, -1), (0, 5, 0, 0), (0, 1, 1, 3)]:
+        with pytest.raises(InvalidInputError, match="outside the 3 elements"):
+            transposes_up(c3, *args)
 
 
 def test_lattice_product_structure():
