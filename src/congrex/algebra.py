@@ -435,10 +435,11 @@ class FiniteAlgebra:
         self.operations = tuple(ops)
         self._by_name = {op.name: op for op in ops}
         self._translations = None
+        self._principals = None
         #: set by direct_product: (kernel of first projection, of second)
         self.product_kernels = None
-        #: set by the group shortcuts: the GroupStructure that checked the
-        #: group axioms when the algebra was built
+        #: the GroupStructure that checked the group axioms, set by the
+        #: group shortcuts or on first use by GroupStructure.of
         self.group_structure = None
 
     # -- basic access ------------------------------------------------------
@@ -525,28 +526,33 @@ class FiniteAlgebra:
     def _distinct_principal_rows(self, force: bool = False, budget: int | None = None):
         """(rows, first_a, first_b): the distinct principal congruences as
         least-member rows of an int32 array, in the order found, each with
-        the first pair (a, b) that gave it; refused up front when the
-        estimate n^2 * #translations exceeds the budget (by default
-        CONGREX_BUDGET or DEFAULT_BUDGET), unless force.
+        the first pair (a, b) that gave it; read-only, computed once and kept
+        on the algebra.  Only that computation checks the estimate n^2 *
+        #translations against the budget (by default CONGREX_BUDGET or
+        DEFAULT_BUDGET) and refuses, unless force.
 
         A translation t that permutes A has its inverse among its powers, so
         Cg(t(a), t(b)) = Cg(a, b): Cg is computed only for pairs that meet
         every orbit of pairs under the permutation translations, not
         necessarily one per orbit nor the least pair of each
         (_orbit_representatives)."""
-        n = self.size
-        trans = self.unary_translations()
-        estimate = n * n * max(1, len(trans))
-        if budget is None and not force:
-            budget = budget_from_env()
-        if not force and estimate > budget:
-            raise BudgetExceededError(
-                f"congruence enumeration estimate {estimate} exceeds budget {budget}"
-            )
-        a, b = self._orbit_representatives(trans)
-        principals = _principal_rows(trans, a, b, n)
-        new = _fresh({}, principals)
-        return principals[new], a[new], b[new]
+        if self._principals is None:
+            n = self.size
+            trans = self.unary_translations()
+            estimate = n * n * max(1, len(trans))
+            if budget is None and not force:
+                budget = budget_from_env()
+            if not force and estimate > budget:
+                raise BudgetExceededError(
+                    f"congruence enumeration estimate {estimate} exceeds budget {budget}"
+                )
+            a, b = self._orbit_representatives(trans)
+            principals = _principal_rows(trans, a, b, n)
+            new = _fresh({}, principals)
+            self._principals = (principals[new], a[new], b[new])
+            for rows in self._principals:
+                rows.flags.writeable = False
+        return self._principals
 
     def congruence_rows(self, force: bool = False, budget: int | None = None):
         """Con(A) as a (k x n) int32 array of least-member rows, the identity

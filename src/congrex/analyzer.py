@@ -94,7 +94,7 @@ def _subgroup_split_report(g: GroupStructure, force: bool, budget: int | None):
     """(splits_strongly?, witness dict or None, diagnostics) via the normal
     subgroup lattice, which is Con of the group."""
     subs = normal_subgroups(g, force=force, budget=budget)
-    pair = split_normal_subgroup_lattice(g, subs, strong=True)
+    pair = split_normal_subgroup_lattice(g, True, force, budget)
     witness = None
     if pair is not None:
         delta, eps = pair
@@ -108,7 +108,7 @@ def _subgroup_split_report(g: GroupStructure, force: bool, budget: int | None):
         "normal_subgroup_count": len(subs),
         # strong splitting implies splitting
         "splits": pair is not None
-        or split_normal_subgroup_lattice(g, subs, strong=False) is not None,
+        or split_normal_subgroup_lattice(g, False, force, budget) is not None,
     }
     return pair is not None, witness, diags
 
@@ -157,7 +157,7 @@ def decide_group(
         analyses = [(primes[0], g.size, strong, witness, diags)]
     else:
         analyses = [
-            (p, sub.size, *_subgroup_split_report(GroupStructure(sub), force, budget))
+            (p, sub.size, *_subgroup_split_report(GroupStructure.of(sub), force, budget))
             for p, sub in sylow_decomposition(g)
         ]
     if any(fs for _, _, fs, _, _ in analyses) != strong:
@@ -207,11 +207,11 @@ def decide_abelian_spec(p: int, exponents) -> AnalysisReport:
     )
 
 
-def congruence_split(congs, principals, strong: bool):
-    """principal_split of principals, the triple of _distinct_principal_rows,
-    as a SplitWitness of indices into congs, the sorted all_congruences of
-    the same algebra, or None."""
-    found = principal_split(*principals, strong)
+def congruence_split(alg: FiniteAlgebra, congs, strong: bool):
+    """principal_split of the principal congruences of alg as a SplitWitness
+    of indices into congs, the sorted all_congruences of alg, or None.  The
+    rows are those all_congruences computed and alg keeps."""
+    found = principal_split(*alg._distinct_principal_rows(), strong)
     if found is None:
         return None
     return SplitWitness(*(congs.index(Partition._of_row(r)) for r in found))
@@ -285,7 +285,7 @@ def decide_product(
     factor_reports = []
     for f in factors:
         f_congs = f.all_congruences(force=force, budget=budget)
-        w = congruence_split(f_congs, f._distinct_principal_rows(force, budget), strong=True)
+        w = congruence_split(f, f_congs, strong=True)
         factor_reports.append(
             {
                 "name": f.name,
@@ -296,14 +296,13 @@ def decide_product(
         )
     if prod_congs is None:  # a single factor is its own product
         prod_congs = f_congs
-    principals = prod._distinct_principal_rows(force, budget)
-    whole = congruence_split(prod_congs, principals, strong=True)
+    whole = congruence_split(prod, prod_congs, strong=True)
     if (whole is not None) != any(r["lattice_witness"] for r in factor_reports):
         raise CongrexError(
             "internal: per-factor and whole-lattice splitting disagree"
         )
     diagnostics["congruence_count"] = len(prod_congs)
-    diagnostics["splits"] = congruence_split(prod_congs, principals, strong=False) is not None
+    diagnostics["splits"] = congruence_split(prod, prod_congs, strong=False) is not None
     return AnalysisReport(
         verdict=VERDICT_INFINITE if whole else VERDICT_FINITE,
         route="coprime-product-lattice",
@@ -325,21 +324,12 @@ class WitnessFamily:
     epsilon an atom, and a pair a != b inside epsilon: the n-ary member sends
     a tuple to a when some coordinate meets the delta-class of a, else to b.
     The checks read the least-member rows of the distinct principal
-    congruences of base (principals, computed if not given): every
+    congruences of base, which base computes once and keeps: every
     congruence is a join of principal ones.
     """
 
-    def __init__(
-        self,
-        base: FiniteAlgebra,
-        delta: Partition,
-        epsilon: Partition,
-        a: int,
-        b: int,
-        principals=None,
-    ):
-        if principals is None:
-            principals = base._distinct_principal_rows()[0]
+    def __init__(self, base: FiniteAlgebra, delta: Partition, epsilon: Partition, a: int, b: int):
+        principals = base._distinct_principal_rows()[0]
         if not (base.is_congruence(epsilon) and base.is_congruence(delta)):
             raise InvalidInputError("delta/epsilon are not congruences of base")
         if epsilon.is_identity() or delta.is_full():
@@ -389,13 +379,12 @@ def build_witness_family(
     by principal_split, from the principal congruences alone (under force
     and budget), and (a, b) the least non-diagonal pair inside epsilon.
     """
-    principals = base._distinct_principal_rows(force, budget)
-    found = principal_split(*principals, strong=True)
+    found = principal_split(*base._distinct_principal_rows(force, budget), strong=True)
     if found is None:
         raise InvalidInputError("congruence lattice does not split strongly")
     delta, epsilon = map(Partition._of_row, found)
     a, b = next(block for block in epsilon.blocks() if len(block) > 1)[:2]
-    return WitnessFamily(base, delta, epsilon, a, b, principals=principals[0])
+    return WitnessFamily(base, delta, epsilon, a, b)
 
 
 def verify_witness(fam: WitnessFamily, up_to_n: int) -> dict:

@@ -236,8 +236,7 @@ def cmd_lattice(args) -> int:
         return EXIT_OK
     strong = args.check == "splits-strongly"
     if lat is None:  # Con(A): the split checks build no lattice
-        principals = source._distinct_principal_rows(args.force, args.budget)
-        size, w = len(congs), congruence_split(congs, principals, strong)
+        size, w = len(congs), congruence_split(source, congs, strong)
     else:
         size, w = lat.size, (splits_strongly if strong else splits)(lat)
     payload = {
@@ -354,6 +353,16 @@ def cmd_tensor(args) -> int:
     return EXIT_OK
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports an argument the subcommand does not take with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, unknown = super().parse_known_args(args, namespace)
+        if unknown:
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return args, unknown
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -364,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def common(p, budget: int, force: bool = True):
         p.add_argument("--format", choices=["json", "text"], default="json")

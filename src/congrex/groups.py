@@ -6,13 +6,14 @@ any two of them, abelian or not, have a direct product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
 import numpy as np
 
 from .algebra import FiniteAlgebra, Operation, Partition, _flat_index, _grid, direct_product
-from .algebra import table_array
+from .algebra import principal_split, table_array
 from .errors import InvalidInputError, NotAGroupError
 
 
@@ -190,8 +191,17 @@ class GroupStructure:
 
     @staticmethod
     def of(alg: FiniteAlgebra) -> "GroupStructure":
-        """The structure group_from_cayley already checked, else a new one."""
-        return alg.group_structure or GroupStructure(alg)
+        """The structure alg keeps, built on first use; an algebra that is
+        not a group raises NotAGroupError each time."""
+        if alg.group_structure is None:
+            alg.group_structure = GroupStructure(alg)
+        return alg.group_structure
+
+    @functools.cached_property
+    def reduct(self) -> FiniteAlgebra:
+        """(G; *), without the algebra's other operations: a finite group's
+        inverse is a power, so its congruences are the group's."""
+        return FiniteAlgebra(self.size, [Operation("*", 2, self.mul_table.ravel())])
 
     def mul(self, x: int, y: int) -> int:
         return int(self.mul_table[x, y])
@@ -339,19 +349,18 @@ def _is_p_power(n: int, p: int) -> bool:
 
 
 def normal_subgroups(group, force: bool = False, budget: int | None = None):
-    """All normal subgroups, as frozensets sorted by (order, elements).
-
-    They are the classes of the identity in the congruences of the reduct
-    (G; *), which are those of the group, since in a finite group the
-    inverse is a power.  The reduct keeps other operations of the algebra
-    out; ``force`` and ``budget`` bound its congruence enumeration.
-    """
+    """All normal subgroups, as frozensets sorted by (order, elements): the
+    classes of the identity in the congruences of GroupStructure.reduct,
+    whose enumeration ``force`` and ``budget`` bound."""
     g = _as_structure(group)
-    reduct = FiniteAlgebra(g.size, [Operation("*", 2, g.mul_table.ravel())])
-    rows = reduct.congruence_rows(force, budget)
-    classes = rows == rows[:, [g.identity]]
-    subs = [frozenset(np.flatnonzero(c).tolist()) for c in classes]
+    subs = _identity_classes(g, g.reduct.congruence_rows(force, budget))
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+def _identity_classes(g: GroupStructure, rows):
+    """The class of the identity, a frozenset, in each least-member row."""
+    classes = rows == rows[:, [g.identity]]
+    return [frozenset(np.flatnonzero(c).tolist()) for c in classes]
 
 
 def coset_partition(group, subgroup) -> Partition:
@@ -361,31 +370,13 @@ def coset_partition(group, subgroup) -> Partition:
     return Partition(g.mul_table[:, sorted(subgroup)].min(axis=1).tolist())
 
 
-def split_normal_subgroup_lattice(g: GroupStructure, subs, strong: bool = True):
-    """Witness (delta, epsilon) for the splitting of the normal subgroup lattice.
-
-    Uses the atom reduction: if any witness exists, one exists whose epsilon is
-    a minimal nontrivial normal subgroup.  Returns a pair of frozensets, or
-    None.  For the strong variant epsilon <= delta is enforced.
-    """
-    trivial = frozenset({g.identity})
-    full = frozenset(range(g.size))
-    # subs is sorted by size, so every non-minimal subgroup is preceded by an
-    # atom it contains; one pass against the atoms found so far suffices.
-    atoms = []
-    for s in subs:
-        if s == trivial:
-            continue
-        if not any(a < s for a in atoms):
-            atoms.append(s)
-    for eps in atoms:
-        outside = set()
-        for s in subs:
-            if not eps <= s:
-                outside |= s
-        if strong:
-            outside |= eps
-        delta = g.subgroup_closure(outside)
-        if delta != full:
-            return (delta, eps)
-    return None
+def split_normal_subgroup_lattice(
+    g: GroupStructure, strong: bool = True, force: bool = False, budget: int | None = None
+):
+    """Witness (delta, epsilon) of the split, strong or not, of the normal
+    subgroup lattice as frozensets, or None: principal_split on the principal
+    congruences of the reduct (under force and budget), each read as the
+    class of the identity, so the atoms come in the order of the sorted
+    congruence list, as on any algebra."""
+    found = principal_split(*g.reduct._distinct_principal_rows(force, budget), strong)
+    return None if found is None else tuple(_identity_classes(g, np.stack(found)))

@@ -16,9 +16,10 @@ modularity check and transitive closure of a cover list, the union-find
 principal congruence and pair-list partition join, the pair-by-pair
 permutability check of two partitions, the breadth-first pair orbits and
 the orbit-by-orbit principal join closure with its budget, the bitmask
-normal subgroup closure, the commutator-by-commutator lower central
-series, the tuple sort of clone fragment members, the pair loop of the
-tensor of two fragments, and the tuple-by-tuple direct product and every
+normal subgroup closure, the subgroup-closure split of the normal
+subgroup lattice, the commutator-by-commutator lower central series, the
+tuple sort of clone fragment members, the pair loop of the tensor of two
+fragments, and the tuple-by-tuple direct product and every
 other table over A^n that the library builds on its argument grid.
 Helpers that only tests use live here as well: the lattice of a cover
 list, the split witness check and random bounded relations.
@@ -352,6 +353,35 @@ def bitmask_normal_subgroups(g: GroupStructure):
     return sorted(
         (frozenset(elements(m)) for m in subs), key=lambda s: (len(s), sorted(s))
     )
+
+
+def closure_subgroup_split(g: GroupStructure, subs, strong: bool):
+    """Witness (delta, epsilon) of the split of the normal subgroup lattice,
+    as frozensets, or None: the atoms in the order of subs (normal subgroups
+    sorted by (order, elements)), and for each atom epsilon, delta_eps the
+    subgroup closure of the union of the normal subgroups not above epsilon
+    (and of epsilon, if strong)."""
+    trivial = frozenset({g.identity})
+    full = frozenset(range(g.size))
+    # subs is sorted by size, so every non-minimal subgroup is preceded by an
+    # atom it contains; one pass against the atoms found so far suffices.
+    atoms = []
+    for s in subs:
+        if s == trivial:
+            continue
+        if not any(a < s for a in atoms):
+            atoms.append(s)
+    for eps in atoms:
+        outside = set()
+        for s in subs:
+            if not eps <= s:
+                outside |= s
+        if strong:
+            outside |= eps
+        delta = g.subgroup_closure(outside)
+        if delta != full:
+            return (delta, eps)
+    return None
 
 
 def loop_commutator(g: GroupStructure, x: int, y: int) -> int:

@@ -354,6 +354,22 @@ def test_all_congruences_budget_guard():
     assert len(z4.all_congruences(budget=3, force=True)) == 3
 
 
+def test_principal_rows_are_kept_from_their_first_computation():
+    z4 = cyclic_group(4)
+    # 16 pairs, 4 translations other than the identity; a refusal keeps nothing
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match="estimate 64 exceeds budget 1$"):
+            z4._distinct_principal_rows(budget=1)
+    forced = z4._distinct_principal_rows(force=True, budget=1)
+    # later calls read the stored rows, whatever their bounds
+    assert z4._distinct_principal_rows(budget=1) is forced
+    assert z4._distinct_principal_rows() is forced
+    assert not any(part.flags.writeable for part in forced)
+    fresh = cyclic_group(4)._distinct_principal_rows()
+    assert all(np.array_equal(x, y) for x, y in zip(forced, fresh))
+    assert z4.all_congruences(budget=1) == cyclic_group(4).all_congruences()
+
+
 def test_budget_env_var(monkeypatch):
     monkeypatch.setenv("CONGREX_BUDGET", "2")
     z4 = cyclic_group(4)

@@ -55,7 +55,7 @@ def test_tracing_targets_resolve(capsys, tmp_path):
     capsys.readouterr()
     names = {span[0] for span in tracer.spans}
     assert {"cli", "analyzer.decide", "groups.structure_init"} <= names
-    assert "groups.normal_subgroups" in names
+    assert {"groups.normal_subgroups", "groups.split_normal_subgroup_lattice"} <= names
     assert "clones.comp_fragment" in names
     assert {"lattice.from_congruences", "lattice.init"} <= names
     assert {"lattice.is_modular", "lattice.split"} <= names

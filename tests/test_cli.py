@@ -287,7 +287,10 @@ def test_force_is_a_usage_error_where_nothing_reads_it(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--force"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --force" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the usage line is the subcommand's, which names the options it takes
+    assert err.startswith(f"usage: congrex {argv[0]} [-h]")
+    assert "unrecognized arguments: --force" in err
 
 
 def test_force_is_offered_where_a_budget_or_limit_reads_it():
@@ -867,6 +870,68 @@ def test_witness_budget_refusal_comes_from_the_principal_estimate(capsys):
     code, out, err = run(capsys, "witness", "Z4", "--budget", "1")
     assert (code, out) == (3, "")
     assert err == "budget exceeded: congruence enumeration estimate 64 exceeds budget 1\n"
+
+
+#: commands with the number of algebras whose principal congruences they
+#: need: a group's (G; *) reduct and, unless it is a p-group, that of each
+#: Sylow factor; each factor of a product and each product folded
+PRINCIPAL_ROW_COMMANDS = [
+    (["decide", "Q8"], 1),
+    (["decide", "Q8xZ3"], 3),
+    (["decide", "Z8xZ9"], 3),
+    (["decide", "Z4", "Z9"], 3),
+    (["decide", "Z2", "Z3", "Z5"], 5),
+    (["lattice", "Z2xZ8", "--check", "splits"], 1),
+    (["lattice", "Q8", "--check", "splits-strongly"], 1),
+    (["witness", "Q8", "--up-to-n", "2"], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, algebras", PRINCIPAL_ROW_COMMANDS, ids=[" ".join(a) for a, _ in PRINCIPAL_ROW_COMMANDS]
+)
+def test_principal_rows_are_computed_once_per_algebra(capsys, monkeypatch, argv, algebras):
+    computed = []
+    principal_rows = algebra._principal_rows
+
+    def spy(translations, *args):
+        computed.append(translations)  # kept alive, so no two ids are equal
+        return principal_rows(translations, *args)
+
+    monkeypatch.setattr(algebra, "_principal_rows", spy)
+    assert run(capsys, *argv)[0] == 0
+    # an algebra passes the translation array it keeps, so a second
+    # computation on one algebra would repeat an id
+    assert len({id(t) for t in computed}) == len(computed) == algebras
+
+
+@pytest.mark.parametrize(
+    "argv, estimate",
+    [
+        (["decide", "Q8xZ3", "--budget", "5"], 23616),
+        (["decide", "Z4", "Z9", "--budget", "1"], 46656),
+        (["lattice", "Z2xZ8", "--check", "splits", "--budget", "1"], 4096),
+    ],
+)
+def test_principal_estimate_refuses_at_the_first_computation(capsys, argv, estimate):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    message = f"congruence enumeration estimate {estimate} exceeds budget {argv[-1]}"
+    assert err == f"budget exceeded: {message}\n"
+
+
+def test_decide_group_and_its_coprime_factors_name_the_same_epsilon(capsys):
+    # both try the atoms of Con(Z4 x Z9) in the order of the sorted
+    # congruence list, so both name the cosets of {0, 3, 6}
+    code, out, _ = run(capsys, "decide", "Z4xZ9")
+    assert code == 0
+    assert json.loads(out)["lattice_witness"]["epsilon_subgroup"] == [0, 3, 6]
+    code, out, _ = run(capsys, "decide", "Z4", "Z9")
+    assert code == 0
+    eps = json.loads(out)["lattice_witness"]["epsilon"]
+    congs = json.loads(run(capsys, "con", "Z4xZ9")[1])["congruences"]
+    # (x, y) of Z4 x Z9 is 9x + y, so {0, 3, 6} is {(0, 0), (0, 3), (0, 6)}
+    assert congs[eps] == [[c, c + 3, c + 6] for c in range(36) if c % 9 < 3]
 
 
 def test_group_shortcut_is_checked_once(capsys, monkeypatch):

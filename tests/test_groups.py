@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrex.algebra import FiniteAlgebra, Operation, Partition, principal_split
+from congrex.clones import pol_fragment
 from congrex.errors import InvalidInputError, NotAGroupError
 from congrex.groups import (
     GroupStructure,
@@ -32,6 +33,7 @@ from congrex.lattice import congruence_lattice, splits, splits_strongly
 from conftest import (
     bitmask_normal_subgroups,
     brute_group_axioms,
+    closure_subgroup_split,
     d4_cayley,
     intercalates,
     loop_coset_partition,
@@ -257,6 +259,30 @@ def test_every_group_input_is_checked_once(monkeypatch):
     assert built == [8]
 
 
+def test_a_json_group_keeps_its_structure(monkeypatch):
+    built = []
+    init = GroupStructure.__init__
+
+    def counted_init(self, alg):
+        built.append(alg.size)
+        init(self, alg)
+
+    monkeypatch.setattr(GroupStructure, "__init__", counted_init)
+    z4 = FiniteAlgebra.from_json_dict(cyclic_group(4).to_json_dict())
+    assert pol_fragment(z4, 1).member_count() == 16
+    assert pol_fragment(z4, 1).member_count() == 16
+    assert built == [4]
+    g = GroupStructure.of(z4)
+    assert g is z4.group_structure and g.reduct is g.reduct
+    # an algebra that is not a group is refused on every call
+    minus = [(x - y) % 4 for x in range(4) for y in range(4)]
+    minus = FiniteAlgebra(4, [Operation("-", 2, minus)])
+    for _ in range(2):
+        with pytest.raises(NotAGroupError):
+            GroupStructure.of(minus)
+    assert minus.group_structure is None
+
+
 def test_prime_helpers():
     assert prime_factors(12) == {2: 2, 3: 1}
     assert prime_factors(7) == {7: 1}
@@ -378,31 +404,46 @@ def test_subgroup_split_agrees_with_lattice_route(spec, strong):
     alg = parse_group_spec(spec)
     g = GroupStructure(alg)
     subs = normal_subgroups(g)
-    pair = split_normal_subgroup_lattice(g, subs, strong=strong)
+    pair = split_normal_subgroup_lattice(g, strong=strong)
     lat, _ = congruence_lattice(alg)
     w = splits_strongly(lat) if strong else splits(lat)
     assert (pair is not None) == (w is not None)
     if pair is not None:
-        delta, eps = pair
-        # re-check the witness against the definition, on subgroups
-        assert eps != {g.identity} and delta != frozenset(range(g.size))
-        if strong:
-            assert eps <= delta
-        for s in subs:
-            assert s <= delta or eps <= s
+        assert_valid_subgroup_split(g, subs, pair, strong)
 
 
-def assert_subgroup_split_is_the_principal_split(alg):
-    """split_normal_subgroup_lattice and principal_split give the same pair,
-    the latter's congruences read as the classes of the identity."""
+def assert_valid_subgroup_split(g, subs, pair, strong):
+    """(delta, epsilon) are normal subgroups with 1 < epsilon, delta < G,
+    epsilon <= delta if strong, and every normal subgroup lies below delta
+    or above epsilon."""
+    delta, eps = pair
+    assert delta in subs and eps in subs
+    assert frozenset({g.identity}) < eps and delta < frozenset(range(g.size))
+    if strong:
+        assert eps <= delta
+    assert all(s <= delta or eps <= s for s in subs)
+
+
+def assert_subgroup_split_is_the_principal_split(alg, same_atom=True):
+    """split_normal_subgroup_lattice is principal_split on the principal
+    congruences of alg, each read as the class of the identity.  It finds a
+    split exactly where the subgroup-closure oracle does, with the same pair
+    when same_atom: the two try the atoms in different orders, which agree
+    on p-groups."""
     g = GroupStructure(alg)
     subs = normal_subgroups(g)
-    principals = alg._distinct_principal_rows()
     for strong in (True, False):
-        found = principal_split(*principals, strong)
+        pair = split_normal_subgroup_lattice(g, strong)
+        found = principal_split(*alg._distinct_principal_rows(), strong)
         if found is not None:
             found = tuple(frozenset(np.flatnonzero(r == r[g.identity]).tolist()) for r in found)
-        assert split_normal_subgroup_lattice(g, subs, strong=strong) == found
+        assert pair == found
+        oracle = closure_subgroup_split(g, subs, strong)
+        assert (pair is None) == (oracle is None)
+        if same_atom:
+            assert pair == oracle
+        elif pair is not None:
+            assert_valid_subgroup_split(g, subs, pair, strong)
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,16 +452,32 @@ def test_subgroup_split_is_the_principal_split(alg):
     assert_subgroup_split_is_the_principal_split(alg)
 
 
-@pytest.mark.parametrize("spec", ["Z8", "Z9", "Z16", "Z27", "Q8", "D4", "Z2xZ4", "Z2xZ8", "Z4xZ4"])
+@pytest.mark.parametrize(
+    "spec",
+    ["Z8", "Z9", "Z16", "Z27", "Q8", "D4", "Z2xZ4", "Z2xZ8", "Z4xZ4"]
+    + ["D4-relabeled", "Q8-relabeled"],
+)
 def test_subgroup_split_is_the_principal_split_on_p_groups(spec):
-    alg = group_from_cayley(d4_cayley()) if spec == "D4" else parse_group_spec(spec)
+    if spec.endswith("-relabeled"):
+        table = NAMED_GROUPS[spec.removesuffix("-relabeled")]()
+        perm = list(range(len(table)))
+        random.Random(spec).shuffle(perm)
+        alg = group_from_cayley(relabeled_cayley(table, perm))
+    else:
+        alg = group_from_cayley(d4_cayley()) if spec == "D4" else parse_group_spec(spec)
     assert_subgroup_split_is_the_principal_split(alg)
+
+
+@pytest.mark.parametrize("spec", ["Z12", "Z4xZ3", "Z8xZ3", "Z4xZ9", "Q8xZ3"])
+def test_subgroup_split_is_a_valid_principal_split_on_nilpotent_groups(spec):
+    # not p-groups: the subgroup list and the congruence list order their
+    # atoms differently, so the oracle may name another valid pair
+    assert_subgroup_split_is_the_principal_split(parse_group_spec(spec), same_atom=False)
 
 
 def test_witness_partitions_for_z4():
     z4 = cyclic_group(4)
-    g = GroupStructure(z4)
-    delta, eps = split_normal_subgroup_lattice(g, normal_subgroups(g), strong=True)
+    delta, eps = split_normal_subgroup_lattice(GroupStructure(z4), strong=True)
     assert coset_partition(z4, eps) == Partition.from_blocks(4, [[0, 2], [1, 3]])
     assert coset_partition(z4, delta) == Partition.from_blocks(4, [[0, 2], [1, 3]])
 

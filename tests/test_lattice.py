@@ -477,9 +477,8 @@ def assert_principal_split_matches_the_lattice(alg):
     """The split from the principal congruences names, by index into the
     sorted congruence list, the (delta, epsilon) of the lattice predicates."""
     lat, congs = congruence_lattice(alg)
-    principals = alg._distinct_principal_rows()
     for strong, predicate in ((True, splits_strongly), (False, splits)):
-        assert congruence_split(congs, principals, strong) == predicate(lat)
+        assert congruence_split(alg, congs, strong) == predicate(lat)
 
 
 @settings(max_examples=300, deadline=None)
