@@ -13,7 +13,6 @@ merged by min-label hooking with pointer jumping, many partitions at once.
 from __future__ import annotations
 
 import json
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -26,17 +25,6 @@ DEFAULT_BUDGET = 10**6
 #: entries per temporary array of the congruence kernel: 64 KB of intp,
 #: which keeps the kernel's share of peak memory small and is no slower
 _BLOCK = 1 << 13
-
-
-def budget_from_env(default: int = DEFAULT_BUDGET) -> int:
-    """CONGREX_BUDGET as an int; default when it is unset or empty."""
-    raw = os.environ.get("CONGREX_BUDGET")
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"CONGREX_BUDGET is not an integer: {raw!r}") from exc
 
 
 class Partition:
@@ -523,13 +511,12 @@ class FiniteAlgebra:
         least = forest[pairs] == pairs
         return a[least], b[least]
 
-    def _distinct_principal_rows(self, force: bool = False, budget: int | None = None):
+    def _distinct_principal_rows(self, budget: int | None = DEFAULT_BUDGET):
         """(rows, first_a, first_b): the distinct principal congruences as
         least-member rows of an int32 array, in the order found, each with
         the first pair (a, b) that gave it; read-only, computed once and kept
         on the algebra.  Only that computation checks the estimate n^2 *
-        #translations against the budget (by default CONGREX_BUDGET or
-        DEFAULT_BUDGET) and refuses, unless force.
+        #translations against the budget and refuses; None is no limit.
 
         A translation t that permutes A has its inverse among its powers, so
         Cg(t(a), t(b)) = Cg(a, b): Cg is computed only for pairs that meet
@@ -540,9 +527,7 @@ class FiniteAlgebra:
             n = self.size
             trans = self.unary_translations()
             estimate = n * n * max(1, len(trans))
-            if budget is None and not force:
-                budget = budget_from_env()
-            if not force and estimate > budget:
+            if budget is not None and estimate > budget:
                 raise BudgetExceededError(
                     f"congruence enumeration estimate {estimate} exceeds budget {budget}"
                 )
@@ -554,7 +539,7 @@ class FiniteAlgebra:
                 rows.flags.writeable = False
         return self._principals
 
-    def congruence_rows(self, force: bool = False, budget: int | None = None):
+    def congruence_rows(self, budget: int | None = DEFAULT_BUDGET):
         """Con(A) as a (k x n) int32 array of least-member rows, the identity
         first and the rest in the order found.
 
@@ -563,14 +548,12 @@ class FiniteAlgebra:
         (_distinct_principal_rows) under theta |-> theta v Cg(a, b).  The
         work counter counts joins (the pairs theta, Cg(a, b) with a, b in
         different blocks of theta) and guards against blowing up on large
-        inputs; pass ``force=True`` or raise the budget to override.
+        inputs; raise the budget, or pass None for no limit, to override.
         Several thetas are joined with all their Cg(a, b) at once; the joins
         counted, and so the refusal, do not depend on that order.
         """
         n = self.size
-        if budget is None and not force:
-            budget = budget_from_env()
-        principals, first_a, first_b = self._distinct_principal_rows(force, budget)
+        principals, first_a, first_b = self._distinct_principal_rows(budget)
         seen = {np.arange(n, dtype=np.int32).tobytes(): None}
         _fresh(seen, principals)
         worklist = list(principals)
@@ -581,7 +564,7 @@ class FiniteAlgebra:
             del worklist[-per_batch:]
             theta_i, pi_i = np.nonzero(thetas[:, first_a] != thetas[:, first_b])
             work += len(theta_i)
-            if not force and work > budget:
+            if budget is not None and work > budget:
                 raise BudgetExceededError(
                     f"congruence join closure exceeded budget {budget}"
                 )
@@ -589,10 +572,10 @@ class FiniteAlgebra:
             worklist += list(joined[_fresh(seen, joined)])
         return np.frombuffer(b"".join(seen), dtype=np.int32).reshape(-1, n)
 
-    def all_congruences(self, force: bool = False, budget: int | None = None):
+    def all_congruences(self, budget: int | None = DEFAULT_BUDGET):
         """The full congruence lattice Con(A), sorted canonically (see
         congruence_rows for the algorithm and the budget)."""
-        rows = self.congruence_rows(force, budget)
+        rows = self.congruence_rows(budget)
         return sorted(map(Partition._of_row, rows), key=lambda p: p.block_id)
 
     def quotient(self, theta: Partition) -> "FiniteAlgebra":

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import clones
 from .algebra import (
+    DEFAULT_BUDGET,
     FiniteAlgebra,
     Partition,
     _flat_index,
@@ -90,11 +91,11 @@ class AnalysisReport:
         return 2 if self.verdict == VERDICT_NA else 0
 
 
-def _subgroup_split_report(g: GroupStructure, force: bool, budget: int | None):
+def _subgroup_split_report(g: GroupStructure, budget: int | None):
     """(splits_strongly?, witness dict or None, diagnostics) via the normal
     subgroup lattice, which is Con of the group."""
-    subs = normal_subgroups(g, force=force, budget=budget)
-    pair = split_normal_subgroup_lattice(g, True, force, budget)
+    subs = normal_subgroups(g, budget=budget)
+    pair = split_normal_subgroup_lattice(g, True, budget)
     witness = None
     if pair is not None:
         delta, eps = pair
@@ -108,22 +109,22 @@ def _subgroup_split_report(g: GroupStructure, force: bool, budget: int | None):
         "normal_subgroup_count": len(subs),
         # strong splitting implies splitting
         "splits": pair is not None
-        or split_normal_subgroup_lattice(g, False, force, budget) is not None,
+        or split_normal_subgroup_lattice(g, False, budget) is not None,
     }
     return pair is not None, witness, diags
 
 
-def decide_group(
-    group, force: bool = False, budget: int | None = None
-) -> AnalysisReport:
+def decide_group(group, budget: int | None = DEFAULT_BUDGET) -> AnalysisReport:
     """Verdict for a finite group given by tables or a shortcut string.
 
     Nilpotent groups are decided by strong splitting of the normal subgroup
     lattice, with per-Sylow sub-verdicts; non-nilpotent groups, and algebras
     with an operation other than the multiplication, inverse and identity of
     their group, are outside the scope of the characterization and come back
-    not-applicable.  ``force`` and ``budget`` go to every normal subgroup
-    enumeration, which comes after the nilpotency test.
+    not-applicable.  ``budget`` (None: no limit) goes to every normal
+    subgroup enumeration, which comes after the nilpotency test.  A group
+    of prime-power order is nilpotent, so the lower central series is
+    computed only for other orders.
     """
     alg = as_group_algebra(group)
     g = GroupStructure.of(alg)
@@ -139,8 +140,8 @@ def decide_group(
                 "extra_operations": extra,
             },
         )
-    series = lower_central_series(g)
-    if series[-1] != frozenset({g.identity}):
+    primes = sorted(prime_factors(g.size))
+    if len(primes) > 1 and (series := lower_central_series(g))[-1] != {g.identity}:
         return AnalysisReport(
             verdict=VERDICT_NA,
             route="group-normal-subgroup-lattice",
@@ -151,13 +152,12 @@ def decide_group(
                 "lower_central_series_orders": [len(term) for term in series],
             },
         )
-    strong, witness, diags = _subgroup_split_report(g, force, budget)
-    primes = sorted(prime_factors(g.size))
+    strong, witness, diags = _subgroup_split_report(g, budget)
     if len(primes) == 1:  # a p-group is its own Sylow factor
         analyses = [(primes[0], g.size, strong, witness, diags)]
     else:
         analyses = [
-            (p, sub.size, *_subgroup_split_report(GroupStructure.of(sub), force, budget))
+            (p, sub.size, *_subgroup_split_report(GroupStructure.of(sub), budget))
             for p, sub in sylow_decomposition(g)
         ]
     if any(fs for _, _, fs, _, _ in analyses) != strong:
@@ -220,17 +220,16 @@ def congruence_split(alg: FiniteAlgebra, congs, strong: bool):
 def decide_product(
     factors,
     assume_nilpotent: bool = False,
-    force: bool = False,
-    budget: int | None = None,
+    budget: int | None = DEFAULT_BUDGET,
 ) -> AnalysisReport:
     """Verdict for a coprime product of nilpotent prime-power algebras.
 
-    Checks the hypotheses (prime-power coprime orders; nilpotency verified
-    for groups, otherwise asserted by the caller), verifies skew-freeness of
-    the product, and evaluates both the per-factor and whole-lattice strong
-    splitting tests, which must agree, each from the principal congruences
-    (congruence_split).  ``force`` and ``budget`` go to every congruence
-    enumeration.
+    Checks the hypotheses (prime-power coprime orders; nilpotency follows
+    from the order for groups, otherwise the caller asserts it), verifies
+    skew-freeness of the product, and evaluates both the per-factor and
+    whole-lattice strong splitting tests, which must agree, each from the
+    principal congruences (congruence_split).  ``budget`` (None: no limit)
+    goes to every congruence enumeration.
     """
     factors = [as_group_algebra(f) for f in factors]
     if not factors:
@@ -250,7 +249,7 @@ def decide_product(
     hypothesis_notes = []
     for f in factors:
         try:
-            nilpotent = is_nilpotent_group(f)
+            GroupStructure.of(f)  # a group of prime-power order is nilpotent
         except NotAGroupError:
             if not assume_nilpotent:
                 raise InvalidInputError(
@@ -259,9 +258,6 @@ def decide_product(
             hypothesis_notes.append(
                 f"nilpotency of factor {f.name or '?'} asserted, not verified"
             )
-            continue
-        if not nilpotent:
-            raise InvalidInputError(f"factor {f.name or '?'} is a non-nilpotent group")
     if hypothesis_notes:
         diagnostics["hypotheses"] = hypothesis_notes
 
@@ -270,7 +266,7 @@ def decide_product(
     prod_congs = None
     for f in factors[1:]:
         prod = direct_product(prod, f)
-        prod_congs = prod.all_congruences(force=force, budget=budget)
+        prod_congs = prod.all_congruences(budget)
         skew = skew_congruences(prod, prod_congs)
         if skew:
             raise CongrexError(
@@ -284,7 +280,7 @@ def decide_product(
 
     factor_reports = []
     for f in factors:
-        f_congs = f.all_congruences(force=force, budget=budget)
+        f_congs = f.all_congruences(budget)
         w = congruence_split(f, f_congs, strong=True)
         factor_reports.append(
             {
@@ -373,13 +369,13 @@ class WitnessFamily:
 
 
 def build_witness_family(
-    base: FiniteAlgebra, force: bool = False, budget: int | None = None
+    base: FiniteAlgebra, budget: int | None = DEFAULT_BUDGET
 ) -> WitnessFamily:
     """The WitnessFamily of the strong split (delta, epsilon) of Con(base)
-    by principal_split, from the principal congruences alone (under force
-    and budget), and (a, b) the least non-diagonal pair inside epsilon.
+    by principal_split, from the principal congruences alone (under budget;
+    None: no limit), and (a, b) the least non-diagonal pair inside epsilon.
     """
-    found = principal_split(*base._distinct_principal_rows(force, budget), strong=True)
+    found = principal_split(*base._distinct_principal_rows(budget), strong=True)
     if found is None:
         raise InvalidInputError("congruence lattice does not split strongly")
     delta, epsilon = map(Partition._of_row, found)
@@ -518,7 +514,7 @@ def _check_witness_arity(size: int, k: int) -> None:
 
 
 def group_witness_pipeline(
-    group, up_to_n: int = 3, k: int = 1, force: bool = False, budget: int | None = None
+    group, up_to_n: int = 3, k: int = 1, force: bool = False, budget: int | None = DEFAULT_BUDGET
 ) -> dict:
     """End-to-end witness construction for a group verdict: family, centrality
     relation, and commutator-style term, all exhaustively verified.
@@ -530,8 +526,8 @@ def group_witness_pipeline(
     while the Mal'cev search can fill the member cap of the whole ternary
     clone.  A k or up_to_n below 1, or a commutator witness table over
     WITNESS_TABLE_BUDGET, is refused before any congruence work too.
-    ``force`` and ``budget`` go to the principal congruences; ``force``
-    also lifts the centrality check's limit.
+    ``budget`` (None: no limit) bounds the principal congruences; ``force``
+    lifts both that budget and the centrality check's limit.
     """
     alg = as_group_algebra(group)
     try:
@@ -542,7 +538,7 @@ def group_witness_pipeline(
         raise NotApplicableError(f"{alg.name or 'the group'} is not nilpotent")
     _check_witness_arity(alg.size, k)
     _check_up_to_n(up_to_n)
-    fam = build_witness_family(alg, force=force, budget=budget)
+    fam = build_witness_family(alg, None if force else budget)
     d = group_malcev_function(g) if g is not None else malcev_term(alg)
     if d is None:
         raise NotApplicableError(f"{alg.name or 'the algebra'} has no Mal'cev term")

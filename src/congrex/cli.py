@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import DEFAULT_BUDGET, FiniteAlgebra, budget_from_env, direct_product, require_int
+from .algebra import DEFAULT_BUDGET, FiniteAlgebra, direct_product, require_int
 from .analyzer import (
     congruence_split,
     decide_group,
@@ -53,6 +53,17 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_APPLICABLE = 2
 EXIT_BUDGET = 3
+
+
+def budget_from_env(default: int | None = DEFAULT_BUDGET) -> int | None:
+    """CONGREX_BUDGET as an int; default when it is unset or empty."""
+    raw = os.environ.get("CONGREX_BUDGET")
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise InvalidInputError(f"CONGREX_BUDGET is not an integer: {raw!r}") from exc
 
 
 def read_json(path: str) -> dict:
@@ -209,7 +220,7 @@ def emit(payload, fmt: str, text_lines=None) -> None:
 
 def cmd_con(args) -> int:
     alg = load_algebra(args.input)
-    congs = alg.all_congruences(force=args.force, budget=args.budget)
+    congs = alg.all_congruences(None if args.force else args.budget)
     payload = {
         "algebra": alg.name,
         "size": alg.size,
@@ -227,7 +238,7 @@ def cmd_lattice(args) -> int:
     source = load_lattice(args.input)
     lat = source if isinstance(source, FiniteLattice) else None
     if lat is None:
-        congs = source.all_congruences(force=args.force, budget=args.budget)
+        congs = source.all_congruences(None if args.force else args.budget)
         if args.check == "modular":
             lat = from_congruences(congs)
     if args.check == "modular":
@@ -250,16 +261,13 @@ def cmd_lattice(args) -> int:
 
 def cmd_decide(args) -> int:
     if len(args.inputs) == 1:
-        report = decide_group(
-            load_algebra(args.inputs[0]), force=args.force, budget=args.budget
-        )
+        report = decide_group(load_algebra(args.inputs[0]), None if args.force else args.budget)
     else:
         factors = [load_algebra(t) for t in args.inputs]
         report = decide_product(
             factors,
             assume_nilpotent=args.assume_nilpotent_pp_factors,
-            force=args.force,
-            budget=args.budget,
+            budget=None if args.force else args.budget,
         )
     payload = report.to_json_dict()
     emit(payload, args.format, [f"verdict: {report.verdict} ({report.route})"])
@@ -319,7 +327,7 @@ def cmd_skew(args) -> int:
     left = load_algebra(args.left)
     right = load_algebra(args.right)
     prod = direct_product(left, right)
-    congs = prod.all_congruences(force=args.force, budget=args.budget)
+    congs = prod.all_congruences(None if args.force else args.budget)
     skew = skew_congruences(prod, congs)
     payload = {
         "product": prod.name,

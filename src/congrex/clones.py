@@ -551,12 +551,12 @@ def comp_fragment(
     The budget bounds the rows of each level: a level is refused as soon as
     its rows counted so far, block by block, pass it.  The principal
     congruences are computed under the same budget, and force lifts only
-    that limit.
+    that limit (they get None).
     """
     if max_arity < 1:
         raise InvalidInputError("max_arity must be >= 1")
     s = alg.size
-    least = alg._distinct_principal_rows(force, budget)[0]
+    least = alg._distinct_principal_rows(None if force else budget)[0]
     least = least[(least != 0).any(axis=1)]  # the full relation allows every value
     same = least[:, :, None] == least[:, None, :]
     dtype = np.min_scalar_type(s - 1)

@@ -12,8 +12,8 @@ import re
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Operation, Partition, _flat_index, _grid, direct_product
-from .algebra import principal_split, table_array
+from .algebra import DEFAULT_BUDGET, FiniteAlgebra, Operation, Partition, _flat_index, _grid
+from .algebra import direct_product, principal_split, table_array
 from .errors import InvalidInputError, NotAGroupError
 
 
@@ -54,34 +54,22 @@ def group_from_cayley(table, name: str = "") -> FiniteAlgebra:
 
 
 def quaternion_group() -> FiniteAlgebra:
-    """Q8 with elements 0..7 = 1, -1, i, -i, j, -j, k, -k."""
-    units = ["1", "i", "j", "k"]
-    # unit multiplication: (sign, unit)
-    rules = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-        ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-        ("k", "1"): (1, "k"),
-        ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-        ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
-        ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
-    }
-
-    def decode(x):
-        return (-1 if x % 2 else 1, units[x // 2])
-
-    def encode(sign, unit):
-        return units.index(unit) * 2 + (0 if sign == 1 else 1)
-
-    table = []
-    for x in range(8):
-        row = []
-        sx, ux = decode(x)
-        for y in range(8):
-            sy, uy = decode(y)
-            s, u = rules[(ux, uy)]
-            row.append(encode(sx * sy * s, u))
-        table.append(row)
-    return group_from_cayley(table, name="Q8")
+    """Q8 with elements 0..7 = 1, -1, i, -i, j, -j, k, -k, multiplied as
+    quaternions: the Hamilton product of their coordinates over 1, i, j, k."""
+    units = np.kron(np.eye(4, dtype=int), [[1], [-1]])  # row x is element x
+    (a, b, c, d), (e, f, g, h) = units.T[:, :, None], units.T[:, None, :]
+    product = np.stack(
+        [
+            a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e,
+        ],
+        axis=-1,
+    )
+    # a unit is +-1 at one coordinate: its axis, then its sign
+    table = 2 * np.abs(product).argmax(axis=-1) + (product.sum(axis=-1) < 0)
+    return group_from_cayley(table.tolist(), name="Q8")
 
 
 def symmetric_group(n: int) -> FiniteAlgebra:
@@ -261,8 +249,12 @@ def lower_central_series(g: GroupStructure):
 
 
 def is_nilpotent_group(group) -> bool:
-    """True iff the lower central series reaches the trivial subgroup."""
+    """True iff the lower central series reaches the trivial subgroup.  A
+    group of prime-power order is nilpotent (its centre is not trivial, by
+    the class equation), so for it no series is computed."""
     g = _as_structure(group)
+    if len(prime_factors(g.size)) <= 1:
+        return True
     return lower_central_series(g)[-1] == frozenset({g.identity})
 
 
@@ -348,12 +340,12 @@ def _is_p_power(n: int, p: int) -> bool:
 # normal subgroup lattice
 
 
-def normal_subgroups(group, force: bool = False, budget: int | None = None):
+def normal_subgroups(group, budget: int | None = DEFAULT_BUDGET):
     """All normal subgroups, as frozensets sorted by (order, elements): the
     classes of the identity in the congruences of GroupStructure.reduct,
-    whose enumeration ``force`` and ``budget`` bound."""
+    whose enumeration ``budget`` bounds (None: no limit)."""
     g = _as_structure(group)
-    subs = _identity_classes(g, g.reduct.congruence_rows(force, budget))
+    subs = _identity_classes(g, g.reduct.congruence_rows(budget))
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
@@ -371,12 +363,12 @@ def coset_partition(group, subgroup) -> Partition:
 
 
 def split_normal_subgroup_lattice(
-    g: GroupStructure, strong: bool = True, force: bool = False, budget: int | None = None
+    g: GroupStructure, strong: bool = True, budget: int | None = DEFAULT_BUDGET
 ):
     """Witness (delta, epsilon) of the split, strong or not, of the normal
     subgroup lattice as frozensets, or None: principal_split on the principal
-    congruences of the reduct (under force and budget), each read as the
+    congruences of the reduct (under budget; None: no limit), each read as the
     class of the identity, so the atoms come in the order of the sorted
     congruence list, as on any algebra."""
-    found = principal_split(*g.reduct._distinct_principal_rows(force, budget), strong)
+    found = principal_split(*g.reduct._distinct_principal_rows(budget), strong)
     return None if found is None else tuple(_identity_classes(g, np.stack(found)))

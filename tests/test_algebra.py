@@ -13,11 +13,11 @@ from congrex.algebra import (
     Partition,
     _flat_index,
     _grid,
-    budget_from_env,
     direct_product,
     is_congruence_uniform,
     quotient_index,
 )
+from congrex.cli import budget_from_env
 from congrex.errors import BudgetExceededError, InvalidInputError
 from congrex.groups import (
     GroupStructure,
@@ -344,14 +344,14 @@ def test_join_closure_budget_guard():
     alg = FiniteAlgebra(7, [("c", 0, [0])])
     with pytest.raises(BudgetExceededError, match="join closure"):
         alg.all_congruences(budget=1000)
-    assert len(alg.all_congruences(budget=1000, force=True)) == 877
+    assert len(alg.all_congruences(budget=None)) == 877
 
 
 def test_all_congruences_budget_guard():
     z4 = cyclic_group(4)
     with pytest.raises(BudgetExceededError):
         z4.all_congruences(budget=3)
-    assert len(z4.all_congruences(budget=3, force=True)) == 3
+    assert len(z4.all_congruences(budget=None)) == 3
 
 
 def test_principal_rows_are_kept_from_their_first_computation():
@@ -360,7 +360,7 @@ def test_principal_rows_are_kept_from_their_first_computation():
     for _ in range(2):
         with pytest.raises(BudgetExceededError, match="estimate 64 exceeds budget 1$"):
             z4._distinct_principal_rows(budget=1)
-    forced = z4._distinct_principal_rows(force=True, budget=1)
+    forced = z4._distinct_principal_rows(budget=None)
     # later calls read the stored rows, whatever their bounds
     assert z4._distinct_principal_rows(budget=1) is forced
     assert z4._distinct_principal_rows() is forced
@@ -371,13 +371,11 @@ def test_principal_rows_are_kept_from_their_first_computation():
 
 
 def test_budget_env_var(monkeypatch):
-    monkeypatch.setenv("CONGREX_BUDGET", "2")
-    z4 = cyclic_group(4)
-    with pytest.raises(BudgetExceededError):
-        z4.all_congruences()
-    monkeypatch.setenv("CONGREX_BUDGET", "banana")
-    with pytest.raises(InvalidInputError):
-        z4.all_congruences()
+    # only the CLI reads CONGREX_BUDGET (test_cli.py::test_budget_env)
+    expected = cyclic_group(4).all_congruences()
+    for raw in ("2", "banana"):
+        monkeypatch.setenv("CONGREX_BUDGET", raw)
+        assert cyclic_group(4).all_congruences() == expected
 
 
 def test_empty_budget_env_var_counts_as_unset(monkeypatch):
@@ -471,7 +469,7 @@ def test_direct_product_matches_the_tuple_loop(pair):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(small_algebras(), algebra_pairs().map(lambda pair: pair[0])))
 def test_quotient_matches_the_tuple_loop(alg):
-    for theta in alg.all_congruences(force=True):
+    for theta in alg.all_congruences(budget=None):
         assert alg.quotient(theta).operations == loop_quotient(alg, theta)
 
 

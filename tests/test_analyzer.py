@@ -1,3 +1,4 @@
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congrex import analyzer, clones
+from congrex import algebra, analyzer, clones, groups
 from congrex.algebra import FiniteAlgebra, Operation, Partition, direct_product
 from congrex.analyzer import (
     VERDICT_FINITE,
@@ -106,6 +107,40 @@ def test_decide_group_not_applicable_diagnostics():
     assert report.diagnostics["reason"] == "not-nilpotent"
     assert report.diagnostics["lower_central_series_orders"][-1] == 3
     assert report.lattice_witness is None
+
+
+def test_decide_group_budget_none_is_no_limit():
+    # Z2^3: the estimate 8^2 * 7 is within the default budget, not within 1
+    with pytest.raises(BudgetExceededError, match="estimate 448 exceeds budget 1$"):
+        decide_group("Z2xZ2xZ2", budget=1)
+    default = decide_group("Z2xZ2xZ2").to_json_dict()
+    assert decide_group("Z2xZ2xZ2", budget=None).to_json_dict() == default
+    # Z16 x Z9: the estimate 144^2 * 143 is over the default budget
+    with pytest.raises(BudgetExceededError, match="estimate 2965248 exceeds budget 1000000$"):
+        decide_group("Z16xZ9")
+    assert decide_group("Z16xZ9", budget=None).verdict == VERDICT_INFINITE
+
+
+def _takes_force(module) -> set:
+    """The functions and methods defined in module with a force parameter."""
+    functions = [(n, f) for n, f in vars(module).items() if inspect.isfunction(f)]
+    for n, cls in vars(module).items():
+        if inspect.isclass(cls):
+            functions += [(f"{n}.{m}", f) for m, f in inspect.getmembers(cls, inspect.isfunction)]
+    return {
+        n
+        for n, f in functions
+        if f.__module__ == module.__name__ and "force" in inspect.signature(f).parameters
+    }
+
+
+def test_force_is_taken_only_where_it_lifts_a_second_limit():
+    # elsewhere budget=None is no limit; force also lifts the centrality
+    # limit and, in comp, leaves the budget on the rows of each level
+    assert _takes_force(algebra) == set()
+    assert _takes_force(groups) == set()
+    assert _takes_force(analyzer) == {"check_centrality", "group_witness_pipeline"}
+    assert _takes_force(clones) == {"comp_fragment"}
 
 
 def test_decide_group_composite_nilpotent():

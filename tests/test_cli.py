@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from congrex import algebra, analyzer, cli, clones, lattice
+from congrex import algebra, analyzer, cli, clones, groups, lattice
 from congrex.algebra import FiniteAlgebra, Operation, Partition
 from congrex.cli import build_parser, main
 from congrex.groups import (
@@ -903,6 +903,35 @@ def test_principal_rows_are_computed_once_per_algebra(capsys, monkeypatch, argv,
     # an algebra passes the translation array it keeps, so a second
     # computation on one algebra would repeat an id
     assert len({id(t) for t in computed}) == len(computed) == algebras
+
+
+@pytest.mark.parametrize(
+    "argv, code, series",
+    [
+        (["decide", "Q8"], 0, 0),
+        (["decide", "Z8"], 0, 0),
+        (["decide", "Z4", "Z9"], 0, 0),
+        (["witness", "Z4"], 0, 0),
+        (["decide", "S4"], 2, 1),
+        (["decide", "Q8xZ3"], 0, 1),
+    ],
+)
+def test_lower_central_series_is_computed_only_off_prime_power_orders(
+    capsys, monkeypatch, argv, code, series
+):
+    # a group of prime-power order is nilpotent; S4 computes its series
+    # once, for the orders it prints
+    calls = []
+    lower_central_series = groups.lower_central_series
+
+    def spy(g):
+        calls.append(g.size)
+        return lower_central_series(g)
+
+    for module in (groups, analyzer):
+        monkeypatch.setattr(module, "lower_central_series", spy)
+    assert run(capsys, *argv)[0] == code
+    assert len(calls) == series
 
 
 @pytest.mark.parametrize(

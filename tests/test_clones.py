@@ -1292,7 +1292,7 @@ def same_signature_products(draw):
 @settings(max_examples=100, deadline=None)
 @given(same_signature_products())
 def test_skew_congruences_match_the_per_congruence_loop(prod):
-    congs = prod.all_congruences(force=True)
+    congs = prod.all_congruences(budget=None)
     assert skew_congruences(prod, congs) == loop_skew_congruences(prod, congs)
 
 

@@ -241,6 +241,34 @@ def test_is_nilpotent_examples():
     assert not is_nilpotent_group("S4")
 
 
+@given(small_groups())
+def test_is_nilpotent_matches_the_commutator_loop_on_small_groups(alg):
+    # a group of prime-power order is nilpotent without its series
+    g = GroupStructure.of(alg)
+    assert is_nilpotent_group(g) == (loop_lower_central_series(g)[-1] == {g.identity})
+
+
+def test_is_nilpotent_checks_the_group_axioms_first():
+    # order 4, a prime power, but x - y has no identity
+    minus = FiniteAlgebra(4, [Operation("-", 2, [(x - y) % 4 for x in range(4) for y in range(4)])])
+    with pytest.raises(NotAGroupError):
+        is_nilpotent_group(minus)
+
+
+def test_quaternion_group_table():
+    # 0..7 = 1, -1, i, -i, j, -j, k, -k; row x, column y holds x * y
+    assert GroupStructure(quaternion_group()).mul_table.tolist() == [
+        [0, 1, 2, 3, 4, 5, 6, 7],
+        [1, 0, 3, 2, 5, 4, 7, 6],
+        [2, 3, 1, 0, 6, 7, 5, 4],
+        [3, 2, 0, 1, 7, 6, 4, 5],
+        [4, 5, 7, 6, 1, 0, 2, 3],
+        [5, 4, 6, 7, 0, 1, 3, 2],
+        [6, 7, 4, 5, 3, 2, 1, 0],
+        [7, 6, 5, 4, 2, 3, 0, 1],
+    ]
+
+
 def test_every_group_input_is_checked_once(monkeypatch):
     q8_table = GroupStructure(quaternion_group()).mul_table.tolist()
     built = []
