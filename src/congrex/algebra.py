@@ -540,43 +540,60 @@ class FiniteAlgebra:
         return self._principals
 
     def congruence_rows(self, budget: int | None = DEFAULT_BUDGET):
-        """Con(A) as a (k x n) int32 array of least-member rows, the identity
-        first and the rest in the order found.
+        """Con(A) as a read-only (k x n) int32 array of least-member rows in
+        lexicographic order, which is the block_id order of all_congruences.
 
-        Every congruence is a join of principal congruences, so the lattice
-        is the closure of {0} and the distinct principal congruences
-        (_distinct_principal_rows) under theta |-> theta v Cg(a, b).  The
-        work counter counts joins (the pairs theta, Cg(a, b) with a, b in
-        different blocks of theta) and guards against blowing up on large
-        inputs; raise the budget, or pass None for no limit, to override.
-        Several thetas are joined with all their Cg(a, b) at once; the joins
-        counted, and so the refusal, do not depend on that order.
+        Every congruence is a join of the distinct principal congruences P_i
+        (_distinct_principal_rows), so Con(A) is generated from the identity
+        by theta |-> theta v P_i, each congruence once, by Close-by-One
+        (Kuznetsov 1993), level by level.  A theta that P_j produced is
+        joined only with the P_i not below it with i > j, and the join is
+        kept only if the least P_q it adds, P_q <= theta v P_i but not
+        P_q <= theta, is P_i itself.  P_q <= theta iff theta relates the
+        first pair (a_q, b_q) that gave P_q.
+
+        The work counter is the sum, over the congruences but the identity,
+        of the principal rows not below each: the joins of the closure that
+        joins every congruence with every P_i not below it.  It guards
+        against blowing up on large inputs; raise the budget, or pass None
+        for no limit, to override.  It is checked once per level, which
+        bounds the joins of the next level: at most one per P_i not below a
+        theta of this one.
         """
         n = self.size
         principals, first_a, first_b = self._distinct_principal_rows(budget)
-        seen = {np.arange(n, dtype=np.int32).tobytes(): None}
-        _fresh(seen, principals)
-        worklist = list(principals)
-        work = 0
-        per_batch = max(1, _BLOCK // (n * max(1, len(principals))))
-        while worklist:
-            thetas = np.array(worklist[-per_batch:])
-            del worklist[-per_batch:]
-            theta_i, pi_i = np.nonzero(thetas[:, first_a] != thetas[:, first_b])
-            work += len(theta_i)
+        index = np.arange(len(principals))
+        # the first level: the joins P_i of the identity with each P_i that
+        # is above no P_q with q < i; below[i, q] says P_q <= P_i
+        below = principals[:, first_a] == principals[:, first_b]
+        first = ~np.tril(below, -1).any(axis=1)
+        level = principals[first], index[first], below[first]
+        levels, work = [np.arange(n, dtype=np.int32)[None]], 0
+        while len(level[0]):
+            thetas, gen, below = level
+            work += int((~below).sum())
             if budget is not None and work > budget:
-                raise BudgetExceededError(
-                    f"congruence join closure exceeded budget {budget}"
-                )
-            joined = _join_rows(thetas[theta_i], principals[pi_i])
-            worklist += list(joined[_fresh(seen, joined)])
-        return np.frombuffer(b"".join(seen), dtype=np.int32).reshape(-1, n)
+                raise BudgetExceededError(f"congruence join closure exceeded budget {budget}")
+            levels.append(thetas)
+            t, i = np.nonzero(~below & (index > gen[:, None]))
+            parts = []
+            for s in _chunks(len(t), n):
+                child = _join_rows(thetas[t[s]], principals[i[s]])
+                child_below = child[:, first_a] == child[:, first_b]
+                keep = (child_below & ~below[t[s]]).argmax(axis=1) == i[s]
+                parts.append((child[keep], i[s][keep], child_below[keep]))
+            if not parts:
+                break
+            level = parts[0] if len(parts) == 1 else [np.concatenate(x) for x in zip(*parts)]
+        rows = np.concatenate(levels)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rows.flags.writeable = False
+        return rows
 
     def all_congruences(self, budget: int | None = DEFAULT_BUDGET):
-        """The full congruence lattice Con(A), sorted canonically (see
-        congruence_rows for the algorithm and the budget)."""
-        rows = self.congruence_rows(budget)
-        return sorted(map(Partition._of_row, rows), key=lambda p: p.block_id)
+        """Con(A) as Partitions, in the order of congruence_rows (see there
+        for the algorithm and the budget): a view for library callers."""
+        return list(map(Partition._of_row, self.congruence_rows(budget)))
 
     def quotient(self, theta: Partition) -> "FiniteAlgebra":
         """The quotient algebra A/theta on block indices 0..num_blocks-1."""
@@ -678,12 +695,31 @@ def quotient_index(alg: FiniteAlgebra, alpha: Partition, beta: Partition):
     return int(ratio) if ratio.denominator == 1 else ratio
 
 
+def least_rows(congs):
+    """Partitions of one universe as a (k x n) int32 array of least-member
+    rows: congs itself if it already is such an array (congruence_rows),
+    else the rows of its Partitions, in order."""
+    if isinstance(congs, np.ndarray):
+        return congs
+    congs = list(congs)
+    sizes = {p.size for p in congs}
+    if len(sizes) > 1:
+        raise InvalidInputError("congruences on universes of different sizes")
+    return np.array([p.least for p in congs], dtype=np.int32).reshape(len(congs), *sizes)
+
+
+def block_sizes(rows):
+    """sizes[i, x]: the number of elements that least-member row i labels
+    x, the size of the block of x if x is its least member, else 0."""
+    k, n = rows.shape
+    flat = (rows + np.arange(0, k * n, n)[:, None]).ravel()
+    return np.bincount(flat, minlength=k * n).reshape(k, n)
+
+
 def is_congruence_uniform(alg: FiniteAlgebra, congs=None) -> bool:
-    """True iff every congruence of alg has equal-sized blocks."""
-    if congs is None:
-        congs = alg.all_congruences()
-    for theta in congs:
-        sizes = {len(block) for block in theta.blocks()}
-        if len(sizes) > 1:
-            return False
-    return True
+    """True iff every congruence of alg has equal-sized blocks; congs is
+    Con(alg), as congruence_rows or all_congruences gives it, or None to
+    compute it.  Each x's block is as large as the block of 0."""
+    rows = least_rows(alg.congruence_rows() if congs is None else congs)
+    sizes = np.take_along_axis(block_sizes(rows), rows, axis=1)
+    return bool((sizes == sizes[:, :1]).all())

@@ -24,6 +24,7 @@ from .algebra import (
     _grid,
     direct_product,
     is_congruence_uniform,
+    least_rows,
     principal_split,
 )
 from .clones import (
@@ -209,12 +210,14 @@ def decide_abelian_spec(p: int, exponents) -> AnalysisReport:
 
 def congruence_split(alg: FiniteAlgebra, congs, strong: bool):
     """principal_split of the principal congruences of alg as a SplitWitness
-    of indices into congs, the sorted all_congruences of alg, or None.  The
-    rows are those all_congruences computed and alg keeps."""
+    of indices into congs, Con(alg) as congruence_rows or all_congruences
+    gives it, or None.  The principal rows are those the closure of congs
+    computed and alg keeps."""
     found = principal_split(*alg._distinct_principal_rows(), strong)
     if found is None:
         return None
-    return SplitWitness(*(congs.index(Partition._of_row(r)) for r in found))
+    rows = least_rows(congs)
+    return SplitWitness(*(int((rows == r).all(axis=1).argmax()) for r in found))
 
 
 def decide_product(
@@ -266,7 +269,7 @@ def decide_product(
     prod_congs = None
     for f in factors[1:]:
         prod = direct_product(prod, f)
-        prod_congs = prod.all_congruences(budget)
+        prod_congs = prod.congruence_rows(budget)
         skew = skew_congruences(prod, prod_congs)
         if skew:
             raise CongrexError(
@@ -280,7 +283,7 @@ def decide_product(
 
     factor_reports = []
     for f in factors:
-        f_congs = f.all_congruences(budget)
+        f_congs = f.congruence_rows(budget)
         w = congruence_split(f, f_congs, strong=True)
         factor_reports.append(
             {

@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import DEFAULT_BUDGET, FiniteAlgebra, direct_product, require_int
+from .algebra import DEFAULT_BUDGET, FiniteAlgebra, Partition, block_sizes, direct_product
+from .algebra import require_int
 from .analyzer import (
     congruence_split,
     decide_group,
@@ -86,10 +87,15 @@ def load_algebra(token: str) -> FiniteAlgebra:
 
 
 def load_lattice(token: str):
-    """The lattice of a lattice JSON file, else load_algebra(token)."""
-    if os.path.exists(token) and "leq" in (data := read_json(token)):
+    """The lattice of a lattice JSON file (one with "leq"), else the algebra
+    of an algebra JSON file or of a group shortcut string; a file is read
+    once."""
+    if not os.path.exists(token):
+        return parse_group_spec(token)
+    data = read_json(token)
+    if "leq" in data:
         return FiniteLattice.from_json_dict(data)
-    return load_algebra(token)
+    return FiniteAlgebra.from_json_dict(data)
 
 
 def _int_row(obj, pad: str):
@@ -102,16 +108,12 @@ def _int_row(obj, pad: str):
 
 
 def _int_matrices(mats):
-    """(shapes, values) when mats is a list of int matrices, each a non-empty
-    list of rows that hold equally many ints (bools excluded), at least one:
-    the (rows, columns) of each matrix, and all their values in row order as
-    one int64 array.  Else None, also when a value does not fit in int64."""
+    """(shapes, values) as _int_text takes them when mats is a list of int
+    matrices, each a non-empty list of non-empty rows of ints (bools
+    excluded), not necessarily equally long, and all values fit in int64;
+    else None."""
     if not all(
-        type(m) in (list, tuple)
-        and m
-        and set(map(type, m)) <= {list, tuple}
-        and len(set(map(len, m))) == 1
-        and m[0]
+        type(m) in (list, tuple) and m and set(map(type, m)) <= {list, tuple} and all(m)
         for m in mats
     ):
         return None
@@ -122,13 +124,43 @@ def _int_matrices(mats):
         values = np.array(values, dtype=np.int64)
     except OverflowError:
         return None
-    return [(len(m), len(m[0])) for m in mats], values
+    shapes = [[(len(list(g)), c) for c, g in itertools.groupby(map(len, m))] for m in mats]
+    return shapes, values
+
+
+class PartitionBlocks:
+    """A payload value: the blocks of the partitions that the least-member
+    rows of a 2-D array give, for each row the list of its blocks in order
+    of least member, each block an ascending list, as tolist() builds it
+    from Partitions.  emit writes it from the array in one _int_text pass."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def tolist(self):
+        return [[list(b) for b in Partition._of_row(r).blocks()] for r in self.rows]
+
+    def matrices(self):
+        """(shapes, values) as _int_text takes them: the blocks of each row
+        as runs of equally large ones, and the members of all blocks in
+        order, a stable argsort of each row."""
+        k, n = self.rows.shape
+        sizes = block_sizes(self.rows).ravel()
+        least = np.flatnonzero(sizes)  # the least members, row by row
+        keys = least // n * (n + 1) + sizes[least]  # (row, block size)
+        first = np.flatnonzero(np.diff(keys, prepend=-1))  # where each run starts
+        shapes = [[] for _ in range(k)]
+        for key, count in zip(keys[first].tolist(), np.diff(first, append=len(keys)).tolist()):
+            shapes[key // (n + 1)].append((count, key % (n + 1)))
+        return shapes, np.argsort(self.rows, axis=1, kind="stable").ravel()
 
 
 def _int_text(shapes, values, pad: str) -> str:
     """The texts of json.dumps(m, indent=2) nested at indent pad, joined by
-    ",\n" + pad, for the int matrices m of the given (rows, columns) shapes
-    whose entries are values (a 1-D int array), in row order.
+    ",\n" + pad, for the int matrices m whose entries are values (a 1-D
+    int array), in row order.  The shape of each m is a list of runs of
+    equally long rows, (rows, columns) pairs in order: [(r, c)] for an
+    r x c matrix.
 
     Each row is written from one template with a slot as wide as the widest
     value per entry, all slots NUL bytes.  The values' digits go into the
@@ -144,12 +176,15 @@ def _int_text(shapes, values, pad: str) -> str:
         digits = digits.tolist()
     digits = np.array([str(v).encode() for v in digits])  # NUL-padded to the widest
     outer, inner = pad.encode(), pad.encode() + b"  "
+    sep = b",\n" + inner
     cell = b"\n" + inner + b"  " + b"\0" * digits.itemsize
-    row = {c: b"[" + b",".join([cell] * c) + b"\n" + inner + b"]" for _, c in shapes}
+    widths = {c for runs in shapes for _, c in runs}
+    row = {c: b"[" + b",".join([cell] * c) + b"\n" + inner + b"]" for c in widths}
     text = []
-    for r, c in shapes:
-        text += b",\n" + outer, b"[\n" + inner, (row[c] + b",\n" + inner) * (r - 1), row[c]
-        text.append(b"\n" + outer + b"]")
+    for *head, (r, c) in shapes:
+        text += b",\n" + outer, b"[\n" + inner
+        text += [(row[width] + sep) * count for count, width in head]
+        text += (row[c] + sep) * (r - 1), row[c], b"\n" + outer + b"]"
     text = np.frombuffer(bytearray().join(text[1:]), dtype=np.uint8)
     text[np.flatnonzero(text == 0)] = np.take(digits, keys).view(np.uint8)
     if not digits.view(np.uint8).all():  # some value is narrower than its slot
@@ -160,12 +195,12 @@ def _int_text(shapes, values, pad: str) -> str:
 def _json_pieces(obj, pad: str, out: list) -> None:
     """Append to out the text of json.dumps(obj, sort_keys=True, indent=2)
     nested at indent pad, where obj may also hold 2-D int arrays, written as
-    their lists of rows.  With an indent, json.dumps runs CPython's
-    pure-Python encoder item by item; here an int row is one join, and a
-    2-D int array, a list of equally long int rows and a list of such lists
-    are each written by _int_text in one numpy pass.  Only scalars go
-    through json.dumps.  Any other array raises TypeError, as json.dumps
-    does."""
+    their lists of rows, and PartitionBlocks, written as their tolist().
+    With an indent, json.dumps runs CPython's pure-Python encoder item by
+    item; here an int row is one join, and a 2-D int array, a list of int
+    rows, a list of such lists and a PartitionBlocks are each written by
+    _int_text in one numpy pass.  Only scalars go through json.dumps.  Any
+    other array raises TypeError, as json.dumps does."""
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
@@ -180,9 +215,11 @@ def _json_pieces(obj, pad: str, out: list) -> None:
         if obj.ndim != 2 or obj.dtype.kind not in "iu":
             raise TypeError(f"cannot write a {obj.dtype} array of shape {obj.shape} as JSON")
         if obj.size:
-            out.append(_int_text([obj.shape], obj.ravel(), pad))
+            out.append(_int_text([[obj.shape]], obj.ravel(), pad))
         else:  # no rows, or rows without entries
             out.append(json.dumps(obj.tolist(), indent=2).replace("\n", "\n" + pad))
+    elif isinstance(obj, PartitionBlocks):
+        out += "[\n" + inner, _int_text(*obj.matrices(), inner), "\n" + pad + "]"
     elif not isinstance(obj, (list, tuple)) or not obj:
         out.append(json.dumps(obj))
     elif (row := _int_row(obj, pad)) is not None:
@@ -191,8 +228,6 @@ def _json_pieces(obj, pad: str, out: list) -> None:
         out += "[\n" + inner, _int_text(*mats, inner), "\n" + pad + "]"
     elif (mats := _int_matrices([obj])) is not None:
         out.append(_int_text(*mats, pad))
-    elif None not in (rows := [_int_row(r, inner) for r in obj]):
-        out.append("[\n" + inner + sep.join(rows) + "\n" + pad + "]")
     else:
         out.append("[\n" + inner)
         for i, item in enumerate(obj):
@@ -204,10 +239,10 @@ def _json_pieces(obj, pad: str, out: list) -> None:
 
 def emit(payload, fmt: str, text_lines=None) -> None:
     """Print text_lines for --format text, else the payload as
-    json.dumps(payload, default=np.ndarray.tolist, sort_keys=True, indent=2)
-    does for a payload of JSON values and 2-D int arrays, with one write
-    once the whole text is built; nothing is printed when a part of the
-    payload cannot be encoded."""
+    json.dumps(payload, default=lambda o: o.tolist(), sort_keys=True,
+    indent=2) does for a payload of JSON values, 2-D int arrays and
+    PartitionBlocks, with one write once the whole text is built; nothing
+    is printed when a part of the payload cannot be encoded."""
     if fmt == "text" and text_lines is not None:
         for line in text_lines:
             print(line)
@@ -220,16 +255,17 @@ def emit(payload, fmt: str, text_lines=None) -> None:
 
 def cmd_con(args) -> int:
     alg = load_algebra(args.input)
-    congs = alg.all_congruences(None if args.force else args.budget)
+    rows = alg.congruence_rows(None if args.force else args.budget)
     payload = {
         "algebra": alg.name,
         "size": alg.size,
-        "count": len(congs),
-        "congruences": [[list(b) for b in c.blocks()] for c in congs],
+        "count": len(rows),
+        "congruences": PartitionBlocks(rows),
     }
     text = None
     if args.format == "text":
-        text = [f"{alg.name or 'algebra'}: {len(congs)} congruences", *map(str, congs)]
+        congs = map(str, map(Partition._of_row, rows))
+        text = [f"{alg.name or 'algebra'}: {len(rows)} congruences", *congs]
     emit(payload, args.format, text)
     return EXIT_OK
 
@@ -238,7 +274,7 @@ def cmd_lattice(args) -> int:
     source = load_lattice(args.input)
     lat = source if isinstance(source, FiniteLattice) else None
     if lat is None:
-        congs = source.all_congruences(None if args.force else args.budget)
+        congs = source.congruence_rows(None if args.force else args.budget)
         if args.check == "modular":
             lat = from_congruences(congs)
     if args.check == "modular":
@@ -327,7 +363,7 @@ def cmd_skew(args) -> int:
     left = load_algebra(args.left)
     right = load_algebra(args.right)
     prod = direct_product(left, right)
-    congs = prod.all_congruences(None if args.force else args.budget)
+    congs = prod.congruence_rows(None if args.force else args.budget)
     skew = skew_congruences(prod, congs)
     payload = {
         "product": prod.name,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import FiniteAlgebra, Partition, _chunks, _distinct_rows, _flat_index, _fresh, _grid
-from .algebra import _join_rows, _meet_rows, _pair_tables, require_int, table_array
+from .algebra import _join_rows, _meet_rows, _pair_tables, least_rows, require_int, table_array
 from .errors import BudgetExceededError, InvalidInputError, NotAGroupError
 from .groups import GroupStructure
 
@@ -638,18 +638,17 @@ def tensor_generators(x_gens, y_gens, size_a: int, size_b: int):
 # product congruences and skew-freeness
 
 
-def _product_congruences(congs, kernel_first: Partition, kernel_second: Partition):
-    """Mask of the thetas in congs that decompose over the two projection
-    kernels, i.e. theta = (theta v ker1) ^ (theta v ker2); the kernels are
-    checked once and all thetas are rebuilt at once."""
+def _product_congruences(rows, kernel_first: Partition, kernel_second: Partition):
+    """Mask of the least-member rows theta that decompose over the two
+    projection kernels, i.e. theta = (theta v ker1) ^ (theta v ker2); the
+    kernels are checked once and all thetas are rebuilt at once."""
     size = kernel_first.size
-    if kernel_second.size != size or any(t.size != size for t in congs):
+    if kernel_second.size != size or rows.shape[1] != size:
         raise InvalidInputError("kernel size mismatch")
     if not kernel_first.meet(kernel_second).is_identity():
         raise InvalidInputError("kernels do not intersect trivially")
     if not kernel_first.join(kernel_second).is_full():
         raise InvalidInputError("kernels do not join to the full relation")
-    rows = np.array([t.least for t in congs], dtype=np.int32).reshape(-1, size)
     kernels = (kernel_first.least, kernel_second.least)
     rebuilt = _meet_rows(*(_join_rows(rows, np.broadcast_to(k, rows.shape)) for k in kernels))
     return (rebuilt == rows).all(axis=1)
@@ -660,17 +659,18 @@ def is_product_congruence(
 ) -> bool:
     """True iff theta decomposes over the two projection kernels, i.e.
     theta = (theta v ker1) ^ (theta v ker2)."""
-    return bool(_product_congruences([theta], kernel_first, kernel_second)[0])
+    return bool(_product_congruences(theta.least[None], kernel_first, kernel_second)[0])
 
 
 def skew_congruences(prod: FiniteAlgebra, congs=None):
-    """Congruences of a recorded product that are not product congruences."""
+    """The congruences of a recorded product that are not product
+    congruences, as Partitions in the order of congs: Con(prod) as
+    congruence_rows or all_congruences gives it, or None to compute it."""
     if prod.product_kernels is None:
         raise InvalidInputError("algebra was not built by direct_product")
-    if congs is None:
-        congs = prod.all_congruences()
-    product = _product_congruences(congs, *prod.product_kernels)
-    return [t for t, ok in zip(congs, product) if not ok]
+    rows = least_rows(prod.congruence_rows() if congs is None else congs)
+    product = _product_congruences(rows, *prod.product_kernels)
+    return list(map(Partition._of_row, rows[~product]))
 
 
 # ---------------------------------------------------------------------------

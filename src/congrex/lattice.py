@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Partition, _chunks, _fresh, _grid, _join_rows, _meet_rows, require_int
+from .algebra import _chunks, _distinct_rows, _fresh, _grid, _join_rows, _meet_rows
+from .algebra import least_rows, require_int
 from .errors import InvalidInputError
 
 
@@ -127,7 +128,10 @@ def chain(n: int) -> FiniteLattice:
 
 def from_congruences(congs) -> FiniteLattice:
     """Order a meet/join closed set of partitions of one size, holding the
-    identity and the full relation, by refinement.
+    identity and the full relation, by refinement: Partitions, or the
+    least-member rows of a 2-D array (congruence_rows).  Element i is the
+    i-th distinct partition in block_id order, the order of
+    all_congruences and of the rows of congruence_rows.
 
     a <= b iff b's labels are constant on a's blocks, i.e. B[b, least[a]]
     == B[b] for the least-member rows B, checked one row a at a time.
@@ -136,15 +140,13 @@ def from_congruences(congs) -> FiniteLattice:
     a v j is for every join-irreducible j not below a; dually for meets with
     meet-irreducibles.
     """
-    congs = sorted(set(congs), key=lambda p: p.block_id)
-    if not congs:
+    rows = least_rows(congs)
+    if not len(rows):
         raise InvalidInputError("empty congruence set")
-    k, n = len(congs), congs[0].size
-    if any(p.size != n for p in congs):
-        raise InvalidInputError("congruences on universes of different sizes")
-    if congs[0] != Partition.full(n) or congs[-1] != Partition.identity(n):
+    rows = _distinct_rows(rows)  # lexicographic order is block_id order
+    k, n = rows.shape
+    if rows[0].any() or (rows[-1] != np.arange(n)).any():
         raise InvalidInputError("congruence set lacks the identity or the full relation")
-    rows = np.array([p.least for p in congs])
     leq = np.empty((k, k), dtype=bool)
     for s in _chunks(k, n):
         block = rows[s]

@@ -15,7 +15,9 @@ congruence, the full-width member product of a Sims table, the triple-loop
 modularity check and transitive closure of a cover list, the union-find
 principal congruence and pair-list partition join, the pair-by-pair
 permutability check of two partitions, the breadth-first pair orbits and
-the orbit-by-orbit principal join closure with its budget, the bitmask
+the orbit-by-orbit principal join closure with its budget, the
+breadth-first join closure of the principal rows that keeps each row found
+by its bytes and counts the joins that the congruence budget bounds, the bitmask
 normal subgroup closure, the subgroup-closure split of the normal
 subgroup lattice, the commutator-by-commutator lower central series, the
 tuple sort of clone fragment members, the pair loop of the tensor of two
@@ -30,7 +32,17 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from congrex.algebra import FiniteAlgebra, Operation, Partition, _flat_index, _grid, direct_product
+from congrex.algebra import (
+    _BLOCK,
+    FiniteAlgebra,
+    Operation,
+    Partition,
+    _flat_index,
+    _fresh,
+    _grid,
+    _join_rows,
+    direct_product,
+)
 from congrex.clones import (
     FiniteFunction,
     add_dummy_arg,
@@ -319,6 +331,31 @@ def orbit_join_closure(alg: FiniteAlgebra, budget=None):
                 congs.add(joined)
                 worklist.append(joined)
     return sorted(congs, key=lambda p: p.block_id), work
+
+
+def breadth_first_congruence_rows(alg: FiniteAlgebra):
+    """(Con(A) as least-member rows, the identity first and the rest in the
+    order found, joins counted): the closure of the distinct principal rows
+    under theta |-> theta v Cg(a, b), several thetas joined with all their
+    Cg(a, b) at once, each new row kept by its bytes and joined in turn.
+    A join is a pair theta, Cg(a, b) with a, b in different blocks of
+    theta, so the count is the work FiniteAlgebra.congruence_rows compares
+    with its budget."""
+    n = alg.size
+    principals, first_a, first_b = alg._distinct_principal_rows(budget=None)
+    seen = {np.arange(n, dtype=np.int32).tobytes(): None}
+    _fresh(seen, principals)
+    worklist = list(principals)
+    work = 0
+    per_batch = max(1, _BLOCK // (n * max(1, len(principals))))
+    while worklist:
+        thetas = np.array(worklist[-per_batch:])
+        del worklist[-per_batch:]
+        theta_i, pi_i = np.nonzero(thetas[:, first_a] != thetas[:, first_b])
+        work += len(theta_i)
+        joined = _join_rows(thetas[theta_i], principals[pi_i])
+        worklist += list(joined[_fresh(seen, joined)])
+    return np.frombuffer(b"".join(seen), dtype=np.int32).reshape(-1, n), work
 
 
 def bitmask_normal_subgroups(g: GroupStructure):

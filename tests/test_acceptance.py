@@ -401,10 +401,25 @@ Z4_MINUS = {
     ],
 }
 
+#: an 11-element algebra with a unary operation and a constant, not a group:
+#: 104 of its 106 congruences have blocks of unequal sizes
+UNARY11 = {
+    "name": "(11;f,c)",
+    "size": 11,
+    "operations": [
+        {"name": "f", "arity": 1, "table": [1, 2, 3, 0, 5, 4, 4, 8, 9, 7, 10]},
+        {"name": "c", "arity": 0, "table": [6]},
+    ],
+}
+
+#: algebra files of the pinned commands, by the token that stands for each
+PINNED_FILES = {"Z4_MINUS": Z4_MINUS, "UNARY11": UNARY11}
+
 #: the fragment and witness outputs behind the relation check and the row
-#: writer (pol Z12 has values of one and two digits), and the split check on
-#: the 2,825 congruences of Z2^6, which does not split; "Z4_MINUS" stands
-#: for the file of Z4_MINUS
+#: writer (pol Z12 has values of one and two digits), the split check on the
+#: 2,825 congruences of Z2^6, which does not split, and the blocks writer on
+#: blocks of unequal sizes (con Z2xZ2xZ2xZ2xZ2, with equal blocks, is in
+#: ORBIT_DIGESTS); a token of PINNED_FILES stands for its file
 PINNED_COMMANDS = [
     ["comp", "Z3", "--max-arity", "2"],
     ["witness", "Q8", "--up-to-n", "2"],
@@ -415,6 +430,7 @@ PINNED_COMMANDS = [
     ["pol", "Q8", "--max-arity", "2"],
     ["tensor", "Z4", "Z3"],
     ["lattice", "Z2xZ2xZ2xZ2xZ2xZ2", "--check", "splits-strongly"],
+    ["con", "UNARY11"],
 ]
 
 #: sha256 of the exit code, a newline and the stdout of each pinned command
@@ -430,15 +446,16 @@ PINNED_DIGESTS = {
     "lattice Z2xZ2xZ2xZ2xZ2xZ2 --check splits-strongly": (
         "fbf3bfc2fcaa489799b523f244eb658c42f657b434e67282fca93124a8f77d1f"
     ),
+    "con UNARY11": "c2d71637861039acb24fe42d0334064e1f73f5cf5f2dfd1bd03cc137ab46a5ca",
 }
 
 
 @pytest.mark.parametrize("argv", PINNED_COMMANDS, ids=" ".join)
 def test_fragment_and_witness_output_is_pinned(argv, tmp_path, monkeypatch):
     monkeypatch.delenv("CONGREX_BUDGET", raising=False)
-    path = tmp_path / "z4minus.json"
-    path.write_text(json.dumps(Z4_MINUS))
-    code, out = run_cli([str(path) if a == "Z4_MINUS" else a for a in argv])
+    for token, alg in PINNED_FILES.items():
+        (tmp_path / f"{token}.json").write_text(json.dumps(alg))
+    code, out = run_cli([str(tmp_path / f"{a}.json") if a in PINNED_FILES else a for a in argv])
     digest = hashlib.sha256(str(code).encode() + b"\n" + out).hexdigest()
     assert digest == PINNED_DIGESTS[" ".join(argv)]
 

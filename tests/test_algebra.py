@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congrex import algebra
 from congrex.algebra import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
@@ -28,6 +29,7 @@ from congrex.groups import (
 )
 
 from conftest import (
+    breadth_first_congruence_rows,
     brute_congruences,
     loop_composes_with,
     loop_direct_product,
@@ -40,6 +42,7 @@ from conftest import (
     pairwise_congruence_closure,
     partition_respects,
     permutation_algebras,
+    q8_times_z3_cayley,
     relabeled_cayley,
     small_algebras,
     table_value,
@@ -260,6 +263,63 @@ def test_all_congruences_matches_oracles_with_many_permutations(alg):
     congs = alg.all_congruences()
     assert congs == brute_congruences(alg)
     assert congs == orbit_join_closure(alg)[0]
+
+
+#: algebras whose Close-by-One closure is checked against the breadth-first
+#: one: Z2^5 (374 congruences), Z4xZ2^3, Q8xZ3, S4, 7 points with one
+#: constant (all Bell(7) = 877 partitions) and 1 point (no principal rows)
+CLOSURE_ALGEBRAS = {
+    "Z2^5": lambda: parse_group_spec("Z2xZ2xZ2xZ2xZ2"),
+    "Z4xZ2^3": lambda: parse_group_spec("Z4xZ2xZ2xZ2"),
+    "Q8xZ3": lambda: group_from_cayley(q8_times_z3_cayley()),
+    "S4": lambda: parse_group_spec("S4"),
+    "7 points": lambda: FiniteAlgebra(7, [("c", 0, [0])]),
+    "1 point": lambda: FiniteAlgebra(1, [("c", 0, [0])]),
+}
+
+
+def _assert_matches_the_breadth_first_closure(alg):
+    expected, _ = breadth_first_congruence_rows(alg)
+    rows = alg.congruence_rows(budget=None)
+    assert not rows.flags.writeable
+    assert {tuple(r) for r in rows.tolist()} == {tuple(r) for r in expected.tolist()}
+    # the rows are sorted, never deduplicated: each was generated once
+    assert len({tuple(r) for r in rows.tolist()}) == len(rows)
+    parts = list(map(Partition, rows.tolist()))
+    assert parts == sorted(parts, key=lambda p: p.block_id)
+    assert alg.all_congruences(budget=None) == parts
+
+
+@pytest.mark.parametrize("name", CLOSURE_ALGEBRAS)
+def test_congruence_rows_match_the_breadth_first_closure(name):
+    _assert_matches_the_breadth_first_closure(CLOSURE_ALGEBRAS[name]())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_algebras(max_size=6), permutation_algebras()))
+def test_congruence_rows_match_the_breadth_first_closure_on_random_algebras(alg):
+    _assert_matches_the_breadth_first_closure(alg)
+
+
+@pytest.mark.parametrize("name", CLOSURE_ALGEBRAS)
+def test_congruence_rows_look_up_no_row_among_those_found(name, monkeypatch):
+    alg = CLOSURE_ALGEBRAS[name]()
+    expected = alg.congruence_rows(budget=None)
+
+    def fail(*args):
+        raise AssertionError("the closure looked a row up among those found")
+
+    monkeypatch.setattr(algebra, "_fresh", fail)
+    assert np.array_equal(alg.congruence_rows(budget=None), expected)
+
+
+@pytest.mark.parametrize("name", [name for name in CLOSURE_ALGEBRAS if name != "1 point"])
+def test_congruence_rows_refuse_below_the_breadth_first_join_count(name):
+    alg = CLOSURE_ALGEBRAS[name]()
+    expected, count = breadth_first_congruence_rows(alg)
+    with pytest.raises(BudgetExceededError, match=f"join closure exceeded budget {count - 1}$"):
+        alg.congruence_rows(budget=count - 1)
+    assert len(alg.congruence_rows(budget=count)) == len(expected)
 
 
 def _orbit_pairs(alg):

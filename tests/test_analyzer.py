@@ -206,13 +206,14 @@ def test_decide_group_analyses_each_group_once(monkeypatch):
 
 def test_decide_product_enumerates_each_congruence_lattice_once(monkeypatch):
     sizes = []
-    all_congruences = FiniteAlgebra.all_congruences
+    congruence_rows = FiniteAlgebra.congruence_rows
 
     def counted(self, *args, **kwargs):
         sizes.append(self.size)
-        return all_congruences(self, *args, **kwargs)
+        return congruence_rows(self, *args, **kwargs)
 
-    monkeypatch.setattr(FiniteAlgebra, "all_congruences", counted)
+    # all_congruences is a view of congruence_rows, so both are counted
+    monkeypatch.setattr(FiniteAlgebra, "congruence_rows", counted)
     calls = _count_group_work(monkeypatch)
     report = decide_product([parse_group_spec("Z4"), parse_group_spec("Z3")])
     assert sizes == [12, 4, 3]

@@ -122,6 +122,25 @@ def test_lattice_checks(tmp_path, capsys):
     assert json.loads(out)["result"] is True
 
 
+def test_lattice_reads_a_file_once(tmp_path, capsys, monkeypatch):
+    paths = {"lattice": tmp_path / "chain3.json", "algebra": tmp_path / "minus4.json"}
+    paths["lattice"].write_text(json.dumps(chain(3).to_json_dict()))
+    minus_file(paths["algebra"], 4)
+    expected = [run(capsys, "lattice", str(path)) for path in paths.values()]
+    reads = []
+    read_json = cli.read_json
+
+    def counted(path):
+        reads.append(path)
+        return read_json(path)
+
+    monkeypatch.setattr(cli, "read_json", counted)
+    for path, out in zip(paths.values(), expected):
+        reads.clear()
+        assert run(capsys, "lattice", str(path)) == out
+        assert reads == [str(path)]
+
+
 def test_lattice_on_group_spec(capsys):
     code, out, _ = run(capsys, "lattice", "Z2xZ2", "--check", "splits")
     assert code == 0
@@ -855,6 +874,34 @@ def test_split_commands_build_no_lattice(tmp_path, capsys, monkeypatch):
             assert run(capsys, *argv) == out
 
 
+#: commands over Con(A) of 67 (Z2^4) to 374 (Z2^5) congruences
+CON_COMMANDS = [
+    ["con", "Z2xZ2xZ2xZ2xZ2"],
+    ["lattice", "Z2xZ2xZ2xZ2", "--check", "modular"],
+    ["lattice", "Z2xZ2xZ2xZ2", "--check", "splits"],
+    ["skew", "Z2xZ2", "Z2xZ2"],
+    ["decide", "Z8", "Z9"],
+]
+
+
+def test_congruence_commands_build_no_partition_per_congruence(capsys, monkeypatch):
+    built = []
+    init = Partition.__init__
+
+    def counted(self, labels):
+        built.append(None)
+        init(self, labels)
+
+    monkeypatch.setattr(Partition, "__init__", counted)
+    for argv in CON_COMMANDS:
+        built.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        # two projection kernels per direct product of a shortcut, their
+        # meet and join, and one per skew congruence printed
+        assert len(built) <= 10 + json.loads(out).get("skew_count", 0), argv
+
+
 def test_witness_answers_where_only_the_join_closure_was_over_budget(tmp_path, capsys):
     # every partition of a set without operations is a congruence: 115,975
     # of them on 10 elements, but 45 principal ones, each an atom
@@ -1104,6 +1151,25 @@ def test_emit_writes_empty_wide_and_nested_int_arrays(payload):
     assert emitted(payload) == expected + "\n"
 
 
+#: the labels of one to six partitions of {0, ..., n-1}, 1 <= n <= 12
+label_lists = st.integers(1, 12).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=1, max_size=6
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_lists, st.integers(0, 2))
+def test_emit_writes_partition_blocks_as_json_dumps_writes_their_lists(labels, nesting):
+    rows = np.array([Partition(row).least for row in labels])
+    payload = cli.PartitionBlocks(rows)
+    for _ in range(nesting):
+        payload = {"x": [payload]}
+    expected = json.dumps(payload, default=lambda o: o.tolist(), sort_keys=True, indent=2)
+    assert emitted(payload) == expected + "\n"
+
+
 EMIT_COMMANDS = [
     *CORPUS_COMMANDS,
     ["comp", "Z3", "--max-arity", "2"],
@@ -1129,7 +1195,9 @@ def test_cli_prints_the_json_dumps_text_of_its_payload(capsys, monkeypatch, argv
         # fragment parts reach the writer as arrays, not as lists of rows
         parts = payloads[0]["members"].values()
         assert parts and all(type(part) is np.ndarray for part in parts)
-    expected = json.dumps(payloads[0], default=np.ndarray.tolist, sort_keys=True, indent=2)
+    # a payload value that is not JSON, a 2-D int array or the blocks of
+    # Con(A) (cli.PartitionBlocks), stands for its tolist()
+    expected = json.dumps(payloads[0], default=lambda o: o.tolist(), sort_keys=True, indent=2)
     expected += "\n"
     # by lines, so that a failure names the first differing line quickly
     # instead of diffing megabytes of text
