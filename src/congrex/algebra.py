@@ -313,7 +313,7 @@ def principal_split(principals, first_a, first_b, strong: bool):
     for s in _chunks(len(principals), len(principals)):
         below += (labels[first_a[s]] == labels[first_b[s]]).sum(axis=0)
     atoms = np.flatnonzero(below == 1)
-    for eps in atoms[np.lexsort(principals[atoms].T[::-1])]:
+    for eps in atoms[_lex_order(principals[atoms])]:
         outside = labels[first_a[eps]] != labels[first_b[eps]]
         outside[eps] = strong
         delta, outside = np.arange(n), np.flatnonzero(outside)
@@ -377,6 +377,14 @@ def table_array(table, size: int, arity: int, where: str = "", ndim: int = 1):
         table = table.astype(dtype)
         table.flags.writeable = False
     return table
+
+
+def _lex_order(rows):
+    """np.lexsort(rows.T[::-1]) for a 2-D array with columns and entries in
+    [0, 2^32): a stable argsort of the rows' big-endian bytes, which compare
+    as the rows do, with one sort instead of one pass per column."""
+    key = rows.astype(">u4")
+    return np.argsort(key.view(np.dtype((np.void, key.shape[1] * 4))).ravel(), kind="stable")
 
 
 def _distinct_rows(rows):
@@ -556,37 +564,40 @@ class FiniteAlgebra:
         of the principal rows not below each: the joins of the closure that
         joins every congruence with every P_i not below it.  It guards
         against blowing up on large inputs; raise the budget, or pass None
-        for no limit, to override.  It is checked once per level, which
-        bounds the joins of the next level: at most one per P_i not below a
-        theta of this one.
+        for no limit, to override.  Each congruence is counted when it is
+        found, so the refusal comes before the joins it would make.  Thetas
+        and joins go in chunks of _BLOCK // max(n, #P) rows, which keeps
+        every temporary near _BLOCK entries however many P_i there are.
         """
         n = self.size
         principals, first_a, first_b = self._distinct_principal_rows(budget)
         index = np.arange(len(principals))
-        # the first level: the joins P_i of the identity with each P_i that
-        # is above no P_q with q < i; below[i, q] says P_q <= P_i
-        below = principals[:, first_a] == principals[:, first_b]
-        first = ~np.tril(below, -1).any(axis=1)
-        level = principals[first], index[first], below[first]
-        levels, work = [np.arange(n, dtype=np.int32)[None]], 0
+        width = max(n, len(principals))
+        # the identity, which no P_q is below, as the level-0 parent
+        level = np.arange(n, dtype=np.int32)[None], np.array([-1])
+        levels, work = [], 0
         while len(level[0]):
-            thetas, gen, below = level
-            work += int((~below).sum())
-            if budget is not None and work > budget:
-                raise BudgetExceededError(f"congruence join closure exceeded budget {budget}")
+            thetas, gen = level
             levels.append(thetas)
-            t, i = np.nonzero(~below & (index > gen[:, None]))
             parts = []
-            for s in _chunks(len(t), n):
-                child = _join_rows(thetas[t[s]], principals[i[s]])
-                child_below = child[:, first_a] == child[:, first_b]
-                keep = (child_below & ~below[t[s]]).argmax(axis=1) == i[s]
-                parts.append((child[keep], i[s][keep], child_below[keep]))
-            if not parts:
-                break
-            level = parts[0] if len(parts) == 1 else [np.concatenate(x) for x in zip(*parts)]
+            for s in _chunks(len(thetas), width):
+                below = thetas[s, first_a] == thetas[s, first_b]
+                t, i = np.nonzero(~below & (index > gen[s, None]))
+                for u in _chunks(len(t), width):
+                    child = principals[i[u]]
+                    if len(levels) > 1:  # the identity's joins are the P_i
+                        child = _join_rows(thetas[s][t[u]], child)
+                    child_below = child[:, first_a] == child[:, first_b]
+                    keep = (child_below & ~below[t[u]]).argmax(axis=1) == i[u]
+                    work += int((~child_below[keep]).sum())
+                    if budget is not None and work > budget:
+                        raise BudgetExceededError(
+                            f"congruence join closure exceeded budget {budget}"
+                        )
+                    parts.append((child[keep], i[u][keep]))
+            level = [np.concatenate(x) for x in zip(*parts)] if parts else [gen[:0]]
         rows = np.concatenate(levels)
-        rows = rows[np.lexsort(rows.T[::-1])]
+        rows = rows[_lex_order(rows)]
         rows.flags.writeable = False
         return rows
 

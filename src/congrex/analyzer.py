@@ -211,13 +211,17 @@ def decide_abelian_spec(p: int, exponents) -> AnalysisReport:
 def congruence_split(alg: FiniteAlgebra, congs, strong: bool):
     """principal_split of the principal congruences of alg as a SplitWitness
     of indices into congs, Con(alg) as congruence_rows or all_congruences
-    gives it, or None.  The principal rows are those the closure of congs
-    computed and alg keeps."""
+    gives it, or None; InvalidInputError if congs lacks one of the two.
+    The principal rows are those the closure of congs computed and alg
+    keeps."""
     found = principal_split(*alg._distinct_principal_rows(), strong)
     if found is None:
         return None
     rows = least_rows(congs)
-    return SplitWitness(*(int((rows == r).all(axis=1).argmax()) for r in found))
+    hits = [np.flatnonzero((rows == r).all(axis=1)) for r in found]
+    if not all(len(h) for h in hits):
+        raise InvalidInputError("congs lacks a congruence of the split; pass all of Con(alg)")
+    return SplitWitness(*(int(h[0]) for h in hits))
 
 
 def decide_product(

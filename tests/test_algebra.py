@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,33 @@ def test_join_closure_budget_guard():
     with pytest.raises(BudgetExceededError, match="join closure"):
         alg.all_congruences(budget=1000)
     assert len(alg.all_congruences(budget=None)) == 877
+
+
+@given(st.data())
+def test_lex_order_is_the_lexsort_order(data):
+    k, n = data.draw(st.integers(0, 30)), data.draw(st.integers(1, 6))
+    top = data.draw(st.sampled_from([1, 3, 255, 256, 2**31 - 1]))
+    entries = st.lists(st.integers(0, top), min_size=k * n, max_size=k * n)
+    rows = np.array(data.draw(entries), dtype=np.int32).reshape(k, n)
+    assert np.array_equal(algebra._lex_order(rows), np.lexsort(rows.T[::-1]))
+
+
+@pytest.mark.parametrize("n", [40, 300])
+def test_join_closure_refusal_keeps_its_temporaries_small(n):
+    # no translations: n(n - 1)/2 principal congruences, each an atom.  On
+    # 300 points the budget goes in the first level, whose 44,850 x 44,850
+    # comparison would take gigabytes; on 40 points in the second, whose
+    # 607,620 joins would take hundreds of megabytes as one array
+    alg = FiniteAlgebra(n, [])
+    alg._distinct_principal_rows()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="join closure exceeded budget 1000000$"):
+            alg.congruence_rows()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_all_congruences_budget_guard():

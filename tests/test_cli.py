@@ -912,6 +912,17 @@ def test_witness_answers_where_only_the_join_closure_was_over_budget(tmp_path, c
     assert err == "error: congruence lattice does not split strongly\n"
 
 
+@pytest.mark.parametrize("command", ["con", "lattice"])
+def test_join_closure_refuses_a_large_set_without_operations(tmp_path, capsys, command):
+    # 19,900 principal congruences, each an atom below 19,899 others: the
+    # estimate 200^2 passes and the joins of the first atoms pass the budget
+    path = tmp_path / "set200.json"
+    path.write_text(json.dumps({"size": 200, "operations": []}))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: congruence join closure exceeded budget 1000000\n"
+
+
 def test_witness_budget_refusal_comes_from_the_principal_estimate(capsys):
     # Z4 has 16 pairs and 4 translations other than the identity
     code, out, err = run(capsys, "witness", "Z4", "--budget", "1")

@@ -481,6 +481,15 @@ def assert_principal_split_matches_the_lattice(alg):
         assert congruence_split(alg, congs, strong) == predicate(lat)
 
 
+def test_congruence_split_refuses_a_list_without_its_witness():
+    z8 = cyclic_group(8)
+    congs = z8.congruence_rows()
+    assert congruence_split(z8, congs, strong=True) == SplitWitness(2, 2)
+    for partial in (np.delete(congs, 2, axis=0), z8.all_congruences()[:2]):
+        with pytest.raises(InvalidInputError, match="lacks a congruence of the split"):
+            congruence_split(z8, partial, strong=True)
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_algebras())
 def test_principal_split_matches_the_lattice_predicates(alg):
