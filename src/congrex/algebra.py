@@ -706,17 +706,20 @@ def quotient_index(alg: FiniteAlgebra, alpha: Partition, beta: Partition):
     return int(ratio) if ratio.denominator == 1 else ratio
 
 
-def least_rows(congs):
-    """Partitions of one universe as a (k x n) int32 array of least-member
-    rows: congs itself if it already is such an array (congruence_rows),
-    else the rows of its Partitions, in order."""
+def least_rows(congs, size: int):
+    """Partitions of a universe of the given size as a (k x size) int32
+    array of least-member rows: congs itself if it already is such an array
+    (congruence_rows), else the rows of its Partitions, in order; an empty
+    congs gives 0 rows, and a partition of another size InvalidInputError."""
     if isinstance(congs, np.ndarray):
-        return congs
-    congs = list(congs)
-    sizes = {p.size for p in congs}
-    if len(sizes) > 1:
-        raise InvalidInputError("congruences on universes of different sizes")
-    return np.array([p.least for p in congs], dtype=np.int32).reshape(len(congs), *sizes)
+        rows = congs
+    else:
+        congs = list(congs)
+        rows = [p.least for p in congs if p.size == size]
+        rows = np.array(rows, dtype=np.int32).reshape(len(rows), size)
+    if len(rows) != len(congs) or rows.shape[1:] != (size,):
+        raise InvalidInputError(f"congruences on universes of different sizes, not all {size}")
+    return rows
 
 
 def block_sizes(rows):
@@ -731,6 +734,6 @@ def is_congruence_uniform(alg: FiniteAlgebra, congs=None) -> bool:
     """True iff every congruence of alg has equal-sized blocks; congs is
     Con(alg), as congruence_rows or all_congruences gives it, or None to
     compute it.  Each x's block is as large as the block of 0."""
-    rows = least_rows(alg.congruence_rows() if congs is None else congs)
+    rows = least_rows(alg.congruence_rows() if congs is None else congs, alg.size)
     sizes = np.take_along_axis(block_sizes(rows), rows, axis=1)
     return bool((sizes == sizes[:, :1]).all())

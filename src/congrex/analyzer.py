@@ -217,7 +217,7 @@ def congruence_split(alg: FiniteAlgebra, congs, strong: bool):
     found = principal_split(*alg._distinct_principal_rows(), strong)
     if found is None:
         return None
-    rows = least_rows(congs)
+    rows = least_rows(congs, alg.size)
     hits = [np.flatnonzero((rows == r).all(axis=1)) for r in found]
     if not all(len(h) for h in hits):
         raise InvalidInputError("congs lacks a congruence of the split; pass all of Con(alg)")
@@ -232,11 +232,12 @@ def decide_product(
     """Verdict for a coprime product of nilpotent prime-power algebras.
 
     Checks the hypotheses (prime-power coprime orders; nilpotency follows
-    from the order for groups, otherwise the caller asserts it), verifies
-    skew-freeness of the product, and evaluates both the per-factor and
-    whole-lattice strong splitting tests, which must agree, each from the
-    principal congruences (congruence_split).  ``budget`` (None: no limit)
-    goes to every congruence enumeration.
+    from the order for a group with no other operation, otherwise the
+    caller asserts it), verifies skew-freeness of the product, and
+    evaluates both the per-factor and whole-lattice strong splitting tests,
+    which must agree, each from the principal congruences
+    (congruence_split).  ``budget`` (None: no limit) goes to every
+    congruence enumeration.
     """
     factors = [as_group_algebra(f) for f in factors]
     if not factors:
@@ -255,16 +256,19 @@ def decide_product(
     diagnostics = {"factor_orders": orders}
     hypothesis_notes = []
     for f in factors:
-        try:
-            GroupStructure.of(f)  # a group of prime-power order is nilpotent
+        try:  # a group of prime-power order is nilpotent; other operations may break it
+            if not GroupStructure.of(f).extra_operations(f):
+                continue
         except NotAGroupError:
-            if not assume_nilpotent:
-                raise InvalidInputError(
-                    "non-group factor: pass assume_nilpotent to assert nilpotency"
-                ) from None
-            hypothesis_notes.append(
-                f"nilpotency of factor {f.name or '?'} asserted, not verified"
+            pass
+        if not assume_nilpotent:
+            raise InvalidInputError(
+                f"factor {f.name or '?'} is not a group without other operations: "
+                "pass assume_nilpotent to assert its nilpotency"
             )
+        hypothesis_notes.append(
+            f"nilpotency of factor {f.name or '?'} asserted, not verified"
+        )
     if hypothesis_notes:
         diagnostics["hypotheses"] = hypothesis_notes
 
@@ -305,7 +309,10 @@ def decide_product(
             "internal: per-factor and whole-lattice splitting disagree"
         )
     diagnostics["congruence_count"] = len(prod_congs)
-    diagnostics["splits"] = congruence_split(prod, prod_congs, strong=False) is not None
+    # strong splitting implies splitting
+    diagnostics["splits"] = (
+        whole is not None or congruence_split(prod, prod_congs, strong=False) is not None
+    )
     return AnalysisReport(
         verdict=VERDICT_INFINITE if whole else VERDICT_FINITE,
         route="coprime-product-lattice",

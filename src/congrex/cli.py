@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -107,27 +106,6 @@ def _int_row(obj, pad: str):
     return None
 
 
-def _int_matrices(mats):
-    """(shapes, values) as _int_text takes them when mats is a list of int
-    matrices, each a non-empty list of non-empty rows of ints (bools
-    excluded), not necessarily equally long, and all values fit in int64;
-    else None."""
-    if not all(
-        type(m) in (list, tuple) and m and set(map(type, m)) <= {list, tuple} and all(m)
-        for m in mats
-    ):
-        return None
-    values = list(itertools.chain.from_iterable(itertools.chain.from_iterable(mats)))
-    if set(map(type, values)) != {int}:
-        return None
-    try:
-        values = np.array(values, dtype=np.int64)
-    except OverflowError:
-        return None
-    shapes = [[(len(list(g)), c) for c, g in itertools.groupby(map(len, m))] for m in mats]
-    return shapes, values
-
-
 class PartitionBlocks:
     """A payload value: the blocks of the partitions that the least-member
     rows of a 2-D array give, for each row the list of its blocks in order
@@ -197,10 +175,10 @@ def _json_pieces(obj, pad: str, out: list) -> None:
     nested at indent pad, where obj may also hold 2-D int arrays, written as
     their lists of rows, and PartitionBlocks, written as their tolist().
     With an indent, json.dumps runs CPython's pure-Python encoder item by
-    item; here an int row is one join, and a 2-D int array, a list of int
-    rows, a list of such lists and a PartitionBlocks are each written by
-    _int_text in one numpy pass.  Only scalars go through json.dumps.  Any
-    other array raises TypeError, as json.dumps does."""
+    item; here a list of ints is one join, and a 2-D int array and a
+    PartitionBlocks are each written by _int_text in one numpy pass.  Only
+    scalars go through json.dumps.  Any other array raises TypeError, as
+    json.dumps does."""
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
@@ -224,10 +202,6 @@ def _json_pieces(obj, pad: str, out: list) -> None:
         out.append(json.dumps(obj))
     elif (row := _int_row(obj, pad)) is not None:
         out.append(row)
-    elif (mats := _int_matrices(obj)) is not None:
-        out += "[\n" + inner, _int_text(*mats, inner), "\n" + pad + "]"
-    elif (mats := _int_matrices([obj])) is not None:
-        out.append(_int_text(*mats, pad))
     else:
         out.append("[\n" + inner)
         for i, item in enumerate(obj):

@@ -316,21 +316,17 @@ def clone_closure(
     max_arity: int,
     universe_size: int | None = None,
     member_cap: int = DEFAULT_MEMBER_CAP,
-    working_arity: int | None = None,
 ) -> CloneFragment:
     """Every member of arity 1..max_arity of the clone generated by gens,
     i.e. of the least set of functions that contains the projections and gens
     and is closed under composition.  Each arity part is exact.
 
-    Nullary generators count as constants.  Generators may have arity up to
-    working_arity (default max_arity, never smaller), which does not change
-    the result.  Raises BudgetExceededError exactly when the members of all
-    arities number more than member_cap, after the block of generator
-    applications that passes it.  Whether each generator is symmetric in
-    its last two arguments is checked once, here.
+    Generators may have any arity; nullary ones count as constants.  Raises
+    BudgetExceededError exactly when the members of all arities number more
+    than member_cap, after the block of generator applications that passes
+    it.  Whether each generator is symmetric in its last two arguments is
+    checked once, here.
     """
-    if working_arity is not None and working_arity < max_arity:
-        raise InvalidInputError("working_arity must be >= max_arity")
     gens = [_lift_generator(f) for f in gens]
     if universe_size is None:
         if not gens:
@@ -342,10 +338,6 @@ def clone_closure(
         raise InvalidInputError("generators live on different universes")
     if max_arity < 1:
         raise InvalidInputError("max_arity must be >= 1")
-    bound = working_arity or max_arity
-    for f in gens:
-        if f.arity > bound:
-            raise InvalidInputError(f"generator arity {f.arity} exceeds bound {bound}")
     symmetric = [_symmetric_in_last_two(g) for g in gens]
     parts = []
     for k in range(1, max_arity + 1):
@@ -355,15 +347,9 @@ def clone_closure(
 
 
 def _operation_clone(alg: FiniteAlgebra, max_arity: int, member_cap: int, extra=()):
-    """The clone generated by the operations of arity >= 1 of alg and extra."""
-    gens = [
-        FiniteFunction.from_operation(alg.size, op)
-        for op in alg.operations
-        if op.arity >= 1
-    ] + list(extra)
-    # working_arity only admits operations of arity above max_arity
-    working = max([max_arity] + [f.arity for f in gens])
-    return clone_closure(gens, max_arity, alg.size, member_cap, working_arity=working)
+    """The clone generated by the operations of alg and extra."""
+    gens = [FiniteFunction.from_operation(alg.size, op) for op in alg.operations]
+    return clone_closure(gens + list(extra), max_arity, alg.size, member_cap)
 
 
 def _group_of(alg: FiniteAlgebra) -> GroupStructure | None:
@@ -668,7 +654,7 @@ def skew_congruences(prod: FiniteAlgebra, congs=None):
     congruence_rows or all_congruences gives it, or None to compute it."""
     if prod.product_kernels is None:
         raise InvalidInputError("algebra was not built by direct_product")
-    rows = least_rows(prod.congruence_rows() if congs is None else congs)
+    rows = least_rows(prod.congruence_rows() if congs is None else congs, prod.size)
     product = _product_congruences(rows, *prod.product_kernels)
     return list(map(Partition._of_row, rows[~product]))
 

@@ -140,10 +140,11 @@ def from_congruences(congs) -> FiniteLattice:
     a v j is for every join-irreducible j not below a; dually for meets with
     meet-irreducibles.
     """
-    rows = least_rows(congs)
-    if not len(rows):
+    congs = congs if isinstance(congs, np.ndarray) else list(congs)
+    if not len(congs):
         raise InvalidInputError("empty congruence set")
-    rows = _distinct_rows(rows)  # lexicographic order is block_id order
+    # lexicographic order is block_id order
+    rows = _distinct_rows(least_rows(congs, congs[0].size))
     k, n = rows.shape
     if rows[0].any() or (rows[-1] != np.arange(n)).any():
         raise InvalidInputError("congruence set lacks the identity or the full relation")

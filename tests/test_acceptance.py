@@ -280,10 +280,10 @@ def test_criterion_08_tensor_equalities():
     x_gens = [FiniteFunction.from_operation(2, op) for op in z2.operations]
     y_gens = [FiniteFunction.from_operation(3, op) for op in z3.operations]
     zset = tensor_generators(x_gens, y_gens, 2, 3)
-    closed = clone_closure(zset, 2, universe_size=6, working_arity=3)
+    closed = clone_closure(zset, 2, universe_size=6)
     tens = tensor_fragments(
-        clone_closure(x_gens, 2, universe_size=2, working_arity=3),
-        clone_closure(y_gens, 2, universe_size=3, working_arity=3),
+        clone_closure(x_gens, 2, universe_size=2),
+        clone_closure(y_gens, 2, universe_size=3),
     )
     first = closed.members == tens.members
 

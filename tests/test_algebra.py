@@ -631,3 +631,12 @@ def test_uniformity_examples():
     assert is_congruence_uniform(quaternion_group())
     assert is_congruence_uniform(semilattice_chain(2))
     assert not is_congruence_uniform(semilattice_chain(3))
+
+
+def test_uniformity_reads_only_the_congruences_given():
+    z4 = cyclic_group(4)
+    assert is_congruence_uniform(z4, [])
+    # not a congruence of Z4, but read as given
+    assert not is_congruence_uniform(z4, [Partition.from_blocks(4, [[0], [1, 2, 3]])])
+    with pytest.raises(InvalidInputError, match="different sizes"):
+        is_congruence_uniform(z4, [Partition.identity(3)])

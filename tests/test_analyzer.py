@@ -274,6 +274,24 @@ def test_decide_product_examples():
     assert report.lattice_witness is None
 
 
+def test_decide_product_takes_the_weak_split_only_without_a_strong_one(monkeypatch):
+    calls = []
+    split = analyzer.principal_split
+
+    def counted(*args):
+        calls.append(args[-1])  # strong
+        return split(*args)
+
+    monkeypatch.setattr(analyzer, "principal_split", counted)
+    report = decide_product([parse_group_spec("Z4"), parse_group_spec("Z3")])
+    assert report.lattice_witness is not None and report.diagnostics["splits"]
+    assert calls == [True, True, True]  # the two factors and the product
+    calls.clear()
+    report = decide_product([parse_group_spec("Z2"), parse_group_spec("Z3")])
+    assert report.lattice_witness is None and report.diagnostics["splits"]
+    assert calls == [True, True, True, False]
+
+
 def test_decide_product_hypothesis_checks():
     with pytest.raises(InvalidInputError):
         decide_product([parse_group_spec("Z2"), parse_group_spec("Z2")])

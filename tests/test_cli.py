@@ -198,6 +198,25 @@ def test_decide_product_cli(capsys):
     assert payload["route"] == "coprime-product-lattice"
 
 
+def test_decide_product_takes_a_group_with_extra_operations_on_trust_only(tmp_path, capsys):
+    # (Z4; +, -, 0, f) with f = [0, 0, 1, 1] is simple and f is not affine,
+    # so it is not nilpotent although its order is a prime power
+    paths = []
+    for n, f in ((4, [0, 0, 1, 1]), (3, [0, 0, 0])):
+        alg = cyclic_group(n)
+        alg = FiniteAlgebra(n, [*alg.operations, Operation("f", 1, f)], name=f"Z{n}f")
+        paths.append(tmp_path / f"z{n}f.json")
+        paths[-1].write_text(json.dumps(alg.to_json_dict()))
+    code, out, err = run(capsys, "decide", *map(str, paths))
+    assert (code, out) == (1, "")
+    assert "factor Z4f is not a group without other operations" in err
+    code, out, _ = run(capsys, "decide", *map(str, paths), "--assume-nilpotent-pp-factors")
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["hypotheses"] == [
+        f"nilpotency of factor Z{n}f asserted, not verified" for n in (4, 3)
+    ]
+
+
 def test_decide_product_non_coprime_is_error(capsys):
     code, _, err = run(capsys, "decide", "Z2", "Z2")
     assert code == 1
@@ -576,6 +595,18 @@ def test_clone_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "clone", str(path), "--max-arity", "1")
     assert code == 0
     assert len(json.loads(out)["members"]["1"]) == 2
+
+
+def test_clone_cli_applies_a_generator_above_max_arity(tmp_path, capsys):
+    # x + y on {0, 1}: its unary members are x and x + x = 0
+    gens = {"universe_size": 2, "functions": [{"arity": 2, "table": [0, 1, 1, 0]}]}
+    path = tmp_path / "xor.json"
+    path.write_text(json.dumps(gens))
+    code, out, _ = run(capsys, "clone", str(path), "--max-arity", "1")
+    assert code == 0
+    assert json.loads(out)["members"] == {"1": [[0, 0], [0, 1]]}
+    code, out, _ = run(capsys, "clone", str(path), "--max-arity", "1", "--format", "text")
+    assert (code, out) == (0, "2 members\n")
 
 
 def test_skew_cli(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -179,7 +180,7 @@ def test_closure_of_negation():
 @pytest.mark.parametrize("arity", [1, 2])
 def test_closure_matches_superposition_oracle(arity):
     gens = [binary(2, lambda x, y: x ^ y), FiniteFunction(2, 0, (1,))]
-    frag = clone_closure(gens, arity, universe_size=2, working_arity=arity + 2)
+    frag = clone_closure(gens, arity, universe_size=2)
     oracle = superposition_closure(gens, arity, 2)
     assert set(frag.arity_part(arity)) == {f for f in oracle if f.arity == arity}
 
@@ -190,6 +191,29 @@ def test_closure_of_and_not_and_implication_is_every_binary_function():
     frag = clone_closure(gens, 2)
     assert len(frag.arity_part(2)) == 16
     assert len(fixpoint_closure(gens, 2, 2)) == 4 + 14
+
+
+@pytest.mark.parametrize(
+    "gens,max_arity",
+    [
+        ([ternary(2, lambda x, y, z: 1 - (x & y & z))], 1),
+        ([ternary(2, lambda x, y, z: 1 - (x & y & z))], 2),
+        ([ternary(3, lambda x, y, z: (x - y + z + 1) % 3), FiniteFunction(3, 0, (2,))], 1),
+        ([binary(3, lambda x, y: (x * y + 1) % 3)], 1),
+    ],
+    ids=["nand3-unary", "nand3-binary", "affine3-unary", "product3-unary"],
+)
+def test_closure_applies_generators_above_max_arity(gens, max_arity):
+    frag = clone_closure(gens, max_arity)
+    size = frag.universe_size
+    for arity in range(1, max_arity + 1):
+        assert set(frag.arity_part(arity)) == superposition_closure(gens, arity, size)
+
+
+def test_clone_closure_takes_no_working_arity():
+    # generators of every arity are applied as given, so no arity bound is settable
+    parameters = inspect.signature(clone_closure).parameters
+    assert list(parameters) == ["gens", "max_arity", "universe_size", "member_cap"]
 
 
 @st.composite
@@ -226,7 +250,7 @@ def assert_parts_match_the_oracles(frag, gens):
 @given(generator_sets())
 def test_closure_is_exact_and_contains_the_fixpoint(spec):
     size, gens, max_arity = spec
-    frag = clone_closure(gens, max_arity, universe_size=size, working_arity=2)
+    frag = clone_closure(gens, max_arity, universe_size=size)
     assert_parts_match_the_oracles(frag, gens)
     fixpoint = fixpoint_closure(gens, max_arity, size)
     for arity in range(1, max_arity + 1):
@@ -271,7 +295,7 @@ def symmetric_generator_sets(draw):
 def test_closure_with_symmetric_generators_matches_the_oracles(spec):
     size, gens, max_arity = spec
     assert any(clones._symmetric_in_last_two(g) for g in gens)
-    frag = clone_closure(gens, max_arity, universe_size=size, working_arity=3)
+    frag = clone_closure(gens, max_arity, universe_size=size)
     assert_parts_match_the_oracles(frag, gens)
 
 
@@ -372,10 +396,6 @@ def test_closure_input_validation():
         clone_closure([FiniteFunction(0, 1, ())], 1)
     with pytest.raises(InvalidInputError):
         clone_closure([unary(2, [0, 1]), unary(3, [0, 1, 2])], 2)
-    with pytest.raises(InvalidInputError):
-        clone_closure([binary(2, lambda x, y: x)], 1)
-    with pytest.raises(InvalidInputError):
-        clone_closure([], 2, universe_size=2, working_arity=1)
 
 
 def test_fragment_composition_soundness():
@@ -749,7 +769,7 @@ def test_comp_members_are_checked_functions(alg, max_arity):
 @given(generator_sets())
 def test_closure_members_are_checked_functions(spec):
     size, gens, max_arity = spec
-    assert_checked_functions(clone_closure(gens, max_arity, universe_size=size, working_arity=2))
+    assert_checked_functions(clone_closure(gens, max_arity, universe_size=size))
 
 
 @pytest.mark.parametrize(
@@ -889,9 +909,9 @@ def test_tensor_generator_closure_equals_tensor_of_closures():
     x_gens = [FiniteFunction.from_operation(2, op) for op in z2.operations]
     y_gens = [FiniteFunction.from_operation(3, op) for op in z3.operations]
     zset = tensor_generators(x_gens, y_gens, 2, 3)
-    closed = clone_closure(zset, 2, universe_size=6, working_arity=3)
-    lhs = clone_closure(x_gens, 2, universe_size=2, working_arity=3)
-    rhs = clone_closure(y_gens, 2, universe_size=3, working_arity=3)
+    closed = clone_closure(zset, 2, universe_size=6)
+    lhs = clone_closure(x_gens, 2, universe_size=2)
+    rhs = clone_closure(y_gens, 2, universe_size=3)
     assert closed.members == tensor_fragments(lhs, rhs).members
 
 
@@ -900,7 +920,7 @@ def test_tensor_generator_closure_equals_tensor_of_closures():
 def test_tensor_fragments_match_the_pair_loop(left, right):
     max_arity = min(left[2], right[2])
     cf, df = (
-        clone_closure(gens, max_arity, universe_size=size, working_arity=2)
+        clone_closure(gens, max_arity, universe_size=size)
         for size, gens, _ in (left, right)
     )
     assert tensor_fragments(cf, df).members == loop_tensor_fragments(cf, df)
@@ -950,6 +970,10 @@ def test_skew_congruence_counts():
 def test_skew_requires_recorded_product():
     with pytest.raises(InvalidInputError):
         skew_congruences(cyclic_group(4))
+
+
+def test_skew_congruences_of_no_congruence_is_empty():
+    assert skew_congruences(parse_group_spec("Z2xZ2"), []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1119,6 +1143,18 @@ def test_malcev_term_matches_the_first_malcev_member_of_the_tuple_sort(alg):
     assume(group_malcev_function(alg) is None)
     ternary = clones._operation_clone(alg, 3, DEFAULT_MEMBER_CAP).arity_part(3)
     assert malcev_term(alg) == loop_malcev_term(set(ternary))
+
+
+def test_malcev_term_reads_the_constants_of_the_algebra():
+    # (Z2; x and not y, 1): not y = g(1, y) and x and y = g(x, not y), so
+    # the term functions are every Boolean function, x + y + z among them
+    alg = FiniteAlgebra(2, [Operation("g", 2, [0, 0, 1, 0]), Operation("c", 0, [1])])
+    gens = [FiniteFunction.from_operation(2, op) for op in alg.operations]
+    assert len(superposition_closure(gens, 2, 2)) == 16
+    every = {FiniteFunction(2, 3, t) for t in itertools.product(range(2), repeat=8)}
+    d = malcev_term(alg)
+    assert loop_is_malcev_function(d)
+    assert d == loop_malcev_term(every)
 
 
 def test_malcev_term_group_shortcut_and_none():

@@ -490,6 +490,14 @@ def test_congruence_split_refuses_a_list_without_its_witness():
             congruence_split(z8, partial, strong=True)
 
 
+def test_congruence_split_reads_an_empty_list_and_refuses_another_universe():
+    z4 = cyclic_group(4)
+    with pytest.raises(InvalidInputError, match="lacks a congruence of the split"):
+        congruence_split(z4, [], strong=True)
+    with pytest.raises(InvalidInputError, match="different sizes"):
+        congruence_split(z4, [Partition.identity(3), Partition.full(3)], strong=True)
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_algebras())
 def test_principal_split_matches_the_lattice_predicates(alg):
