@@ -23,7 +23,10 @@ from .errors import BudgetExceededError, InvalidInputError
 DEFAULT_BUDGET = 10**6
 
 #: entries per temporary array of the congruence kernel: 64 KB of intp,
-#: which keeps the kernel's share of peak memory small and is no slower
+#: which keeps the kernel's share of peak memory small and is no slower.
+#: The principal rounds take _BLOCK // n rows at a time and translations in
+#: chunks of _BLOCK // #pending pairs; the split hooks blocks of about
+#: _BLOCK entries
 _BLOCK = 1 << 13
 
 
@@ -226,28 +229,37 @@ def _least_members(labels):
     return least[flat].astype(np.int32)
 
 
-def _hook(forest, left, right) -> bool:
+def _hook(forest, left, right):
     """Merge, in place, the classes of left[i] and right[i] in a forest of
-    least-member labels over flat positions; True iff any two differed.
+    least-member labels over flat positions; the labels that stopped being
+    roots, one or more times each, empty iff no two classes differed.
 
     Each round hooks the larger of two class labels under the smaller one
     (np.minimum.at keeps the least of competing hooks; the rest wait for the
     next round) and then jumps pointers until every label is a root again,
     so labels only decrease and stay the least member of their class."""
-    merged = False
+    hooked = []
     while True:
-        a, b = forest[left], forest[right]
+        a, b = forest.take(left), forest.take(right)
         differ = a != b
         if not differ.any():
-            return merged
-        merged = True
+            return np.concatenate(hooked) if hooked else np.empty(0, dtype=forest.dtype)
         a, b = a[differ], b[differ]
-        np.minimum.at(forest, np.maximum(a, b), np.minimum(a, b))
+        hooked.append(np.maximum(a, b))
+        np.minimum.at(forest, hooked[-1], np.minimum(a, b))
         while True:
             up = forest[forest]
             if (up == forest).all():
                 break
             forest[:] = up
+
+
+def _hook_rows(forest, base, rows):
+    """_hook, for each row i, the moved entries x -> rows[i, x] (x != rows[i, x])
+    at the flat positions base[i] + x of the forest."""
+    moved = rows != np.arange(rows.shape[1])
+    base = base[:, None]
+    return _hook(forest, (base + np.arange(rows.shape[1]))[moved], (base + rows)[moved])
 
 
 def _join_rows(left, right):
@@ -272,59 +284,94 @@ def _meet_rows(left, right):
 
 def _principal_rows(translations, a, b, n: int):
     """Least-member rows of Cg(a[i], b[i]): the least equivalences relating
-    a[i] and b[i] that every translation t preserves, i.e. t(x) ~ t(y) for
-    each x and the least member y of its class."""
+    a[i] and b[i] that every translation t preserves.
+
+    Semi-naive rounds: the classes of a row are the equivalence generated
+    by the pairs (x, root of x), one for each x that some round hooked under
+    a smaller root, so t preserves them iff t(x) ~ t(root of x) for those x.
+    Each round therefore applies every translation to the x hooked in the
+    round before, the first round to max(a, b) with root min(a, b), and a
+    row that holds the full relation, n - 1 hooked x, gets no more rounds.
+    Rows go in chunks of _BLOCK // n, translations in chunks of _BLOCK //
+    #pending x, so every temporary stays near _BLOCK entries."""
     out = np.empty((len(a), n), dtype=np.int32)
-    for s in _chunks(len(a), n * max(1, len(translations))):
+    for s in _chunks(len(a), n):
         r = len(out[s])
         offset = np.arange(0, r * n, n)
         forest = np.arange(r * n)
-        _hook(forest, a[s] + offset, b[s] + offset)
-        changed = True
-        while changed:
-            changed = False
-            # only the elements x that are not the least member y of their
-            # class give a pair t(x), t(y) that may be in two classes
-            for t in _chunks(len(translations), r * n):
-                moved = np.flatnonzero(forest != np.arange(r * n))
-                x = moved % n
-                base = moved - x
-                left = (translations[t][:, x] + base).ravel()
-                right = (translations[t][:, forest[moved] - base] + base).ravel()
-                changed |= _hook(forest, left, right)
+        mark = np.zeros(r * n, dtype=bool)
+        count = np.zeros(r, dtype=np.intp)  # the x hooked in each row
+        pending = _hook(forest, a[s] + offset, b[s] + offset)
+        while len(pending):
+            mark[pending] = True  # each x once, in order
+            pending = np.flatnonzero(mark)
+            mark[pending] = False
+            row = pending // n
+            count += np.bincount(row, minlength=r)
+            pending = pending[count[row] < n - 1]  # not in a full row
+            if not len(pending):
+                break
+            x = pending % n
+            base = pending - x
+            y = forest[pending] - base  # the root of x
+            pending = np.concatenate([pending[:0]] + [
+                _hook(forest, (translations[t].take(x, axis=1) + base).ravel(),
+                      (translations[t].take(y, axis=1) + base).ravel())
+                for t in _chunks(len(translations), len(pending))
+            ])
         out[s] = forest.reshape(r, n) - offset[:, None]
     return out
 
 
-def principal_split(principals, first_a, first_b, strong: bool):
-    """(delta, epsilon) as least-member rows, the split of Con(A) by the rule
-    of lattice.splits(_strongly), from the distinct principal congruences
-    alone (_distinct_principal_rows: rows, first pairs), or None.
+def principal_split(principals, first_a, first_b):
+    """(strong, weak): the splits of Con(A) by the rules of
+    lattice.splits_strongly and lattice.splits, each (delta, epsilon) as
+    least-member rows or None, from the distinct principal congruences
+    alone (_distinct_principal_rows: rows, first pairs).
 
     Cg(a, b) <= theta iff theta relates a and b, and every congruence is a
     join of principal ones.  So the atoms are the minimal principal rows,
-    taken in lexicographic order (that of all_congruences), and delta_eps is
-    the join of the principal rows not above epsilon, and of epsilon if
-    strong (Freese, Algebra Universalis 59, 2008).
-    """
-    n = principals.shape[1]
-    labels = np.ascontiguousarray(principals.T)  # labels[x]: x's label in each row
-    below = np.zeros(len(principals), dtype=np.intp)  # the principal rows below each
-    for s in _chunks(len(principals), len(principals)):
-        below += (labels[first_a[s]] == labels[first_b[s]]).sum(axis=0)
+    taken in lexicographic order (that of all_congruences).  For an atom
+    epsilon, delta_eps is the join of the principal rows not above epsilon,
+    and delta_eps v epsilon that of the strong split (Freese, Algebra
+    Universalis 59, 2008); for each rule the first epsilon whose delta is
+    below the full relation wins.
+
+    The deltas of _BLOCK // max(n, #P) atoms at a time are one forest: the
+    moved entries x -> P[x] of the principal rows P that they join are
+    hooked in blocks of about _BLOCK entries, and after each block the atoms
+    whose delta is already the full relation are dropped; then each delta
+    that is left gives the weak split and, joined with its epsilon, the
+    strong one."""
+    k, n = principals.shape
+    below = np.zeros(k, dtype=np.intp)  # the principal rows below each
+    for s in _chunks(k, k):
+        below += (principals.take(first_a[s], 1) == principals.take(first_b[s], 1)).sum(axis=1)
     atoms = np.flatnonzero(below == 1)
-    for eps in atoms[_lex_order(principals[atoms])]:
-        outside = labels[first_a[eps]] != labels[first_b[eps]]
-        outside[eps] = strong
-        delta, outside = np.arange(n), np.flatnonzero(outside)
-        for s in _chunks(len(outside), n):
-            rows = principals[outside[s]]
-            _hook(delta, np.tile(np.arange(n), len(rows)), rows.ravel())
-            if not delta.any():  # the full relation: epsilon does not split
+    atoms = atoms[_lex_order(principals[atoms])]
+    weak = None
+    for s in _chunks(len(atoms), max(n, k)):
+        eps = atoms[s]
+        # the rows not above each atom, row by row, all atoms together
+        row, atom = np.nonzero(principals.take(first_a[eps], 1) != principals.take(first_b[eps], 1))
+        offset = np.arange(0, len(eps) * n, n)
+        delta, live = np.arange(len(eps) * n), np.ones(len(eps), dtype=bool)
+        for u in _chunks(len(row), n):
+            keep = live[atom[u]]
+            _hook_rows(delta, offset[atom[u][keep]], principals[row[u][keep]])
+            live &= delta.reshape(-1, n).max(axis=1) > offset
+            if not live.any():  # every delta is the full relation
                 break
         else:
-            return delta.astype(np.int32), principals[eps]
-    return None
+            live, rows = np.flatnonzero(live), delta.reshape(-1, n)
+            if weak is None:
+                weak = (rows[live[0]] - offset[live[0]]).astype(np.int32), principals[eps[live[0]]]
+            _hook_rows(delta, offset[live], principals[eps[live]])  # delta v epsilon
+            live = live[rows[live].max(axis=1) > offset[live]]
+            if len(live):
+                strong = (rows[live[0]] - offset[live[0]]).astype(np.int32), principals[eps[live[0]]]
+                return strong, weak
+    return None, weak
 
 
 def _fresh(seen: dict, rows):
@@ -380,11 +427,12 @@ def table_array(table, size: int, arity: int, where: str = "", ndim: int = 1):
 
 
 def _lex_order(rows):
-    """np.lexsort(rows.T[::-1]) for a 2-D array with columns and entries in
-    [0, 2^32): a stable argsort of the rows' big-endian bytes, which compare
-    as the rows do, with one sort instead of one pass per column."""
-    key = rows.astype(">u4")
-    return np.argsort(key.view(np.dtype((np.void, key.shape[1] * 4))).ravel(), kind="stable")
+    """np.lexsort(rows.T[::-1]) for a 2-D int array with columns and
+    nonnegative entries: a stable argsort of the rows' big-endian bytes in
+    their own width, which compare as the rows do, with one sort instead of
+    one pass per column."""
+    key = rows.astype(rows.dtype.newbyteorder(">"))
+    return np.argsort(key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel(), kind="stable")
 
 
 def _distinct_rows(rows):
@@ -466,9 +514,11 @@ class FiniteAlgebra:
             for op in self.operations:
                 table = op.table.reshape((n,) * op.arity)
                 rows += [np.moveaxis(table, i, -1).reshape(-1, n) for i in range(op.arity)]
-            rows = _distinct_rows(np.concatenate(rows))
-            moved = (rows != np.arange(n)).any(axis=1)
-            self._translations = rows[moved].astype(np.int32)
+            rows = np.concatenate(rows)
+            rows = rows[_lex_order(rows)]
+            keep = (rows != np.arange(n)).any(axis=1)  # not the identity
+            keep[1:] &= (rows[1:] != rows[:-1]).any(axis=1)  # nor a repeat
+            self._translations = rows[keep].astype(np.int32)
         return self._translations
 
     def principal_congruence(self, a: int, b: int) -> Partition:

@@ -96,7 +96,7 @@ def _subgroup_split_report(g: GroupStructure, budget: int | None):
     """(splits_strongly?, witness dict or None, diagnostics) via the normal
     subgroup lattice, which is Con of the group."""
     subs = normal_subgroups(g, budget=budget)
-    pair = split_normal_subgroup_lattice(g, True, budget)
+    pair, weak = split_normal_subgroup_lattice(g, budget)
     witness = None
     if pair is not None:
         delta, eps = pair
@@ -108,9 +108,7 @@ def _subgroup_split_report(g: GroupStructure, budget: int | None):
         }
     diags = {
         "normal_subgroup_count": len(subs),
-        # strong splitting implies splitting
-        "splits": pair is not None
-        or split_normal_subgroup_lattice(g, False, budget) is not None,
+        "splits": weak is not None,
     }
     return pair is not None, witness, diags
 
@@ -208,20 +206,20 @@ def decide_abelian_spec(p: int, exponents) -> AnalysisReport:
     )
 
 
-def congruence_split(alg: FiniteAlgebra, congs, strong: bool):
-    """principal_split of the principal congruences of alg as a SplitWitness
-    of indices into congs, Con(alg) as congruence_rows or all_congruences
-    gives it, or None; InvalidInputError if congs lacks one of the two.
-    The principal rows are those the closure of congs computed and alg
-    keeps."""
-    found = principal_split(*alg._distinct_principal_rows(), strong)
-    if found is None:
-        return None
+def congruence_split(alg: FiniteAlgebra, congs):
+    """(strong, weak): principal_split of the principal congruences of alg,
+    each split as a SplitWitness of indices into congs, Con(alg) as
+    congruence_rows or all_congruences gives it, or None; InvalidInputError
+    if congs lacks a congruence of either split.  The principal rows are
+    those the closure of congs computed and alg keeps."""
     rows = least_rows(congs, alg.size)
-    hits = [np.flatnonzero((rows == r).all(axis=1)) for r in found]
-    if not all(len(h) for h in hits):
-        raise InvalidInputError("congs lacks a congruence of the split; pass all of Con(alg)")
-    return SplitWitness(*(int(h[0]) for h in hits))
+    out = []
+    for found in principal_split(*alg._distinct_principal_rows()):
+        hits = [np.flatnonzero((rows == r).all(axis=1)) for r in found or ()]
+        if not all(len(h) for h in hits):
+            raise InvalidInputError("congs lacks a congruence of the split; pass all of Con(alg)")
+        out.append(SplitWitness(*(int(h[0]) for h in hits)) if found else None)
+    return tuple(out)
 
 
 def decide_product(
@@ -264,7 +262,8 @@ def decide_product(
         if not assume_nilpotent:
             raise InvalidInputError(
                 f"factor {f.name or '?'} is not a group without other operations: "
-                "pass assume_nilpotent to assert its nilpotency"
+                "pass assume_nilpotent (--assume-nilpotent-pp-factors on the command "
+                "line) to assert its nilpotency"
             )
         hypothesis_notes.append(
             f"nilpotency of factor {f.name or '?'} asserted, not verified"
@@ -292,7 +291,7 @@ def decide_product(
     factor_reports = []
     for f in factors:
         f_congs = f.congruence_rows(budget)
-        w = congruence_split(f, f_congs, strong=True)
+        w = congruence_split(f, f_congs)[0]
         factor_reports.append(
             {
                 "name": f.name,
@@ -303,16 +302,13 @@ def decide_product(
         )
     if prod_congs is None:  # a single factor is its own product
         prod_congs = f_congs
-    whole = congruence_split(prod, prod_congs, strong=True)
+    whole, weak = congruence_split(prod, prod_congs)
     if (whole is not None) != any(r["lattice_witness"] for r in factor_reports):
         raise CongrexError(
             "internal: per-factor and whole-lattice splitting disagree"
         )
     diagnostics["congruence_count"] = len(prod_congs)
-    # strong splitting implies splitting
-    diagnostics["splits"] = (
-        whole is not None or congruence_split(prod, prod_congs, strong=False) is not None
-    )
+    diagnostics["splits"] = weak is not None
     return AnalysisReport(
         verdict=VERDICT_INFINITE if whole else VERDICT_FINITE,
         route="coprime-product-lattice",
@@ -389,7 +385,7 @@ def build_witness_family(
     by principal_split, from the principal congruences alone (under budget;
     None: no limit), and (a, b) the least non-diagonal pair inside epsilon.
     """
-    found = principal_split(*base._distinct_principal_rows(budget), strong=True)
+    found = principal_split(*base._distinct_principal_rows(budget))[0]
     if found is None:
         raise InvalidInputError("congruence lattice does not split strongly")
     delta, epsilon = map(Partition._of_row, found)

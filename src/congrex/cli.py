@@ -257,7 +257,7 @@ def cmd_lattice(args) -> int:
         return EXIT_OK
     strong = args.check == "splits-strongly"
     if lat is None:  # Con(A): the split checks build no lattice
-        size, w = len(congs), congruence_split(source, congs, strong)
+        size, w = len(congs), congruence_split(source, congs)[0 if strong else 1]
     else:
         size, w = lat.size, (splits_strongly if strong else splits)(lat)
     payload = {

@@ -474,10 +474,12 @@ def pol_fragment(
     BudgetExceededError is raised as soon as the members of arities 1..k
     number more than member_cap, before the k-ary members or any higher
     table are built; the message gives the count, a lower bound if the
-    table stopped early.  Other algebras go through clone_closure."""
+    table stopped early.  Other algebras go through clone_closure, with the
+    constants that are not nullary operations of alg already."""
     g = _group_of(alg)
     if g is None:
-        consts = [FiniteFunction.constant(alg.size, v) for v in range(alg.size)]
+        nullary = {int(op.table[0]) for op in alg.operations if op.arity == 0}
+        consts = [FiniteFunction.constant(alg.size, v) for v in range(alg.size) if v not in nullary]
         return _operation_clone(alg, max_arity, member_cap, consts)
     if max_arity < 1:
         raise InvalidInputError("max_arity must be >= 1")

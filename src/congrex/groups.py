@@ -362,13 +362,14 @@ def coset_partition(group, subgroup) -> Partition:
     return Partition(g.mul_table[:, sorted(subgroup)].min(axis=1).tolist())
 
 
-def split_normal_subgroup_lattice(
-    g: GroupStructure, strong: bool = True, budget: int | None = DEFAULT_BUDGET
-):
-    """Witness (delta, epsilon) of the split, strong or not, of the normal
-    subgroup lattice as frozensets, or None: principal_split on the principal
-    congruences of the reduct (under budget; None: no limit), each read as the
-    class of the identity, so the atoms come in the order of the sorted
-    congruence list, as on any algebra."""
-    found = principal_split(*g.reduct._distinct_principal_rows(budget), strong)
-    return None if found is None else tuple(_identity_classes(g, np.stack(found)))
+def split_normal_subgroup_lattice(g: GroupStructure, budget: int | None = DEFAULT_BUDGET):
+    """(strong, weak): witnesses (delta, epsilon) of the strong split and of
+    the split of the normal subgroup lattice as frozensets, each or None:
+    principal_split on the principal congruences of the reduct (under
+    budget; None: no limit), each read as the class of the identity, so the
+    atoms come in the order of the sorted congruence list, as on any
+    algebra."""
+    return tuple(
+        None if found is None else tuple(_identity_classes(g, np.stack(found)))
+        for found in principal_split(*g.reduct._distinct_principal_rows(budget))
+    )

@@ -16,8 +16,10 @@ modularity check and transitive closure of a cover list, the union-find
 principal congruence and pair-list partition join, the pair-by-pair
 permutability check of two partitions, the breadth-first pair orbits and
 the orbit-by-orbit principal join closure with its budget, the
-breadth-first join closure of the principal rows that keeps each row found
-by its bytes and counts the joins that the congruence budget bounds, the bitmask
+full-round principal congruence fixpoint, the atom-by-atom principal
+split, the breadth-first join closure of the principal rows that keeps
+each row found by its bytes and counts the joins that the congruence
+budget bounds, the bitmask
 normal subgroup closure, the subgroup-closure split of the normal
 subgroup lattice, the commutator-by-commutator lower central series, the
 tuple sort of clone fragment members, the pair loop of the tensor of two
@@ -40,6 +42,7 @@ from congrex.algebra import (
     _flat_index,
     _fresh,
     _grid,
+    _hook,
     _join_rows,
     direct_product,
 )
@@ -356,6 +359,55 @@ def breadth_first_congruence_rows(alg: FiniteAlgebra):
         joined = _join_rows(thetas[theta_i], principals[pi_i])
         worklist += list(joined[_fresh(seen, joined)])
     return np.frombuffer(b"".join(seen), dtype=np.int32).reshape(-1, n), work
+
+
+def full_round_principal_rows(translations, a, b, n: int):
+    """Least-member rows of Cg(a[i], b[i]) by full rounds: each round hooks
+    t(x), t(y) for every translation t, every x and the least member y of
+    its class, until a round changes nothing; one row at a time once a
+    translation chunk of n * #translations entries outgrows _BLOCK."""
+    out = np.empty((len(a), n), dtype=np.int32)
+    step = max(1, _BLOCK // (n * max(1, len(translations))))
+    for lo in range(0, len(a), step):
+        s = slice(lo, lo + step)
+        r = len(out[s])
+        offset = np.arange(0, r * n, n)
+        forest = np.arange(r * n)
+        _hook(forest, a[s] + offset, b[s] + offset)
+        changed = True
+        while changed:
+            changed = False
+            for t in range(0, len(translations), max(1, _BLOCK // (r * n))):
+                trans = translations[t : t + max(1, _BLOCK // (r * n))]
+                moved = np.flatnonzero(forest != np.arange(r * n))
+                x = moved % n
+                base = moved - x
+                left = (trans[:, x] + base).ravel()
+                right = (trans[:, forest[moved] - base] + base).ravel()
+                changed |= len(_hook(forest, left, right)) > 0
+        out[s] = forest.reshape(r, n) - offset[:, None]
+    return out
+
+
+def per_atom_principal_split(principals, first_a, first_b, strong: bool):
+    """(delta, epsilon) as least-member rows, or None, one atom at a time,
+    the strong or the weak split of algebra.principal_split:
+    the atoms are the principal rows with no other principal row below
+    them, in lexicographic order, and delta_eps is the join, one row after
+    another, of the principal rows not above epsilon (and of epsilon, if
+    strong); the first epsilon with delta_eps < 1 wins."""
+    n = principals.shape[1]
+    related = principals[:, first_a] == principals[:, first_b]  # [j, i]: P_i <= P_j
+    atoms = [j for j in range(len(principals)) if related[j].sum() == 1]
+    atoms.sort(key=lambda i: principals[i].tolist())
+    for eps in atoms:
+        delta = np.arange(n)
+        for j in range(len(principals)):
+            if not related[j, eps] or (strong and j == eps):
+                _hook(delta, np.arange(n), principals[j].astype(np.intp))
+        if delta.any():
+            return delta.astype(np.int32), principals[eps]
+    return None
 
 
 def bitmask_normal_subgroups(g: GroupStructure):

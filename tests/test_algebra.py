@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congrex import algebra
@@ -23,15 +23,19 @@ from congrex.cli import budget_from_env
 from congrex.errors import BudgetExceededError, InvalidInputError
 from congrex.groups import (
     GroupStructure,
+    abelian_group,
     cyclic_group,
     group_from_cayley,
     parse_group_spec,
     quaternion_group,
+    symmetric_group,
 )
 
 from conftest import (
     breadth_first_congruence_rows,
     brute_congruences,
+    d4_cayley,
+    full_round_principal_rows,
     loop_composes_with,
     loop_direct_product,
     loop_pair_orbits,
@@ -42,6 +46,7 @@ from conftest import (
     pair_list_join,
     pairwise_congruence_closure,
     partition_respects,
+    per_atom_principal_split,
     permutation_algebras,
     q8_times_z3_cayley,
     relabeled_cayley,
@@ -350,6 +355,94 @@ def test_orbit_representatives_are_one_per_orbit_on_abelian_groups(spec):
     reduct = FiniteAlgebra(group.size, [group.operation("+")])
     for alg in (group, reduct):
         assert len(_orbit_pairs(alg)) == len(loop_pair_orbits(alg))
+
+
+def assert_principal_kernels_match_the_oracles(alg, all_pairs=True):
+    """_principal_rows gives the rows of the full-round fixpoint, on every
+    pair a <= b or on the orbit pairs, and principal_split the strong and
+    the weak split of the atom-by-atom loop."""
+    n = alg.size
+    trans = alg.unary_translations()
+    a, b = np.triu_indices(n) if all_pairs else alg._orbit_representatives(trans)
+    rows = algebra._principal_rows(trans, a, b, n)
+    assert np.array_equal(rows, full_round_principal_rows(trans, a, b, n))
+    principals = alg._distinct_principal_rows(budget=None)
+    for strong, found in zip((True, False), algebra.principal_split(*principals)):
+        expected = per_atom_principal_split(*principals, strong)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert all(np.array_equal(x, y) for x, y in zip(found, expected))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(small_algebras(max_size=9), permutation_algebras()))
+def test_principal_kernels_match_the_oracles_on_random_algebras(alg):
+    assert_principal_kernels_match_the_oracles(alg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_algebras(min_size=3, max_size=9))
+def test_principal_kernels_match_the_oracles_without_permutation_translations(alg):
+    trans = alg.unary_translations()
+    assume(not (np.sort(trans, axis=1) == np.arange(alg.size)).all(axis=1).any())
+    assert_principal_kernels_match_the_oracles(alg)
+
+
+def _partitions(total, cap):
+    if total == 0:
+        yield ()
+    for first in range(min(total, cap), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first, *rest)
+
+
+def decide_benchmark_groups():
+    """Every abelian p-group of order below 64, those of order 64 and rank
+    at most 2, and Q8, D4, Q8xZ3, S3 and S4: the groups that the
+    decide-groups benchmark relabels."""
+    groups = [quaternion_group(), group_from_cayley(d4_cayley(), name="D4")]
+    groups += [group_from_cayley(q8_times_z3_cayley(), name="Q8xZ3")]
+    groups += [symmetric_group(3), symmetric_group(4)]
+    for p in (q for q in range(2, 64) if all(q % d for d in range(2, q))):
+        for k in itertools.takewhile(lambda k: p**k <= 64, itertools.count(1)):
+            groups += [abelian_group(p, e) for e in _partitions(k, k) if p**k < 64 or len(e) <= 2]
+    return groups
+
+
+@pytest.mark.parametrize("group", decide_benchmark_groups(), ids=lambda g: g.name)
+def test_principal_kernels_match_the_oracles_on_relabeled_groups(group):
+    table = GroupStructure.of(group).mul_table.tolist()
+    perm = list(range(len(table)))
+    random.Random(group.name).shuffle(perm)
+    relabeled = group_from_cayley(relabeled_cayley(table, perm), name=group.name)
+    # the reduct (G; *) is the algebra whose principal rows decide reads
+    reduct = GroupStructure.of(relabeled).reduct
+    for alg in (relabeled, reduct):
+        assert_principal_kernels_match_the_oracles(alg, all_pairs=alg.size <= 32)
+
+
+@pytest.mark.parametrize("spec", ["300 points", "40 points", "Z2xZ2xZ2xZ2xZ2xZ2"])
+def test_principal_kernels_keep_their_temporaries_small(spec):
+    # peak traced memory beyond the result, in 8-byte entries: a few
+    # _BLOCKs, however many pairs and translations there are
+    n = int(spec.split()[0]) if spec.endswith("points") else 64
+    alg = FiniteAlgebra(n, []) if spec.endswith("points") else parse_group_spec(spec)
+    trans = alg.unary_translations()
+    a, b = alg._orbit_representatives(trans)
+    principals = alg._distinct_principal_rows(budget=None)
+    # the 44,850 atoms of 300 points would make the split a long loop
+    kernels = [lambda: algebra._principal_rows(trans, a, b, n)]
+    if n < 300:
+        kernels.append(lambda: algebra.principal_split(*principals))
+    for kernel in kernels:
+        tracemalloc.start()
+        try:
+            result = kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result_bytes = result.nbytes if isinstance(result, np.ndarray) else 0
+        assert peak - result_bytes < 8 * 8 * algebra._BLOCK
 
 
 @st.composite

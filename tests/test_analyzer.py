@@ -274,22 +274,23 @@ def test_decide_product_examples():
     assert report.lattice_witness is None
 
 
-def test_decide_product_takes_the_weak_split_only_without_a_strong_one(monkeypatch):
+def test_decide_product_splits_each_algebra_in_one_pass(monkeypatch):
     calls = []
     split = analyzer.principal_split
 
     def counted(*args):
-        calls.append(args[-1])  # strong
+        calls.append(len(args[0]))  # the principal rows of one algebra
         return split(*args)
 
     monkeypatch.setattr(analyzer, "principal_split", counted)
     report = decide_product([parse_group_spec("Z4"), parse_group_spec("Z3")])
     assert report.lattice_witness is not None and report.diagnostics["splits"]
-    assert calls == [True, True, True]  # the two factors and the product
+    assert calls == [2, 1, 5]  # the two factors and the product
     calls.clear()
+    # no strong split, but a weak one, from the same pass
     report = decide_product([parse_group_spec("Z2"), parse_group_spec("Z3")])
     assert report.lattice_witness is None and report.diagnostics["splits"]
-    assert calls == [True, True, True, False]
+    assert calls == [1, 1, 3]
 
 
 def test_decide_product_hypothesis_checks():

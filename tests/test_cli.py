@@ -210,6 +210,7 @@ def test_decide_product_takes_a_group_with_extra_operations_on_trust_only(tmp_pa
     code, out, err = run(capsys, "decide", *map(str, paths))
     assert (code, out) == (1, "")
     assert "factor Z4f is not a group without other operations" in err
+    assert "--assume-nilpotent-pp-factors" in err
     code, out, _ = run(capsys, "decide", *map(str, paths), "--assume-nilpotent-pp-factors")
     assert code == 0
     assert json.loads(out)["diagnostics"]["hypotheses"] == [

@@ -499,6 +499,26 @@ def test_pol_of_small_groups_equals_the_closure(alg):
         assert pol_fragment(alg, 2) == expected
 
 
+@pytest.mark.parametrize("constants", [[1], [0, 2], [2, 0, 1]])
+def test_pol_of_a_non_group_passes_each_constant_once(constants):
+    # (Z3; x - y) with nullary operations is not a group, so Pol goes
+    # through the closure, which gets each constant once: as a nullary
+    # operation or, for the other values, as a unary constant
+    sub = Operation("-", 2, [(x - y) % 3 for x in range(3) for y in range(3)])
+    alg = FiniteAlgebra(3, [sub, *(Operation(f"c{v}", 0, [v]) for v in constants)])
+    expected = closure_pol(alg, 2)
+    received = []
+    closure = clones.clone_closure
+
+    def spy(gens, *args):
+        received.extend(int(f.table[0]) for f in gens if len(set(f.table.tolist())) == 1)
+        return closure(gens, *args)
+
+    with mock.patch.object(clones, "clone_closure", spy):
+        assert pol_fragment(alg, 2) == expected
+    assert sorted(received) == [0, 1, 2]
+
+
 @pytest.mark.parametrize("seed", [None, 1, 2])
 @pytest.mark.parametrize("name", ["S3", "Q8", "D4"])
 def test_pol_of_relabeled_nonabelian_groups_equals_the_closure(name, seed):

@@ -477,25 +477,24 @@ def assert_principal_split_matches_the_lattice(alg):
     """The split from the principal congruences names, by index into the
     sorted congruence list, the (delta, epsilon) of the lattice predicates."""
     lat, congs = congruence_lattice(alg)
-    for strong, predicate in ((True, splits_strongly), (False, splits)):
-        assert congruence_split(alg, congs, strong) == predicate(lat)
+    assert congruence_split(alg, congs) == (splits_strongly(lat), splits(lat))
 
 
 def test_congruence_split_refuses_a_list_without_its_witness():
     z8 = cyclic_group(8)
     congs = z8.congruence_rows()
-    assert congruence_split(z8, congs, strong=True) == SplitWitness(2, 2)
+    assert congruence_split(z8, congs) == (SplitWitness(2, 2), SplitWitness(3, 2))
     for partial in (np.delete(congs, 2, axis=0), z8.all_congruences()[:2]):
         with pytest.raises(InvalidInputError, match="lacks a congruence of the split"):
-            congruence_split(z8, partial, strong=True)
+            congruence_split(z8, partial)
 
 
 def test_congruence_split_reads_an_empty_list_and_refuses_another_universe():
     z4 = cyclic_group(4)
     with pytest.raises(InvalidInputError, match="lacks a congruence of the split"):
-        congruence_split(z4, [], strong=True)
+        congruence_split(z4, [])
     with pytest.raises(InvalidInputError, match="different sizes"):
-        congruence_split(z4, [Partition.identity(3), Partition.full(3)], strong=True)
+        congruence_split(z4, [Partition.identity(3), Partition.full(3)])
 
 
 @settings(max_examples=300, deadline=None)
